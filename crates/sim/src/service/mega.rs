@@ -25,6 +25,32 @@
 //! count under load. When **no** shard has an active session the clock
 //! fast-forwards to the earliest next event across the fleet.
 //!
+//! A tick visits only the shards that have work, so it costs
+//! O(busy shards + shards with a due event + shards / 64) rather than
+//! O(shards):
+//!
+//! - A **busy bitset** holds one bit per shard, set exactly while the
+//!   shard has an active session. The grant round walks the set bits in
+//!   ascending shard order. The order matters: tickets enter the audit
+//!   in completion order, and shards that complete in the same tick
+//!   complete in the order they step.
+//! - An **event calendar**, a fixed-capacity indexed min-heap with one
+//!   entry per shard keyed `(next_event, shard)`, yields the shards
+//!   whose arrival or backoff timer is due. They fire in heap order, not
+//!   shard order: admission only adds to telemetry counters, and sums do
+//!   not depend on order. A crash in the grant round can only pull its
+//!   shard's next event earlier (the backoff timer), and re-keys the
+//!   shard. The idle fast-forward reads the heap minimum.
+//! - **Lazy gauges.** The fleet's `(inflight, queued, waiting)` gauges
+//!   are summed over the shards only when a window closes, and in
+//!   `finish`, because only window rows record them.
+//!
+//! An idle tick ends the run when the calendar is empty. That relies on
+//! `Admission::max_inflight ≥ 1`, asserted at construction: a shard
+//! with a queued client then always has a session in flight, so a fleet
+//! with no busy shard has no queue either, and an empty calendar means
+//! every shard is drained.
+//!
 //! # Arrival sharding
 //!
 //! Rather than hashing a single arrival stream (which would serialize
@@ -203,7 +229,7 @@ impl MegaServiceWorld {
 
 /// The result of a sharded run: the global roll-up (identical in shape
 /// to an unsharded report) plus every shard's own totals.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MegaServiceReport {
     /// The fleet-wide roll-up: global totals, global windows (gauges
     /// summed across shards, quantiles over the merged samples), the
@@ -235,6 +261,94 @@ impl MegaServiceReport {
     }
 }
 
+/// The fleet's event calendar: a fixed-capacity indexed binary min-heap
+/// holding exactly one entry per shard, keyed `(due, shard)` where `due`
+/// is the shard's [`ShardState::next_event`] (`u64::MAX` for none).
+/// Re-keying moves an entry in place, so the heap never grows or holds
+/// stale entries, and the steady state stays allocation-free.
+struct EventHeap {
+    /// Shard ids in heap order.
+    heap: Vec<usize>,
+    /// `pos[s]` is shard `s`'s index in `heap`.
+    pos: Vec<usize>,
+    /// `due[s]` is shard `s`'s key.
+    due: Vec<u64>,
+}
+
+impl EventHeap {
+    fn new(due: Vec<u64>) -> Self {
+        let n = due.len();
+        let mut events = EventHeap {
+            heap: (0..n).collect(),
+            pos: (0..n).collect(),
+            due,
+        };
+        for i in (0..n / 2).rev() {
+            events.sift_down(i);
+        }
+        events
+    }
+
+    /// The earliest `(due, shard)` entry.
+    fn min(&self) -> (u64, usize) {
+        let s = self.heap[0];
+        (self.due[s], s)
+    }
+
+    /// Re-keys shard `s` to `due`.
+    fn set(&mut self, s: usize, due: u64) {
+        let earlier = due < self.due[s];
+        self.due[s] = due;
+        if earlier {
+            self.sift_up(self.pos[s]);
+        } else {
+            self.sift_down(self.pos[s]);
+        }
+    }
+
+    fn less(&self, i: usize, j: usize) -> bool {
+        let (a, b) = (self.heap[i], self.heap[j]);
+        (self.due[a], a) < (self.due[b], b)
+    }
+
+    fn swap(&mut self, i: usize, j: usize) {
+        self.heap.swap(i, j);
+        self.pos[self.heap[i]] = i;
+        self.pos[self.heap[j]] = j;
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !self.less(i, parent) {
+                break;
+            }
+            self.swap(i, parent);
+            i = parent;
+        }
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len() && self.less(right, left) {
+                right
+            } else {
+                left
+            };
+            if !self.less(child, i) {
+                break;
+            }
+            self.swap(i, child);
+            i = child;
+        }
+    }
+}
+
 /// The sharded open-loop harness; see the module docs. Defaults to the
 /// [`SlabBank`] backend — the mega scale is exactly what the slab
 /// register file exists for.
@@ -243,6 +357,13 @@ pub struct MegaServiceHarness<'w, B: RegisterBank = SlabBank> {
     shards: Vec<ShardState<'w, B>>,
     tel: Telemetry,
     now: u64,
+    /// One bit per shard, set exactly when the shard has an active
+    /// session.
+    busy: Vec<u64>,
+    /// Every shard's next arrival or timer.
+    events: EventHeap,
+    /// Scratch for the shards whose events fall due in one tick.
+    due: Vec<usize>,
 }
 
 impl<'w> MegaServiceHarness<'w, SlabBank> {
@@ -282,18 +403,22 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
         );
         assert_eq!(banks.len(), cfg.shards, "need one register bank per shard");
         let step = cfg.shards as u64;
-        let shards = world
+        let shards: Vec<ShardState<'w, B>> = world
             .worlds
             .iter()
             .zip(banks)
             .enumerate()
             .map(|(s, (w, bank))| ShardState::new(w, &cfg.shard_cfg(s), bank, s as u64, step))
             .collect();
+        let events = EventHeap::new(shards.iter().map(ShardState::next_event).collect());
         MegaServiceHarness {
             cfg: *cfg,
             shards,
             tel: Telemetry::new(&cfg.base),
             now: 0,
+            busy: vec![0; cfg.shards.div_ceil(64)],
+            events,
+            due: Vec::with_capacity(cfg.shards),
         }
     }
 
@@ -392,27 +517,68 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
         })
     }
 
-    /// One global tick: roll telemetry windows, fire every shard's due
-    /// timers and arrivals, then run one parallel grant round (each
-    /// shard with an active session grants or crashes one operation).
+    /// One global tick: roll telemetry windows, fire the due timers and
+    /// arrivals of every shard with an event due, then run one parallel
+    /// grant round (each busy shard grants or crashes one operation).
     /// Fast-forwards idle gaps; returns `false` when the run cannot
     /// continue.
     fn advance(&mut self) -> bool {
-        if self.now >= self.cfg.base.horizon {
+        let now = self.now;
+        if now >= self.cfg.base.horizon {
             return false;
         }
-        self.tel.roll(self.now, self.gauges());
-        for shard in &mut self.shards {
-            shard.fire_due_timers(self.now, &mut self.tel);
-            shard.generate_arrivals(self.now, &mut self.tel);
+        if now >= self.tel.window_end {
+            let gauges = self.gauges();
+            self.tel.roll(now, gauges);
         }
+        // Pull every due shard off the calendar before firing any, so
+        // a shard whose events stay due (a zero backoff delay) still
+        // fires once per tick.
+        loop {
+            let (due, s) = self.events.min();
+            if due > now {
+                break;
+            }
+            self.events.set(s, u64::MAX);
+            self.due.push(s);
+        }
+        for &s in &self.due {
+            let shard = &mut self.shards[s];
+            shard.fire_due_timers(now, &mut self.tel);
+            shard.generate_arrivals(now, &mut self.tel);
+            if !shard.active.is_empty() {
+                self.busy[s / 64] |= 1 << (s % 64);
+            }
+            self.events.set(s, shard.next_event());
+        }
+        self.due.clear();
+        // Ascending shard order keeps the ticket audit in completion
+        // order.
         let mut granted = false;
-        for shard in &mut self.shards {
-            granted |= shard.step(self.now, &mut self.tel);
+        for w in 0..self.busy.len() {
+            let mut bits = self.busy[w];
+            while bits != 0 {
+                let bit = bits & bits.wrapping_neg();
+                bits ^= bit;
+                let s = w * 64 + bit.trailing_zeros() as usize;
+                let shard = &mut self.shards[s];
+                granted |= shard.step(now, &mut self.tel);
+                if shard.active.is_empty() {
+                    self.busy[w] &= !bit;
+                }
+                // A crash's backoff timer can only pull the next event
+                // earlier.
+                let next = shard.next_event();
+                if next < self.events.due[s] {
+                    self.events.set(s, next);
+                }
+            }
         }
         if !granted {
-            if self.shards.iter().all(ShardState::drained) {
-                return false; // every shard drained
+            // No shard is busy, so (with `max_inflight ≥ 1`) none holds
+            // a queue: the fleet is drained once no event remains.
+            if self.events.min().0 == u64::MAX {
+                return false;
             }
             self.fast_forward();
             return true;
@@ -426,10 +592,11 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
     /// the horizon).
     fn fast_forward(&mut self) {
         let next = self
-            .shards
-            .iter()
-            .map(ShardState::next_event)
-            .fold(self.cfg.base.horizon.min(self.tel.window_end), u64::min);
+            .cfg
+            .base
+            .horizon
+            .min(self.tel.window_end)
+            .min(self.events.min().0);
         self.now = next.max(self.now + 1);
     }
 
@@ -458,7 +625,135 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
 mod tests {
     use super::super::{Admission, ServiceHarness};
     use super::*;
+    use proptest::prelude::*;
     use std::collections::BTreeSet;
+
+    /// The reference tick: every tick it rolls the gauges and fires,
+    /// generates and steps every shard, and an idle tick scans every
+    /// shard for `drained` and folds every shard's `next_event`. It
+    /// drives the harness's own shards and sink, and ignores the busy
+    /// set and the event calendar.
+    fn reference_run<B: RegisterBank>(mut h: MegaServiceHarness<'_, B>) -> MegaServiceReport {
+        let base = h.cfg.base;
+        while base.target_sessions == 0 || h.tel.totals.completed < base.target_sessions {
+            if h.now >= base.horizon {
+                break;
+            }
+            let gauges = h.gauges();
+            h.tel.roll(h.now, gauges);
+            for shard in &mut h.shards {
+                shard.fire_due_timers(h.now, &mut h.tel);
+                shard.generate_arrivals(h.now, &mut h.tel);
+            }
+            let mut granted = false;
+            for shard in &mut h.shards {
+                granted |= shard.step(h.now, &mut h.tel);
+            }
+            if granted {
+                h.now += 1;
+                continue;
+            }
+            if h.shards.iter().all(ShardState::drained) {
+                break;
+            }
+            let next = h
+                .shards
+                .iter()
+                .map(ShardState::next_event)
+                .fold(base.horizon.min(h.tel.window_end), u64::min);
+            h.now = next.max(h.now + 1);
+        }
+        h.finish()
+    }
+
+    /// Fleet-wide arrival processes of every kind, from overload (a
+    /// fleet gap under one step) to idle gaps spanning many windows.
+    fn any_arrivals() -> impl Strategy<Value = Arrivals> {
+        prop_oneof![
+            (0.3f64..300.0).prop_map(|mean_gap| Arrivals::Poisson { mean_gap }),
+            (0.3f64..60.0, 64u64..4096, 64u64..8192).prop_map(|(mean_gap, burst, lull)| {
+                Arrivals::Bursty {
+                    mean_gap,
+                    burst,
+                    lull,
+                }
+            }),
+            (0.3f64..20.0, 20.0f64..400.0, 256u64..16_384).prop_map(
+                |(peak_gap, trough_gap, period)| Arrivals::Diurnal {
+                    peak_gap,
+                    trough_gap,
+                    period,
+                }
+            ),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The event-driven tick reproduces the reference tick's whole
+        /// report: totals, windows, cumulative histograms, tickets in
+        /// completion order, `in_system` and every shard's totals. Runs
+        /// end by draining a client budget, by a session target, or at
+        /// a small horizon.
+        #[test]
+        fn event_driven_tick_matches_the_reference_tick(
+            seed in 0u64..10_000,
+            shards in 1usize..=40,
+            slots in 1usize..=6,
+            hazard in 0.0f64..0.01,
+            arrivals in any_arrivals(),
+            window_log in 6u32..=12,
+            stop in 0u8..3,
+            budget in 20u64..240,
+            admission in (1usize..=6, 0usize..6, 1usize..32),
+        ) {
+            let (max_inflight, queue_capacity, waiting_capacity) = admission;
+            let mut base = ServiceConfig {
+                seed,
+                slots,
+                window: 1 << window_log,
+                arrivals,
+                crash_hazard: hazard,
+                admission: Admission {
+                    max_inflight: max_inflight.min(slots),
+                    queue_capacity,
+                    backoff_base: 16,
+                    backoff_cap: 1 << 9,
+                    max_retries: 3,
+                    waiting_capacity,
+                },
+                ..ServiceConfig::default()
+            };
+            match stop {
+                0 => base.max_clients = budget,
+                1 => base.target_sessions = budget,
+                _ => base.horizon = 16 * budget,
+            }
+            let cfg = MegaServiceConfig { base, shards };
+            let world_a = MegaServiceWorld::new(&cfg);
+            let fast = MegaServiceHarness::new(&world_a, &cfg).run();
+            let world_b = MegaServiceWorld::new(&cfg);
+            let slow = reference_run(MegaServiceHarness::new(&world_b, &cfg));
+            prop_assert_eq!(fast.report.totals, slow.report.totals);
+            prop_assert_eq!(&fast.shard_totals, &slow.shard_totals);
+            prop_assert_eq!(&fast.report.windows, &slow.report.windows);
+            prop_assert_eq!(&fast.report.names, &slow.report.names);
+            prop_assert_eq!(fast.report.in_system, slow.report.in_system);
+            prop_assert!(fast == slow, "cumulative histograms diverge");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "in-flight bound 0")]
+    fn zero_inflight_bound_is_rejected() {
+        let mut base = base_cfg(1, 20, 0.0);
+        base.admission.max_inflight = 0;
+        let cfg = MegaServiceConfig { base, shards: 2 };
+        let world = MegaServiceWorld::new(&cfg);
+        let banks = (0..cfg.shards).map(|_| SlabBank::new()).collect();
+        let _ = MegaServiceHarness::with_banks(&world, &cfg, banks);
+    }
 
     fn base_cfg(seed: u64, clients: u64, hazard: f64) -> ServiceConfig {
         ServiceConfig {

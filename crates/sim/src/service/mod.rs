@@ -166,7 +166,8 @@ fn exp_gap(mean: f64, rng: &mut SmallRng) -> u64 {
 /// client is cleanly **rejected**.
 #[derive(Clone, Copy, Debug)]
 pub struct Admission {
-    /// Sessions allowed in flight simultaneously (≤ slots).
+    /// Sessions allowed in flight simultaneously (1 ≤ `max_inflight` ≤
+    /// slots).
     pub max_inflight: usize,
     /// FIFO waiting-room capacity; 0 disables queueing.
     pub queue_capacity: usize,
@@ -367,7 +368,7 @@ const FAMILIES: usize = 6;
 /// then four sub-buckets per octave (≈ ±12% resolution) up to `u64::MAX`
 /// — 256 buckets total, recording and quantile extraction both
 /// allocation-free.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StepHistogram {
     counts: [u64; 256],
     total: u64,
@@ -534,7 +535,7 @@ pub struct Totals {
 }
 
 /// The result of a service run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServiceReport {
     /// Whole-run totals.
     pub totals: Totals,
@@ -781,7 +782,7 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent (no slots, a zero
-    /// window, or an in-flight bound above the slot count).
+    /// window, or an in-flight bound of 0 or above the slot count).
     fn new(
         world: &'w ServiceWorld,
         cfg: &ServiceConfig,
@@ -791,6 +792,13 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
     ) -> Self {
         assert!(cfg.slots > 0, "need at least one client slot");
         assert!(cfg.window > 0, "telemetry window must be positive");
+        // A bound of 0 queues every client forever, and the run never
+        // drains. With a bound of at least 1, a shard with a non-empty
+        // queue always has a session in flight.
+        assert!(
+            cfg.admission.max_inflight > 0,
+            "in-flight bound 0 admits no session"
+        );
         assert!(
             cfg.admission.max_inflight <= cfg.slots,
             "in-flight bound {} above the {} slots",
@@ -1226,7 +1234,7 @@ impl<'w, B: RegisterBank> ServiceHarness<'w, B> {
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent (no slots, a zero
-    /// window, or an in-flight bound above the slot count).
+    /// window, or an in-flight bound of 0 or above the slot count).
     #[must_use]
     pub fn with_bank(world: &'w ServiceWorld, cfg: &ServiceConfig, bank: B) -> Self {
         ServiceHarness {
@@ -1490,6 +1498,15 @@ mod tests {
         assert!(report.totals.shed > 0, "overload never shed");
         assert!(report.totals.rejected > 0, "no client was rejected");
         assert!(report.accounted());
+    }
+
+    #[test]
+    #[should_panic(expected = "in-flight bound 0")]
+    fn zero_inflight_bound_is_rejected() {
+        let mut cfg = small_cfg(1);
+        cfg.admission.max_inflight = 0;
+        let world = ServiceWorld::new(&cfg);
+        let _ = ServiceHarness::with_bank(&world, &cfg, ArcBank::new());
     }
 
     #[test]

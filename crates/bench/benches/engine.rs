@@ -1,21 +1,19 @@
 //! Execution-backend comparison: the thread-backed lock-step scheduler
 //! (`SimBuilder`) vs the single-threaded step-machine engine
 //! (`StepEngine`) on identical workloads — a full Majority-renaming round
-//! under a seeded random schedule, exhaustive schedule exploration of
-//! `Compete-For-Register` at a fixed depth, and a pigeonhole-adversary
-//! run. The executions themselves are identical (same policy ⇒ same
-//! trace); only the machinery differs.
+//! under a seeded random schedule and a pigeonhole-adversary run — plus
+//! the engine-reuse sweep. The executions themselves are identical (same
+//! policy ⇒ same trace); only the machinery differs.
 //!
 //! `cargo bench -p exsel-bench --bench engine`
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use exsel_bench::runner::{run_sim, run_sim_engine, run_sim_engine_with, spread_originals};
-use exsel_core::{Majority, MoirAnderson, Outcome, Rename, RenameConfig, SlotBank, StepRename};
+use exsel_core::{Majority, MoirAnderson, Outcome, Rename, RenameConfig, StepRename};
 use exsel_lowerbound::{run_against, run_machines_against};
 use exsel_shm::{RegAlloc, StepMachine};
-use exsel_sim::explore::{explore, explore_engine, explore_pool};
 use exsel_sim::policy::RandomPolicy;
-use exsel_sim::{AlgoSet, MachinePool, StepEngine};
+use exsel_sim::StepEngine;
 
 fn bench_majority_round(c: &mut Criterion) {
     let cfg = RenameConfig::default();
@@ -33,39 +31,6 @@ fn bench_majority_round(c: &mut Criterion) {
             b.iter(|| run_sim_engine(&algo, regs, &originals, 42));
         });
     }
-    group.finish();
-}
-
-fn bench_explore(c: &mut Criterion) {
-    let mut group = c.benchmark_group("backend_explore");
-    group.sample_size(10);
-    // Three contenders on one compete slot: exhaustive schedule tree,
-    // thousands of executions per iteration.
-    let mut alloc = RegAlloc::new();
-    let bank = SlotBank::new(&mut alloc, 1);
-    let regs = alloc.total();
-    group.bench_with_input(BenchmarkId::new("threads", 3), &3, |b, _| {
-        b.iter(|| {
-            explore(
-                regs,
-                3,
-                u64::MAX,
-                |ctx| bank.compete(ctx, 0, ctx.pid().0 as u64 + 1),
-                |_| {},
-            )
-        });
-    });
-    group.bench_with_input(BenchmarkId::new("step_engine", 3), &3, |b, _| {
-        b.iter(|| {
-            explore_engine(
-                regs,
-                3,
-                u64::MAX,
-                |pid| Box::new(bank.begin_compete(0, pid.0 as u64 + 1)),
-                |_| {},
-            )
-        });
-    });
     group.finish();
 }
 
@@ -130,63 +95,10 @@ fn bench_engine_reuse(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_machine_pool(c: &mut Criterion) {
-    // The allocation-free trial loop: the PR 2 recipe (pending set
-    // rebuilt per decision + boxed machines per trial) vs one
-    // enum-dispatched MachinePool on the incremental engine. Trials are
-    // trace-identical; only the machinery differs.
-    let cfg = RenameConfig::default();
-    let mut group = c.benchmark_group("machine_pool");
-    group.sample_size(10);
-    let trials = 32u64;
-    for k in [8usize, 32] {
-        let mut alloc = RegAlloc::new();
-        let algo = Majority::new(&mut alloc, 1024, k, &cfg);
-        let regs = alloc.total();
-        let originals = spread_originals(k, 1024);
-        group.bench_with_input(BenchmarkId::new("pr2_boxed", k), &k, |b, _| {
-            b.iter(|| {
-                let mut engine = StepEngine::reusable(regs).pending_rebuild(true);
-                for seed in 0..trials {
-                    let mut policy = RandomPolicy::new(seed);
-                    run_sim_engine_with(&mut engine, &algo, &originals, &mut policy);
-                }
-            });
-        });
-        let algo_set = AlgoSet::Majority(algo.clone());
-        group.bench_with_input(BenchmarkId::new("pooled", k), &k, |b, _| {
-            b.iter(|| {
-                let mut engine = StepEngine::reusable(regs);
-                let mut pool = algo_set.pool(&originals);
-                for seed in 0..trials {
-                    let mut policy = RandomPolicy::new(seed);
-                    engine.run_pool(&mut policy, &mut pool);
-                }
-            });
-        });
-    }
-
-    // Pooled exhaustive exploration of Compete-For-Register.
-    let mut alloc = RegAlloc::new();
-    let bank = SlotBank::new(&mut alloc, 1);
-    let regs = alloc.total();
-    group.bench_with_input(BenchmarkId::new("explore_pooled", 3), &3, |b, _| {
-        b.iter(|| {
-            let mut pool: MachinePool<exsel_core::CompeteOp> = (0..3)
-                .map(|p| bank.begin_compete(0, p as u64 + 1))
-                .collect();
-            explore_pool(regs, &mut pool, u64::MAX, |_| {})
-        });
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_majority_round,
-    bench_explore,
     bench_adversary,
-    bench_engine_reuse,
-    bench_machine_pool
+    bench_engine_reuse
 );
 criterion_main!(benches);

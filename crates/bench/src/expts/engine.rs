@@ -1,7 +1,8 @@
 //! T11 — execution backends: the thread-backed lock-step scheduler vs
 //! the single-threaded step-machine engine on identical workloads, plus
 //! the engine-reuse comparison (fresh engine per trial vs one engine
-//! reused through `reset()`/`run_trial()`).
+//! reused through `reset()`/`run_trial()`), the snapshot-compaction row
+//! and, with the `check` feature, the footprint checker's overhead.
 //!
 //! Both backends replay the *same* executions (same policy ⇒ same trace;
 //! the blocking renaming APIs are `drive` adapters over the same step
@@ -15,12 +16,12 @@
 
 use std::time::Instant;
 
-use exsel_core::{Majority, RenameConfig, SlotBank};
-use exsel_shm::{Pid, RegAlloc, StepMachine};
-use exsel_sim::explore::{explore, explore_engine, explore_pool};
+use exsel_core::{Majority, RenameConfig};
+use exsel_shm::RegAlloc;
 use exsel_sim::policy::RandomPolicy;
-use exsel_sim::{AlgoSet, MachinePool, SetOutput, StepEngine};
-use exsel_unbounded::AltruisticDeposit;
+#[cfg(feature = "check")]
+use exsel_sim::AlgoSet;
+use exsel_sim::{MachinePool, StepEngine};
 
 use crate::gate::Measurement as Row;
 use crate::runner::{run_sim, run_sim_engine, run_sim_engine_with, spread_originals};
@@ -38,10 +39,10 @@ pub(crate) fn time(iters: u32, mut f: impl FnMut()) -> f64 {
 }
 
 /// Measures every T11 workload and returns the rows. `quick` is the
-/// bench-gate mode: fewer trials and iterations, the largest-k majority
-/// round and the thread-backed exploration (seconds of wall-clock by
-/// itself) skipped — rows keep the same [`crate::gate::workload_key`]s,
-/// so the gate compares them against the committed full-scale artifact.
+/// bench-gate mode: fewer trials and iterations and the largest-k
+/// majority round skipped — rows keep the same
+/// [`crate::gate::workload_key`]s, so the gate compares them against the
+/// committed full-scale artifact.
 ///
 /// # Panics
 ///
@@ -79,58 +80,6 @@ pub fn measure(quick: bool) -> Vec<Row> {
         });
         rows.push(Row {
             workload: format!("majority_round/k={k}"),
-            baseline: "threads",
-            contender: "engine",
-            baseline_s: threads_s,
-            contender_s: engine_s,
-            extras: Vec::new(),
-        });
-    }
-
-    // Exhaustive exploration of Compete-For-Register, 3 contenders —
-    // the fixed-depth model-checking workload. The thread-backed arm
-    // takes seconds per iteration, so the quick mode leaves this row to
-    // full regenerations.
-    if !quick {
-        let mut alloc = RegAlloc::new();
-        let bank = SlotBank::new(&mut alloc, 1);
-        let regs = alloc.total();
-        let a = explore(
-            regs,
-            3,
-            u64::MAX,
-            |ctx| bank.compete(ctx, 0, ctx.pid().0 as u64 + 1),
-            |_| {},
-        );
-        let b = explore_engine(
-            regs,
-            3,
-            u64::MAX,
-            |pid| Box::new(bank.begin_compete(0, pid.0 as u64 + 1)),
-            |_| {},
-        );
-        assert!(a.complete && b.complete);
-        assert_eq!(a.executions, b.executions, "exploration trees diverged");
-        let threads_s = time(3, || {
-            explore(
-                regs,
-                3,
-                u64::MAX,
-                |ctx| bank.compete(ctx, 0, ctx.pid().0 as u64 + 1),
-                |_| {},
-            );
-        });
-        let engine_s = time(3, || {
-            explore_engine(
-                regs,
-                3,
-                u64::MAX,
-                |pid| Box::new(bank.begin_compete(0, pid.0 as u64 + 1)),
-                |_| {},
-            );
-        });
-        rows.push(Row {
-            workload: format!("explore_compete/3procs/{}execs", a.executions),
             baseline: "threads",
             contender: "engine",
             baseline_s: threads_s,
@@ -184,59 +133,25 @@ pub fn measure(quick: bool) -> Vec<Row> {
         });
     }
 
-    // The machine pool vs the PR 2 trial loop, reproduced faithfully:
-    // fresh `Box<dyn StepMachine>`s every seed AND the pending set
-    // rebuilt from scratch before every decision (one peek per live
-    // machine — `StepEngine::pending_rebuild`, kept in the engine as the
-    // reference loop). The contender is the full PR 3 stack: one
-    // enum-dispatched MachinePool reset in place, driving the
-    // incrementally-maintained pending set. Same trials (verified
-    // trace-identical in tests/engine_determinism.rs and the
-    // `pending_rebuild` differential test); the delta is allocator
-    // traffic + vtable dispatch + the per-decision pending rebuild.
+    // Checker overhead on a pooled majority sweep: the dynamic
+    // footprint checker observes every granted operation (two interval
+    // lookups plus a dense last-writer clock update). Its budget is ≤10%
+    // over checker-off — the `check_off` category floor of 0.9 in the
+    // gate. Only measured when the `check` feature is compiled in; the
+    // committed row is regenerated with `--features check`.
+    #[cfg(feature = "check")]
     {
         // Not as small as the other quick blocks: sub-millisecond
-        // windows make the boxed-vs-pooled ratio noisy enough to trip
-        // the gate on an otherwise healthy run.
+        // windows make the ratio noisy enough to trip the gate on an
+        // otherwise healthy run.
         let trials = if quick { 32u64 } else { 64u64 };
         let k = 32usize;
         let mut alloc = RegAlloc::new();
-        let algo = Majority::new(&mut alloc, 1024, k, &cfg);
+        let algo_set = AlgoSet::Majority(Majority::new(&mut alloc, 1024, k, &cfg));
         let regs = alloc.total();
         let originals = spread_originals(k, 1024);
-        let algo_set = AlgoSet::Majority(algo.clone());
-        // Equivalence: pooled trials reproduce boxed trials.
-        {
-            let mut engine = StepEngine::reusable(regs);
-            let mut pool = algo_set.pool(&originals);
-            for seed in 0..8 {
-                let boxed = run_sim_engine(&algo, regs, &originals, seed);
-                let mut policy = RandomPolicy::new(seed);
-                engine.run_pool(&mut policy, &mut pool);
-                let pooled: Vec<Option<u64>> = pool
-                    .results()
-                    .iter()
-                    .map(|r| {
-                        r.as_ref()
-                            .expect("crash-free trial")
-                            .as_ref()
-                            .ok()
-                            .and_then(exsel_sim::SetOutput::claim)
-                    })
-                    .collect();
-                assert_eq!(boxed.names, pooled, "pool diverged at seed {seed}");
-                assert_eq!(boxed.steps, pool.steps(), "pool diverged at seed {seed}");
-            }
-        }
         let iters = 5;
-        let boxed_s = time(iters, || {
-            let mut engine = StepEngine::reusable(regs).pending_rebuild(true);
-            for seed in 0..trials {
-                let mut policy = RandomPolicy::new(seed);
-                run_sim_engine_with(&mut engine, &algo, &originals, &mut policy);
-            }
-        });
-        let pooled_s = time(iters, || {
+        let off_s = time(iters, || {
             let mut engine = StepEngine::reusable(regs);
             let mut pool = algo_set.pool(&originals);
             for seed in 0..trials {
@@ -244,182 +159,30 @@ pub fn measure(quick: bool) -> Vec<Row> {
                 engine.run_pool(&mut policy, &mut pool);
             }
         });
-        rows.push(Row {
-            workload: format!("machine_pool/majority_round/k={k} x{trials}"),
-            baseline: "pr2_boxed",
-            contender: "pooled",
-            baseline_s: boxed_s,
-            contender_s: pooled_s,
-            extras: Vec::new(),
-        });
-
-        // Checker overhead on the very same pooled sweep: the dynamic
-        // footprint checker observes every granted operation (two
-        // interval lookups plus a dense last-writer clock update). Its
-        // budget is ≤10% over checker-off — the `check_off` category
-        // floor of 0.9 in the gate. Only measured when the `check`
-        // feature is compiled in; the committed row is regenerated with
-        // `--features check`.
-        #[cfg(feature = "check")]
-        {
-            let off_s = time(iters, || {
-                let mut engine = StepEngine::reusable(regs);
-                let mut pool = algo_set.pool(&originals);
-                for seed in 0..trials {
-                    let mut policy = RandomPolicy::new(seed);
-                    engine.run_pool(&mut policy, &mut pool);
-                }
-            });
-            let on_s = time(iters, || {
-                let mut engine = StepEngine::reusable(regs);
-                engine.install_checker(
-                    algo_set
-                        .checker(k, regs)
-                        .expect("static pass accepts the majority renamer"),
-                );
-                let mut pool = algo_set.pool(&originals);
-                for seed in 0..trials {
-                    let mut policy = RandomPolicy::new(seed);
-                    engine.run_pool(&mut policy, &mut pool);
-                    assert_eq!(
-                        engine.metrics().checker_violations,
-                        0,
-                        "checked bench sweep violated its footprints"
-                    );
-                }
-            });
-            rows.push(Row {
-                workload: format!("machine_pool/checked_majority/k={k} x{trials}"),
-                baseline: "check_off",
-                contender: "check_on",
-                baseline_s: off_s,
-                contender_s: on_s,
-                extras: Vec::new(),
-            });
-        }
-
-        // Exploration: the explore_compete workload re-driven on a pool
-        // of concrete CompeteOp machines — zero boxes per execution.
-        let mut alloc = RegAlloc::new();
-        let bank = SlotBank::new(&mut alloc, 1);
-        let regs = alloc.total();
-        let pool_of = || -> MachinePool<exsel_core::CompeteOp> {
-            (0..3)
-                .map(|p| bank.begin_compete(0, p as u64 + 1))
-                .collect()
-        };
-        {
-            let boxed = explore_engine(
-                regs,
-                3,
-                u64::MAX,
-                |pid| Box::new(bank.begin_compete(0, pid.0 as u64 + 1)),
-                |_| {},
-            );
-            let mut pool = pool_of();
-            let pooled = explore_pool(regs, &mut pool, u64::MAX, |_| {});
-            assert_eq!(
-                boxed.executions, pooled.executions,
-                "pooled exploration tree diverged"
-            );
-        }
-        let iters = if quick { 1 } else { 3 };
-        let boxed_s = time(iters, || {
-            let mut engine = StepEngine::reusable(regs).pending_rebuild(true);
-            exsel_sim::explore_engine_with(
-                &mut engine,
-                3,
-                u64::MAX,
-                |pid| Box::new(bank.begin_compete(0, pid.0 as u64 + 1)),
-                |_| {},
-            );
-        });
-        let pooled_s = time(iters, || {
-            let mut pool = pool_of();
-            explore_pool(regs, &mut pool, u64::MAX, |_| {});
-        });
-        rows.push(Row {
-            workload: "machine_pool/explore_compete/3procs".into(),
-            baseline: "pr2_boxed",
-            contender: "pooled",
-            baseline_s: boxed_s,
-            contender_s: pooled_s,
-            extras: Vec::new(),
-        });
-    }
-
-    // The deposit family: the boxed-vs-pooled comparison on the
-    // two-activity wait-free deposit machines (Help-matrix row service
-    // interleaved with column scans over the unbounded-naming
-    // machinery) — the heaviest per-machine state in the stack, so the
-    // reset-in-place win is dominated by construction avoidance rather
-    // than box churn.
-    {
-        let trials = if quick { 8u64 } else { 32u64 };
-        let n = 8usize;
-        let mut alloc = RegAlloc::new();
-        let algo_set = AlgoSet::Deposit {
-            repo: AltruisticDeposit::new(&mut alloc, n, 4096),
-            rounds: 2,
-            servers: 0,
-        };
-        let regs = alloc.total();
-        let originals: Vec<u64> = (0..n as u64).map(|p| p * 1000 + 1).collect();
-        let boxed_machines = || -> Vec<Box<dyn StepMachine<Output = SetOutput> + '_>> {
-            originals
-                .iter()
-                .enumerate()
-                .map(
-                    |(p, &orig)| -> Box<dyn StepMachine<Output = SetOutput> + '_> {
-                        Box::new(algo_set.begin(Pid(p), orig))
-                    },
-                )
-                .collect()
-        };
-        // Equivalence: pooled deposit trials replay boxed trials exactly.
-        {
-            let mut boxed_engine = StepEngine::reusable(regs).record_trace(true);
-            let mut pooled_engine = StepEngine::reusable(regs).record_trace(true);
-            let mut pool = algo_set.pool(&originals);
-            for seed in 0..4 {
-                let mut policy = RandomPolicy::new(seed);
-                let boxed = boxed_engine.run_trial(&mut policy, boxed_machines());
-                let mut policy = RandomPolicy::new(seed);
-                pooled_engine.run_pool(&mut policy, &mut pool);
-                assert_eq!(
-                    boxed.trace.as_deref(),
-                    pooled_engine.trace(),
-                    "deposit pool diverged at seed {seed}"
-                );
-                assert_eq!(
-                    boxed.steps,
-                    pool.steps(),
-                    "deposit pool diverged at seed {seed}"
-                );
-            }
-        }
-        let iters = if quick { 2 } else { 5 };
-        let boxed_s = time(iters, || {
-            let mut engine = StepEngine::reusable(regs).pending_rebuild(true);
-            for seed in 0..trials {
-                let mut policy = RandomPolicy::new(seed);
-                engine.run_trial(&mut policy, boxed_machines());
-            }
-        });
-        let pooled_s = time(iters, || {
+        let on_s = time(iters, || {
             let mut engine = StepEngine::reusable(regs);
+            engine.install_checker(
+                algo_set
+                    .checker(k, regs)
+                    .expect("static pass accepts the majority renamer"),
+            );
             let mut pool = algo_set.pool(&originals);
             for seed in 0..trials {
                 let mut policy = RandomPolicy::new(seed);
                 engine.run_pool(&mut policy, &mut pool);
+                assert_eq!(
+                    engine.metrics().checker_violations,
+                    0,
+                    "checked bench sweep violated its footprints"
+                );
             }
         });
         rows.push(Row {
-            workload: format!("machine_pool/deposit_round/n={n} x{trials}"),
-            baseline: "pr2_boxed",
-            contender: "pooled",
-            baseline_s: boxed_s,
-            contender_s: pooled_s,
+            workload: format!("machine_pool/checked_majority/k={k} x{trials}"),
+            baseline: "check_off",
+            contender: "check_on",
+            baseline_s: off_s,
+            contender_s: on_s,
             extras: Vec::new(),
         });
     }
@@ -570,21 +333,6 @@ pub fn run() {
             reuse.baseline_s * 1e3,
             reuse.contender_s * 1e3,
             reuse.speedup()
-        );
-    }
-
-    // The snapshot compaction row competes on allocations, not
-    // wall-clock — the collect loop dominates its runtime either way.
-    let pool_speedups: Vec<f64> = rows
-        .iter()
-        .filter(|r| r.workload.starts_with("machine_pool/") && r.baseline == "pr2_boxed")
-        .map(Row::speedup)
-        .collect();
-    if !pool_speedups.is_empty() {
-        println!(
-            "machine pool: {:.2}x-{:.2}x over boxed-per-trial machines.",
-            pool_speedups.iter().copied().fold(f64::INFINITY, f64::min),
-            pool_speedups.iter().copied().fold(0.0, f64::max)
         );
     }
 }

@@ -1,15 +1,14 @@
 //! The mega scenario: one majority-renaming sweep at n ≈ 10⁶ contenders
-//! over ~2²¹ names, exercising the full mega-scale stack end to end —
-//! [`exsel_shm::SlabBank`] register storage, the struct-of-arrays
-//! [`exsel_sim::MajoritySoa`] machine pool and the sharded grant loop —
-//! against the PR 3/5 recipe (Arc-backed bank + enum-dispatched
-//! [`exsel_sim::MachinePool`]) on the *same* sharded schedule.
+//! over ~2²¹ names, exercising the mega-scale stack end to end —
+//! [`exsel_shm::SlabBank`] register storage under a
+//! [`exsel_sim::MachinePool`] of `MajorityOp` walkers and the sharded
+//! grant loop — against the Arc-backed register bank on the *same*
+//! machine pool and sharded schedule.
 //!
 //! Both arms replay identical trials (same policy seed, same shard
-//! count ⇒ same trace — the SoA pool mirrors `MajorityOp` exactly and
-//! the slab bank is bit-identical to the Arc bank), so the delta is
-//! pure machinery: inline slab words vs one `Arc` per write, dense
-//! parallel vectors vs 56-byte machine structs. The slab arm is timed
+//! count ⇒ same trace — the slab bank is bit-identical to the Arc
+//! bank), so the delta is the register storage alone: inline slab
+//! words vs one `Arc` per write. The slab arm is timed
 //! under the counting allocator ([`crate::alloc_probe`]) and must stay
 //! **allocation-free** in steady state; the row lands in
 //! `BENCH_engine.json` with a steps/sec headline and is re-checked (at
@@ -22,7 +21,7 @@ use std::time::Instant;
 use exsel_core::{Majority, MajorityOp, RenameConfig};
 use exsel_shm::{RegAlloc, SlabBank};
 use exsel_sim::policy::RandomPolicy;
-use exsel_sim::{MachinePool, MajoritySoa, StepEngine};
+use exsel_sim::{MachinePool, StepEngine};
 
 use crate::alloc_probe;
 use crate::gate::Measurement as Row;
@@ -62,16 +61,19 @@ pub fn measure(quick: bool) -> Row {
     let algo = Majority::new(&mut reg_alloc, n_names, n, &cfg);
     let regs = reg_alloc.total();
     let originals = spread_originals(n, n_names);
-
-    // Baseline arm: Arc-backed register bank + the enum-dispatched
-    // machine pool, driven by the same sharded grant loop. Scoped so
-    // its ~regs-sized bank is gone before the slab arm builds its own.
-    let (arc_s, arc_results, arc_steps) = {
-        let mut engine = StepEngine::reusable(regs);
-        let mut pool: MachinePool<MajorityOp> = originals
+    let pool_of = || -> MachinePool<MajorityOp> {
+        originals
             .iter()
             .map(|&orig| algo.begin_walk(orig))
-            .collect();
+            .collect()
+    };
+
+    // Baseline arm: Arc-backed register bank, driven by the same sharded
+    // grant loop. Scoped so its ~regs-sized bank and pool are gone
+    // before the slab arm builds its own.
+    let (arc_s, arc_results, arc_steps) = {
+        let mut engine = StepEngine::reusable(regs);
+        let mut pool = pool_of();
         let mut run = |seed: u64| {
             let mut policy = RandomPolicy::new(seed);
             engine.run_pool_sharded(&mut policy, &mut pool, shards);
@@ -85,15 +87,15 @@ pub fn measure(quick: bool) -> Row {
         (per_trial, pool.results().to_vec(), pool.steps().to_vec())
     };
 
-    // Contender arm: slab bank + struct-of-arrays pool. The timed
-    // trials sit inside an allocation window — after the warm trial has
-    // stretched every buffer (slab slots, pending sets, result
-    // vectors), the steady state must not touch the heap at all.
+    // Contender arm: slab bank. The timed trials sit inside an
+    // allocation window — after the warm trial has stretched every
+    // buffer (slab slots, pending sets, result vectors), the steady
+    // state must not touch the heap at all.
     let mut engine = StepEngine::reusable_with(regs, SlabBank::new());
-    let mut pool = MajoritySoa::new(&algo, &originals);
+    let mut pool = pool_of();
     {
         let mut policy = RandomPolicy::new(seeds[0]);
-        pool.run(&mut engine, &mut policy, shards);
+        engine.run_pool_sharded(&mut policy, &mut pool, shards);
     }
     let mut policies: Vec<RandomPolicy> = seeds[1..]
         .iter()
@@ -102,7 +104,7 @@ pub fn measure(quick: bool) -> Row {
     let before = alloc_probe::counts();
     let start = Instant::now();
     for policy in &mut policies {
-        pool.run(&mut engine, policy, shards);
+        engine.run_pool_sharded(policy, &mut pool, shards);
     }
     let slab_s = start.elapsed().as_secs_f64() / timed as f64;
     let window = alloc_probe::counts().since(&before);
@@ -113,12 +115,12 @@ pub fn measure(quick: bool) -> Row {
     assert_eq!(
         arc_results.as_slice(),
         pool.results(),
-        "slab+SoA arm diverged from the Arc+pool arm"
+        "slab arm diverged from the Arc arm"
     );
     assert_eq!(
         arc_steps.as_slice(),
         pool.steps(),
-        "slab+SoA arm step counts diverged from the Arc+pool arm"
+        "slab arm step counts diverged from the Arc arm"
     );
     let named = pool
         .results()
@@ -146,7 +148,7 @@ pub fn measure(quick: bool) -> Row {
     Row {
         workload: "machine_pool/mega/majority_sweep".into(),
         baseline: "arc_pool",
-        contender: "slab_soa",
+        contender: "slab_pool",
         baseline_s: arc_s,
         contender_s: slab_s,
         extras: vec![
@@ -181,7 +183,7 @@ pub fn run() {
     let row = measure(false);
 
     let mut table = Table::new(
-        "mega — n=10^6 majority sweep: slab bank + SoA pool, sharded",
+        "mega — n=10^6 majority sweep: slab bank + machine pool, sharded",
         &[
             "workload",
             "baseline",
@@ -202,8 +204,8 @@ pub fn run() {
     table.emit();
 
     println!(
-        "\nmega sweep: n={} on {} shards — {} steps/sec on the slab+SoA engine \
-         ({:.2}x over Arc bank + enum pool), {} steady-state allocs / {} frees{}.",
+        "\nmega sweep: n={} on {} shards — {} steps/sec on the slab engine \
+         ({:.2}x over the Arc bank), {} steady-state allocs / {} frees{}.",
         row.extra("n").unwrap_or(0),
         row.extra("shards").unwrap_or(0),
         row.extra("steps_per_sec").unwrap_or(0),

@@ -8,8 +8,7 @@
 //!
 //! The canonical entry point is the `expt` multiplexer binary —
 //! `expt -- list`, `expt -- run <name>` — which resolves these through
-//! [`crate::scenario::registry`]; the historical `expt_*` binaries are
-//! one-line wrappers kept for muscle memory.
+//! [`crate::scenario::registry`].
 
 pub mod ablation;
 pub mod adaptive;

@@ -1,8 +1,8 @@
 //! The bench gate: quick reruns of the committed BENCH workloads checked
 //! against the floors recorded in `BENCH_engine.json`.
 //!
-//! Historically the acceptance floors (engine ≥ 5× threads, pool ≥ 2×
-//! boxed, reuse no slower than fresh) lived as asserts inside the
+//! Historically the acceptance floors (engine ≥ 5× threads, reuse no
+//! slower than fresh) lived as asserts inside the
 //! experiment bodies, so they only fired when someone regenerated the
 //! full artifact. The gate moves them here: `bin/bench_gate` re-measures
 //! every workload in quick mode ([`crate::expts::engine::measure`],
@@ -25,12 +25,12 @@
 /// `BENCH_engine.json` entry.
 #[derive(Clone, Debug)]
 pub struct Measurement {
-    /// Workload id, e.g. `machine_pool/majority_round/k=32 x64`. Rows are
+    /// Workload id, e.g. `engine_reuse/majority k=32 x64`. Rows are
     /// matched across runs by [`workload_key`], which drops the trial
     /// count suffix so quick reruns compare against full-scale rows.
     pub workload: String,
-    /// Baseline label (`threads`, `pr2_boxed`, `fresh`, `recycle_off`,
-    /// `arc_pool`) — also selects the gate category.
+    /// Baseline label (`threads`, `fresh`, `recycle_off`, `arc_pool`,
+    /// `check_off`, `sessions_floor`) — also selects the gate category.
     pub baseline: &'static str,
     /// Contender label.
     pub contender: &'static str,
@@ -101,9 +101,7 @@ pub fn category_floor(baseline: &str) -> Option<f64> {
     match baseline {
         // The step engine must stay ≥ 5× the thread-backed scheduler.
         "threads" => Some(5.0),
-        // The machine pool must stay ≥ 2× the PR 2 boxed trial loop.
-        "pr2_boxed" => Some(2.0),
-        // Reused engines / the slab+SoA mega arm must be "no slower",
+        // Reused engines / the slab-bank mega arm must be "no slower",
         // with headroom for 1-CPU scheduling noise.
         "fresh" | "arc_pool" => Some(0.8),
         // The dynamic footprint checker may cost at most ~10% over the
@@ -369,8 +367,8 @@ mod tests {
     #[test]
     fn workload_keys_drop_trial_counts() {
         assert_eq!(
-            workload_key("machine_pool/majority_round/k=32 x64"),
-            "machine_pool/majority_round/k=32"
+            workload_key("machine_pool/checked_majority/k=32 x64"),
+            "machine_pool/checked_majority/k=32"
         );
         assert_eq!(
             workload_key("engine_reuse/majority k=32 x16"),
@@ -406,8 +404,8 @@ mod tests {
     #[test]
     fn missing_committed_row_uses_the_hard_floor() {
         let doc = committed(&[]);
-        assert!(check(&[meas("new-row", "pr2_boxed", 2.1)], &doc).passed());
-        assert!(!check(&[meas("new-row", "pr2_boxed", 1.9)], &doc).passed());
+        assert!(check(&[meas("new-row", "threads", 5.1)], &doc).passed());
+        assert!(!check(&[meas("new-row", "threads", 4.9)], &doc).passed());
     }
 
     #[test]
@@ -522,7 +520,7 @@ mod tests {
     fn merge_preserves_foreign_rows_and_replaces_by_key() {
         let dir = std::env::temp_dir().join(format!("exsel_gate_{}", std::process::id()));
         let path = dir.to_string_lossy().to_string();
-        let first = vec![meas("a x8", "threads", 10.0), meas("b", "pr2_boxed", 3.0)];
+        let first = vec![meas("a x8", "threads", 10.0), meas("b", "fresh", 3.0)];
         merge_into_artifact(&path, &first).unwrap();
         // Re-merge only `a`, at a different trial count: replaces in
         // place, keeps `b`.

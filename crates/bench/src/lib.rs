@@ -12,8 +12,7 @@
 //! cargo run --release -p exsel-bench --bin expt -- run <name> [--json]
 //! ```
 //!
-//! The historical `expt_*` binaries remain as one-line wrappers. Tables
-//! print aligned text, or JSON lines with `--json`.
+//! Tables print aligned text, or JSON lines with `--json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

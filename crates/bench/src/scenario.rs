@@ -43,7 +43,7 @@ pub struct Scenario {
 
 /// How a scenario executes.
 pub enum Kind {
-    /// A reproduction-table experiment (legacy `expt_*` body).
+    /// A reproduction-table experiment.
     Table(fn()),
     /// A table experiment that honors per-run CLI overrides (today:
     /// `--reduce on|off|both` and `--quick` for `explore-reduced`).
@@ -497,7 +497,7 @@ pub fn registry() -> Vec<Scenario> {
         ),
         table(
             "mega",
-            "n=10^6 majority sweep: slab bank + SoA pool, sharded (updates BENCH_engine.json)",
+            "n=10^6 majority sweep: slab vs Arc register bank, sharded (updates BENCH_engine.json)",
             expts::mega::run,
         ),
         Scenario {
@@ -997,8 +997,8 @@ mod tests {
         let reg = registry();
         let names: std::collections::BTreeSet<&str> = reg.iter().map(|s| s.name).collect();
         assert_eq!(names.len(), reg.len(), "duplicate scenario names");
-        // Every historical expt_* binary is reachable through the
-        // registry under its table name.
+        // Every reproduction table is reachable through the registry
+        // under its table name.
         for legacy in [
             "majority",
             "basic",

@@ -65,14 +65,6 @@ impl Majority {
         &self.graph
     }
 
-    /// The name-slot bank the walk competes in. Exposed so alternative
-    /// machine layouts (e.g. `exsel_sim`'s struct-of-arrays pool) can
-    /// address the same registers the [`MajorityOp`] machines use.
-    #[must_use]
-    pub fn slots(&self) -> &SlotBank {
-        &self.slots
-    }
-
     /// Registers used (for accounting): two per output node.
     #[must_use]
     pub fn num_registers(&self) -> usize {

@@ -28,9 +28,9 @@
 //! (`tests/alloc_free.rs` proves it with a counting allocator). The
 //! pending set the policy consults is maintained incrementally — one
 //! [`StepMachine::peek`] per *grant*, not one per live machine per
-//! decision; the rebuild-per-decision reference loop survives behind
-//! [`StepEngine::pending_rebuild`] for differential tests and A/B
-//! benchmarks. With [`StepEngine::record_trace`] on, `run_trial` moves
+//! decision; the thread-backed [`crate::SimBuilder`], which rebuilds
+//! its pending set at every decision, is the differential reference
+//! (this is tested under crash storms). With [`StepEngine::record_trace`] on, `run_trial` moves
 //! each trial's trace buffer into its outcome (no copy) while pooled
 //! trials leave it readable via [`StepEngine::trace`]. A reused engine —
 //! pooled or not — is observationally identical to a fresh one: same
@@ -80,7 +80,6 @@ use exsel_shm::{
 use crate::policy::{Action, PendingOp, Policy};
 use crate::pool::MachinePool;
 use crate::runner::SimOutcome;
-use crate::soa::MachineBank;
 
 /// The input handed to a machine consuming a granted write.
 const NULL_WORD: Word = Word::Null;
@@ -244,7 +243,6 @@ pub struct StepEngine<B: RegisterBank = ArcBank> {
     record_trace: bool,
     measure_contention: bool,
     panic_on_budget: bool,
-    pending_rebuild: bool,
     // Scratch reused across trials — the point of `reset`/`run_trial`:
     // the register bank, the pending-op buffer, the per-pid crash
     // vector, the trace storage and the metric histograms keep their
@@ -325,7 +323,6 @@ impl<B: RegisterBank> StepEngine<B> {
             record_trace: false,
             measure_contention: false,
             panic_on_budget: true,
-            pending_rebuild: false,
             regs: bank,
             trace_moved: false,
             pending: Vec::new(),
@@ -388,19 +385,6 @@ impl<B: RegisterBank> StepEngine<B> {
     #[must_use]
     pub fn measure_contention(mut self, on: bool) -> Self {
         self.measure_contention = on;
-        self
-    }
-
-    /// Rebuilds the pending set from scratch before every decision (one
-    /// [`StepMachine::peek`] per live machine per decision) instead of
-    /// maintaining it incrementally. This is the pre-optimization grant
-    /// loop, kept as the obviously-correct reference: differential tests
-    /// assert the incremental loop is trace-identical to it, and the
-    /// bench layer uses it as the measured baseline for the
-    /// `machine_pool/*` rows. Off by default.
-    #[must_use]
-    pub fn pending_rebuild(mut self, on: bool) -> Self {
-        self.pending_rebuild = on;
         self
     }
 
@@ -516,7 +500,7 @@ impl<B: RegisterBank> StepEngine<B> {
         let n = machines.len();
         let mut results: Vec<Option<Result<T, Crash>>> = (0..n).map(|_| None).collect();
         let mut steps = vec![0u64; n];
-        self.drive_machines(policy, &mut machines, &mut results, &mut steps);
+        self.drive(policy, &mut machines, &mut results, &mut steps);
 
         SimOutcome {
             results: results
@@ -553,7 +537,7 @@ impl<B: RegisterBank> StepEngine<B> {
         self.reset();
         pool.begin_trial();
         let (machines, results, steps) = pool.trial_buffers();
-        self.drive_machines(policy, machines, results, steps);
+        self.drive(policy, machines, results, steps);
     }
 
     /// Runs one pooled trial with the **sharded** grant loop: pids are
@@ -590,41 +574,7 @@ impl<B: RegisterBank> StepEngine<B> {
         self.reset();
         pool.begin_trial();
         let (machines, results, steps) = pool.trial_buffers();
-        self.drive_bank_sharded(policy, &mut SliceBank(machines), results, steps, shards);
-    }
-
-    /// Runs one trial over any [`MachineBank`] — pid-indexed machine
-    /// storage such as the struct-of-arrays `MajoritySoa` pool — landing
-    /// per-pid results and step counts in the caller's buffers (cleared
-    /// and resized here; capacity is reused across trials). The caller
-    /// must have re-armed the bank's machines (e.g. via its own
-    /// `begin_trial`). `shards == 1` drives the standard incremental
-    /// grant loop; `shards > 1` the sharded loop of
-    /// [`StepEngine::run_pool_sharded`].
-    ///
-    /// # Panics
-    ///
-    /// As [`StepEngine::run_pool_sharded`].
-    pub fn run_bank<MB: MachineBank>(
-        &mut self,
-        policy: &mut dyn Policy,
-        bank: &mut MB,
-        results: &mut Vec<Option<Result<MB::Output, Crash>>>,
-        steps: &mut Vec<u64>,
-        shards: usize,
-    ) {
-        assert!(shards > 0, "need at least one shard");
-        self.reset();
-        let n = bank.len();
-        results.clear();
-        results.resize_with(n, || None);
-        steps.clear();
-        steps.resize(n, 0);
-        if shards == 1 {
-            self.drive_bank(policy, bank, results, steps);
-        } else {
-            self.drive_bank_sharded(policy, bank, results, steps, shards);
-        }
+        self.drive_sharded(policy, machines, results, steps, shards);
     }
 
     /// The last trial's granted schedule, when
@@ -665,186 +615,99 @@ impl<B: RegisterBank> StepEngine<B> {
         }
     }
 
-    /// The grant loop over slice-stored machines — a thin adapter onto
-    /// [`StepEngine::drive_bank`] (the pre-refactor signature, kept for
-    /// the boxed and pooled entry points).
-    fn drive_machines<M: StepMachine>(
+    /// Performs the granted operation `op` of `machine` — the per-grant
+    /// step both grant loops share: metrics, trace, the grantee's step
+    /// count and the checker hook, then the operation itself. Reads hand
+    /// the machine a borrow of the register word (no clone — snapshot
+    /// scanners exploit this); the operand word of a write is
+    /// materialized exactly once, here.
+    // Forced: a machine type driven by both loops otherwise gets one
+    // out-of-line copy, which cost ~10% per granted op.
+    #[inline(always)]
+    fn perform<M: StepMachine>(
         &mut self,
-        policy: &mut dyn Policy,
-        machines: &mut [M],
-        results: &mut [Option<Result<M::Output, Crash>>],
-        steps: &mut [u64],
-    ) {
-        self.drive_bank(policy, &mut SliceBank(machines), results, steps);
-    }
-
-    /// The grant loop shared by every unsharded trial entry point,
-    /// generic over the machine storage: `bank` index `i` is process
-    /// `Pid(i)`; a process is live while `results[i]` is `None`.
-    ///
-    /// The pending set the policy consults is maintained
-    /// **incrementally**: it is built once at trial start, and each
-    /// decision only touches the granted machine's entry (one
-    /// [`MachineBank::peek`]) or removes a finished one — not one peek
-    /// per live machine per decision. Reads hand machines a borrow of
-    /// the register word (no clone — snapshot scanners exploit this);
-    /// the operand word of a write is materialized exactly once, at the
-    /// grant.
-    fn drive_bank<MB: MachineBank>(
-        &mut self,
-        policy: &mut dyn Policy,
-        bank: &mut MB,
-        results: &mut [Option<Result<MB::Output, Crash>>],
-        steps: &mut [u64],
-    ) {
-        let n = bank.len();
-        debug_assert!(results.iter().all(Option::is_none));
-        self.crashed.clear();
-        self.crashed.resize(n, CrashKind::None);
-        let mut live_count = n;
-        let mut total_ops = 0u64;
-
-        let rebuild = |pending: &mut Vec<PendingOp>,
-                       pending_pos: &mut Vec<usize>,
-                       bank: &MB,
-                       results: &[Option<Result<MB::Output, Crash>>],
-                       steps: &[u64]| {
-            pending.clear();
-            pending_pos.clear();
-            pending_pos.resize(bank.len(), NOT_PENDING);
-            for pid in 0..bank.len() {
-                if results[pid].is_none() {
-                    let (kind, reg) = bank.peek(pid);
-                    pending_pos[pid] = pending.len();
-                    pending.push(PendingOp {
-                        pid: Pid(pid),
-                        kind,
-                        reg,
-                        step_index: steps[pid],
-                    });
-                }
-            }
-        };
-        rebuild(
-            &mut self.pending,
-            &mut self.pending_pos,
-            bank,
-            results,
-            steps,
+        machine: &mut M,
+        op: PendingOp,
+        steps: &mut u64,
+    ) -> Poll<M::Output> {
+        let PendingOp { pid, kind, reg, .. } = op;
+        assert!(
+            reg.0 < self.regs.len(),
+            "register {reg} out of range ({} registers)",
+            self.regs.len()
         );
-
-        while live_count > 0 {
-            if self.pending_rebuild {
-                rebuild(
-                    &mut self.pending,
-                    &mut self.pending_pos,
-                    bank,
-                    results,
-                    steps,
-                );
+        self.metrics.ops_per_register[reg.0] += 1;
+        if self.record_trace {
+            self.trace.push(PendingOp {
+                pid,
+                kind,
+                reg,
+                step_index: *steps,
+            });
+        }
+        *steps += 1;
+        self.metrics.total_ops += 1;
+        #[cfg(feature = "check")]
+        if let Some(c) = &mut self.checker {
+            c.observe(pid, kind, reg, self.metrics.total_ops);
+        }
+        match kind {
+            OpKind::Read => {
+                self.metrics.reads += 1;
+                machine.advance(self.regs.read(reg))
             }
-            if total_ops >= self.max_total_ops {
-                assert!(
-                    !self.panic_on_budget,
-                    "simulation exceeded its operation budget of {} ops — livelocked algorithm?",
-                    self.max_total_ops
-                );
-                // Crash the survivors, attributing the crash to the
-                // budget so outcomes and metrics can tell it apart from
-                // an adversary Action::Crash.
-                for (pid, result) in results.iter_mut().enumerate() {
-                    if result.is_none() {
-                        self.crashed[pid] = CrashKind::Budget;
-                        self.metrics.budget_crashes += 1;
-                        *result = Some(Err(Crash));
-                    }
-                }
-                break;
-            }
-
-            match policy.decide(&self.pending) {
-                Action::Grant(pid) => {
-                    let idx = self.pending_pos[pid.0];
-                    assert!(
-                        idx != NOT_PENDING,
-                        "policy granted non-pending process {pid}"
-                    );
-                    let PendingOp { kind, reg, .. } = self.pending[idx];
-                    assert!(
-                        reg.0 < self.regs.len(),
-                        "register {reg} out of range ({} registers)",
-                        self.regs.len()
-                    );
-                    if self.measure_contention {
-                        let contention = self.pending.iter().filter(|p| p.reg == reg).count();
-                        self.metrics.max_contention = self.metrics.max_contention.max(contention);
-                    }
-                    self.metrics.ops_per_register[reg.0] += 1;
-                    if self.record_trace {
-                        self.trace.push(PendingOp {
-                            pid,
-                            kind,
-                            reg,
-                            step_index: steps[pid.0],
-                        });
-                    }
-                    steps[pid.0] += 1;
-                    total_ops += 1;
-                    #[cfg(feature = "check")]
-                    if let Some(c) = &mut self.checker {
-                        c.observe(pid, kind, reg, total_ops);
-                    }
-                    // Perform the granted operation in place; reads pass
-                    // the machine a borrow of the register word.
-                    let poll = match kind {
-                        OpKind::Read => {
-                            self.metrics.reads += 1;
-                            bank.advance(pid.0, self.regs.read(reg))
-                        }
-                        OpKind::Write => {
-                            self.metrics.writes += 1;
-                            let word = bank.write_operand(pid.0);
-                            self.regs.write(reg, word);
-                            bank.advance(pid.0, &NULL_WORD)
-                        }
-                    };
-                    match poll {
-                        Poll::Ready(out) => {
-                            results[pid.0] = Some(Ok(out));
-                            live_count -= 1;
-                            if !self.pending_rebuild {
-                                self.remove_pending(idx);
-                            }
-                        }
-                        Poll::Pending => {
-                            if !self.pending_rebuild {
-                                let (kind, reg) = bank.peek(pid.0);
-                                self.pending[idx] = PendingOp {
-                                    pid,
-                                    kind,
-                                    reg,
-                                    step_index: steps[pid.0],
-                                };
-                            }
-                        }
-                    }
-                }
-                Action::Crash(pid) => {
-                    let idx = self.pending_pos[pid.0];
-                    assert!(idx != NOT_PENDING, "policy crashed non-live process {pid}");
-                    live_count -= 1;
-                    self.crashed[pid.0] = CrashKind::Adversary;
-                    self.metrics.adversary_crashes += 1;
-                    results[pid.0] = Some(Err(Crash));
-                    if !self.pending_rebuild {
-                        self.remove_pending(idx);
-                    }
-                }
+            OpKind::Write => {
+                self.metrics.writes += 1;
+                let ShmOp::Write(_, word) = machine.op() else {
+                    panic!("machine peek/op disagree on pending operation")
+                };
+                self.regs.write(reg, word);
+                machine.advance(&NULL_WORD)
             }
         }
+    }
 
+    /// The pending-set entry of live machine `pid`, as `machine.peek()`
+    /// describes it right now.
+    fn pending_op<M: StepMachine>(machine: &M, pid: usize, steps: &[u64]) -> PendingOp {
+        let (kind, reg) = machine.peek();
+        PendingOp {
+            pid: Pid(pid),
+            kind,
+            reg,
+            step_index: steps[pid],
+        }
+    }
+
+    /// Ends a trial whose operation budget is spent: panics while
+    /// [`StepEngine::panic_on_budget`] is on; otherwise crashes every
+    /// survivor, attributing the crash to the budget so outcomes and
+    /// metrics can tell it apart from an adversary [`Action::Crash`].
+    fn exhaust_budget<T>(&mut self, results: &mut [Option<Result<T, Crash>>]) {
+        assert!(
+            !self.panic_on_budget,
+            "simulation exceeded its operation budget of {} ops — livelocked algorithm?",
+            self.max_total_ops
+        );
+        for (pid, result) in results.iter_mut().enumerate() {
+            if result.is_none() {
+                self.crashed[pid] = CrashKind::Budget;
+                self.metrics.budget_crashes += 1;
+                *result = Some(Err(Crash));
+            }
+        }
+    }
+
+    /// Delivers the policy's [`Action::Crash`] to `pid`.
+    fn crash<T>(&mut self, pid: Pid, results: &mut [Option<Result<T, Crash>>]) {
+        self.crashed[pid.0] = CrashKind::Adversary;
+        self.metrics.adversary_crashes += 1;
+        results[pid.0] = Some(Err(Crash));
+    }
+
+    /// Closes the trial's metrics once every machine is done.
+    fn finish_trial(&mut self, steps: &[u64]) {
         self.metrics.trials = 1;
-        self.metrics.total_ops = total_ops;
         self.metrics.max_steps = steps.iter().copied().max().unwrap_or(0);
         #[cfg(feature = "check")]
         if let Some(c) = &self.checker {
@@ -853,21 +716,87 @@ impl<B: RegisterBank> StepEngine<B> {
         }
     }
 
+    /// The grant loop shared by every unsharded trial entry point:
+    /// `machines[i]` is process `Pid(i)`; a process is live while
+    /// `results[i]` is `None`.
+    ///
+    /// The pending set the policy consults is maintained
+    /// **incrementally**: it is built once at trial start, and each
+    /// decision only touches the granted machine's entry (one
+    /// [`StepMachine::peek`]) or removes a finished one — not one peek
+    /// per live machine per decision.
+    fn drive<M: StepMachine>(
+        &mut self,
+        policy: &mut dyn Policy,
+        machines: &mut [M],
+        results: &mut [Option<Result<M::Output, Crash>>],
+        steps: &mut [u64],
+    ) {
+        let n = machines.len();
+        debug_assert!(results.iter().all(Option::is_none));
+        self.crashed.clear();
+        self.crashed.resize(n, CrashKind::None);
+        self.pending.clear();
+        self.pending_pos.clear();
+        for (pid, machine) in machines.iter().enumerate() {
+            self.pending_pos.push(pid);
+            self.pending.push(Self::pending_op(machine, pid, steps));
+        }
+
+        while !self.pending.is_empty() {
+            if self.metrics.total_ops >= self.max_total_ops {
+                self.exhaust_budget(results);
+                break;
+            }
+            match policy.decide(&self.pending) {
+                Action::Grant(pid) => {
+                    let idx = self.pending_pos[pid.0];
+                    assert!(
+                        idx != NOT_PENDING,
+                        "policy granted non-pending process {pid}"
+                    );
+                    let op = self.pending[idx];
+                    if self.measure_contention {
+                        let contention = self.pending.iter().filter(|p| p.reg == op.reg).count();
+                        self.metrics.max_contention = self.metrics.max_contention.max(contention);
+                    }
+                    let machine = &mut machines[pid.0];
+                    match self.perform(machine, op, &mut steps[pid.0]) {
+                        Poll::Ready(out) => {
+                            results[pid.0] = Some(Ok(out));
+                            self.remove_pending(idx);
+                        }
+                        Poll::Pending => {
+                            self.pending[idx] = Self::pending_op(machine, pid.0, steps);
+                        }
+                    }
+                }
+                Action::Crash(pid) => {
+                    let idx = self.pending_pos[pid.0];
+                    assert!(idx != NOT_PENDING, "policy crashed non-live process {pid}");
+                    self.crash(pid, results);
+                    self.remove_pending(idx);
+                }
+            }
+        }
+        self.finish_trial(steps);
+    }
+
     /// The sharded grant loop (see [`StepEngine::run_pool_sharded`]).
     /// Pids are split into `shards` contiguous ranges of `⌈n/shards⌉`;
     /// each shard owns its pending vector exclusively (`pending_pos`
     /// holds intra-shard indices). Completed or crashed entries are
     /// swap-removed — O(1), deterministic, and the reason a mega-scale
     /// trial's removals don't degrade to O(live) memmoves.
-    fn drive_bank_sharded<MB: MachineBank>(
+    fn drive_sharded<M: StepMachine>(
         &mut self,
         policy: &mut dyn Policy,
-        bank: &mut MB,
-        results: &mut [Option<Result<MB::Output, Crash>>],
+        machines: &mut [M],
+        results: &mut [Option<Result<M::Output, Crash>>],
         steps: &mut [u64],
         shards: usize,
     ) {
-        let n = bank.len();
+        let n = machines.len();
         debug_assert!(results.iter().all(Option::is_none));
         debug_assert!(shards > 1);
         self.crashed.clear();
@@ -878,7 +807,6 @@ impl<B: RegisterBank> StepEngine<B> {
         }
         let chunk = n.div_ceil(shards).max(1);
         let mut live_count = n;
-        let mut total_ops = 0u64;
 
         // Take the shard storage out of `self` so the decision loop can
         // borrow a shard immutably while metrics/registers mutate.
@@ -888,50 +816,27 @@ impl<B: RegisterBank> StepEngine<B> {
             shard.clear();
         }
         self.pending_pos.clear();
-        self.pending_pos.resize(n, NOT_PENDING);
-        for pid in 0..n {
-            let (kind, reg) = bank.peek(pid);
+        for (pid, machine) in machines.iter().enumerate() {
             let shard = &mut shard_pending[pid / chunk];
-            self.pending_pos[pid] = shard.len();
-            shard.push(PendingOp {
-                pid: Pid(pid),
-                kind,
-                reg,
-                step_index: steps[pid],
-            });
+            self.pending_pos.push(shard.len());
+            shard.push(Self::pending_op(machine, pid, steps));
         }
 
         let mut cursor = 0usize;
         'trial: while live_count > 0 {
-            if shard_pending[cursor].is_empty() {
-                cursor = (cursor + 1) % shards;
-                continue;
-            }
             for _ in 0..SHARD_BATCH {
                 let shard = &shard_pending[cursor];
                 if shard.is_empty() {
                     break;
                 }
-                if total_ops >= self.max_total_ops {
-                    assert!(
-                        !self.panic_on_budget,
-                        "simulation exceeded its operation budget of {} ops — livelocked algorithm?",
-                        self.max_total_ops
-                    );
-                    for (pid, result) in results.iter_mut().enumerate() {
-                        if result.is_none() {
-                            self.crashed[pid] = CrashKind::Budget;
-                            self.metrics.budget_crashes += 1;
-                            *result = Some(Err(Crash));
-                        }
-                    }
+                if self.metrics.total_ops >= self.max_total_ops {
+                    self.exhaust_budget(results);
                     break 'trial;
                 }
 
                 // One decision over this shard's pending set only —
                 // the batched, cache-local policy consultation.
-                let action = policy.decide(shard);
-                let (pid, granted) = match action {
+                let (pid, granted) = match policy.decide(shard) {
                     Action::Grant(pid) => (pid, true),
                     Action::Crash(pid) => (pid, false),
                 };
@@ -940,73 +845,32 @@ impl<B: RegisterBank> StepEngine<B> {
                     idx != NOT_PENDING && pid.0 / chunk == cursor,
                     "policy chose process {pid} outside the offered shard"
                 );
-                if granted {
-                    let PendingOp { kind, reg, .. } = shard[idx];
-                    assert!(
-                        reg.0 < self.regs.len(),
-                        "register {reg} out of range ({} registers)",
-                        self.regs.len()
-                    );
+                let done = if granted {
+                    let op = shard[idx];
                     if self.measure_contention {
-                        let contention = shard.iter().filter(|p| p.reg == reg).count();
+                        let contention = shard.iter().filter(|p| p.reg == op.reg).count();
                         self.metrics.max_contention = self.metrics.max_contention.max(contention);
                         self.metrics.shard_contention[cursor] =
                             self.metrics.shard_contention[cursor].max(contention);
                     }
-                    self.metrics.ops_per_register[reg.0] += 1;
                     self.metrics.shard_ops[cursor] += 1;
-                    if self.record_trace {
-                        self.trace.push(PendingOp {
-                            pid,
-                            kind,
-                            reg,
-                            step_index: steps[pid.0],
-                        });
-                    }
-                    steps[pid.0] += 1;
-                    total_ops += 1;
-                    #[cfg(feature = "check")]
-                    if let Some(c) = &mut self.checker {
-                        c.observe(pid, kind, reg, total_ops);
-                    }
-                    let poll = match kind {
-                        OpKind::Read => {
-                            self.metrics.reads += 1;
-                            bank.advance(pid.0, self.regs.read(reg))
-                        }
-                        OpKind::Write => {
-                            self.metrics.writes += 1;
-                            let word = bank.write_operand(pid.0);
-                            self.regs.write(reg, word);
-                            bank.advance(pid.0, &NULL_WORD)
-                        }
-                    };
-                    let shard = &mut shard_pending[cursor];
-                    match poll {
+                    let machine = &mut machines[pid.0];
+                    match self.perform(machine, op, &mut steps[pid.0]) {
                         Poll::Ready(out) => {
                             results[pid.0] = Some(Ok(out));
-                            live_count -= 1;
-                            shard.swap_remove(idx);
-                            self.pending_pos[pid.0] = NOT_PENDING;
-                            if idx < shard.len() {
-                                self.pending_pos[shard[idx].pid.0] = idx;
-                            }
+                            true
                         }
                         Poll::Pending => {
-                            let (kind, reg) = bank.peek(pid.0);
-                            shard[idx] = PendingOp {
-                                pid,
-                                kind,
-                                reg,
-                                step_index: steps[pid.0],
-                            };
+                            shard_pending[cursor][idx] = Self::pending_op(machine, pid.0, steps);
+                            false
                         }
                     }
                 } else {
+                    self.crash(pid, results);
+                    true
+                };
+                if done {
                     live_count -= 1;
-                    self.crashed[pid.0] = CrashKind::Adversary;
-                    self.metrics.adversary_crashes += 1;
-                    results[pid.0] = Some(Err(Crash));
                     let shard = &mut shard_pending[cursor];
                     shard.swap_remove(idx);
                     self.pending_pos[pid.0] = NOT_PENDING;
@@ -1018,43 +882,7 @@ impl<B: RegisterBank> StepEngine<B> {
             cursor = (cursor + 1) % shards;
         }
         self.shard_pending = shard_pending;
-
-        self.metrics.trials = 1;
-        self.metrics.total_ops = total_ops;
-        self.metrics.max_steps = steps.iter().copied().max().unwrap_or(0);
-        #[cfg(feature = "check")]
-        if let Some(c) = &self.checker {
-            self.metrics.checker_ops = c.trial_ops();
-            self.metrics.checker_violations = c.trial_violations();
-        }
-    }
-}
-
-/// Adapter presenting a `&mut [M]` of step machines as a
-/// [`MachineBank`] — the storage shape of the boxed and pooled entry
-/// points.
-struct SliceBank<'a, M: StepMachine>(&'a mut [M]);
-
-impl<M: StepMachine> MachineBank for SliceBank<'_, M> {
-    type Output = M::Output;
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn peek(&self, pid: usize) -> (OpKind, exsel_shm::RegId) {
-        self.0[pid].peek()
-    }
-
-    fn write_operand(&mut self, pid: usize) -> Word {
-        let ShmOp::Write(_, word) = self.0[pid].op() else {
-            panic!("machine peek/op disagree on pending operation")
-        };
-        word
-    }
-
-    fn advance(&mut self, pid: usize, input: &Word) -> Poll<M::Output> {
-        self.0[pid].advance(input)
+        self.finish_trial(steps);
     }
 }
 
@@ -1304,37 +1132,73 @@ mod tests {
     #[test]
     fn incremental_pending_is_trace_identical_to_rebuild() {
         // The maintained pending set must present policies with exactly
-        // the view the rebuild-per-decision reference loop builds —
-        // including under crashes and completions.
+        // the view the thread-backed scheduler rebuilds at every
+        // decision — including under crashes and completions.
         let mut alloc = RegAlloc::new();
         let bank = alloc.reserve(1);
+        let storm = |seed: u64| -> Box<dyn Policy> {
+            Box::new(CrashStorm::new(
+                Box::new(RandomPolicy::new(seed)),
+                !seed,
+                0.1,
+                2,
+            ))
+        };
         for seed in 0..12u64 {
-            let reference = StepEngine::new(
-                alloc.total(),
-                Box::new(CrashStorm::new(
-                    Box::new(RandomPolicy::new(seed)),
-                    !seed,
-                    0.1,
-                    2,
-                )),
-            )
-            .pending_rebuild(true)
-            .record_trace(true)
-            .run(hammer_machines(bank, 5, 4));
-            let incremental = StepEngine::new(
-                alloc.total(),
-                Box::new(CrashStorm::new(
-                    Box::new(RandomPolicy::new(seed)),
-                    !seed,
-                    0.1,
-                    2,
-                )),
-            )
-            .record_trace(true)
-            .run(hammer_machines(bank, 5, 4));
+            let reference = SimBuilder::new(alloc.total(), storm(seed))
+                .record_trace(true)
+                .run(5, hammer_blocking(bank, 4));
+            let incremental = StepEngine::new(alloc.total(), storm(seed))
+                .record_trace(true)
+                .run(hammer_machines(bank, 5, 4));
             assert_eq!(reference.trace, incremental.trace, "seed {seed}");
             assert_eq!(reference.steps, incremental.steps, "seed {seed}");
             assert_eq!(reference.crashed, incremental.crashed, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn sharded_names_are_exclusive_on_both_banks() {
+        // Sharding is a different (legal) adversary, so only the
+        // algorithm's guarantees are asserted — exclusive names, at
+        // least half named — plus slab/Arc agreement on the outcome.
+        use exsel_core::{Majority, MajorityOp, RenameConfig};
+        use exsel_shm::SlabBank;
+        use std::collections::BTreeSet;
+
+        let mut alloc = RegAlloc::new();
+        let algo = Majority::new(&mut alloc, 128, 8, &RenameConfig::default());
+        let mut arc_engine = StepEngine::reusable(alloc.total());
+        let mut slab_engine = StepEngine::reusable_with(alloc.total(), SlabBank::new());
+        let mut pool: MachinePool<MajorityOp> =
+            (0..8u64).map(|i| algo.begin_walk(i * 13 + 2)).collect();
+        for shards in [2usize, 3, 8] {
+            arc_engine.run_pool_sharded(&mut RoundRobin::new(), &mut pool, shards);
+            let arc_results = pool.results().to_vec();
+            let names: Vec<u64> = arc_results
+                .iter()
+                .filter_map(|r| r.as_ref().unwrap().as_ref().ok().and_then(|o| o.name()))
+                .collect();
+            let set: BTreeSet<u64> = names.iter().copied().collect();
+            assert_eq!(set.len(), names.len(), "shards={shards}: duplicate names");
+            assert!(
+                names.len() * 2 >= pool.len(),
+                "shards={shards}: fewer than half named"
+            );
+
+            slab_engine.run_pool_sharded(&mut RoundRobin::new(), &mut pool, shards);
+            assert_eq!(
+                arc_results,
+                pool.results(),
+                "shards={shards}: slab bank diverged from Arc bank"
+            );
+            let shard_ops = &slab_engine.metrics().shard_ops;
+            assert_eq!(shard_ops.len(), shards, "shards={shards}: shard_ops width");
+            assert_eq!(
+                shard_ops.iter().sum::<u64>(),
+                slab_engine.metrics().total_ops,
+                "shards={shards}: shard_ops must partition total_ops"
+            );
         }
     }
 

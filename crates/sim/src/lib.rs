@@ -15,12 +15,11 @@
 //!   thread spawns, no locks, no stacks. Same policy ⇒ same trace, steps
 //!   and results as the thread-backed runner (the blocking algorithm APIs
 //!   are `drive` adapters over the same machines), at orders-of-magnitude
-//!   higher execution rates. Use it for exhaustive exploration
-//!   ([`explore_engine`], [`explore_pool`]), adversary searches and
-//!   large crash storms. Hot trial loops drive a [`MachinePool`] of
-//!   concrete [`MachineSet`] machines ([`StepEngine::run_pool`]): built
-//!   once, reset in place, enum-dispatched — zero steady-state heap
-//!   allocations.
+//!   higher execution rates. Use it for exhaustive exploration,
+//!   adversary searches and large crash storms. Hot trial loops drive a
+//!   [`MachinePool`] of concrete [`MachineSet`] machines
+//!   ([`StepEngine::run_pool`]): built once, reset in place,
+//!   enum-dispatched — zero steady-state heap allocations.
 //!
 //! Both run in **lock-step**: the policy is consulted only when every live
 //! process has an operation pending, so — because the policy then sees the
@@ -37,6 +36,11 @@
 //! The pending set exposes `(pid, read/write, register)` *before* the grant
 //! — exactly the information the pigeonhole adversary of Theorem 6 needs
 //! (see the `exsel-lowerbound` crate).
+//!
+//! Exhaustive exploration is the [`reduce`] module's replay walk over a
+//! pooled engine: [`explore_pool_sleep`] with [`ReduceConfig::off`]
+//! enumerates every interleaving, and the other [`ReduceConfig`]s cut
+//! the walk down with sleep sets, visited states and pid symmetry.
 //!
 //! # Example
 //!
@@ -63,7 +67,6 @@
 #![warn(missing_docs)]
 
 mod engine;
-pub mod explore;
 pub mod machines;
 pub mod policy;
 mod pool;
@@ -71,13 +74,9 @@ pub mod reduce;
 mod runner;
 mod sched;
 pub mod service;
-pub mod soa;
 pub mod trace_view;
 
 pub use engine::{Metrics, StepEngine};
-pub use explore::{
-    explore, explore_engine, explore_engine_with, explore_pool, explore_pool_with, ExploreReport,
-};
 #[cfg(feature = "check")]
 pub use exsel_analysis::{
     collect_specs, non_interference, AccessChecker, StaticError, Violation, ViolationKind,
@@ -88,7 +87,7 @@ pub use pool::MachinePool;
 #[cfg(feature = "check")]
 pub use reduce::shrink_violation;
 pub use reduce::{
-    explore_pool_reduced, explore_pool_sleep, independent, replay_pool, ReduceConfig,
+    explore_pool_reduced, explore_pool_sleep, independent, replay_pool, ExploreReport, ReduceConfig,
 };
 pub use runner::{SimBuilder, SimOutcome};
 pub use sched::{CrashCause, SimMemory};
@@ -99,4 +98,3 @@ pub use service::{
     Admission, Arrivals, ServiceConfig, ServiceHarness, ServiceReport, ServiceWorld, StepHistogram,
     Totals, WindowRow,
 };
-pub use soa::{MachineBank, MajoritySoa};

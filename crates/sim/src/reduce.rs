@@ -2,13 +2,13 @@
 //! pid-symmetry canonicalization and visited-state pruning over the
 //! pooled [`StepEngine`], with counterexample minimization.
 //!
-//! The unreduced explorers of [`mod@crate::explore`] enumerate **every**
-//! grant sequence — exponential in the total operation count, which caps
+//! The unreduced walk ([`ReduceConfig::off`]) enumerates **every** grant
+//! sequence — exponential in the total operation count, which caps
 //! exhaustive verification at 3 processes for the compete family
 //! (73,608 executions). This module cuts the *number* of executions
 //! along three independent axes, each behind a [`ReduceConfig`] flag so
 //! the unreduced walk remains available as a differential oracle (the
-//! `pending_rebuild(true)` / `recycling(false)` pattern):
+//! `recycling(false)` pattern):
 //!
 //! * **Sleep sets** ([`ReduceConfig::sleep_sets`]) — two pending
 //!   operations are *independent* when they commute: they target
@@ -60,16 +60,48 @@ use std::collections::HashMap;
 use exsel_shm::{Fingerprint, OpKind, Pid, RegisterBank, StateHasher, StepMachine, TokenMap};
 
 use crate::engine::StepEngine;
-use crate::explore::ExploreReport;
 use crate::policy::{Action, PendingOp, Policy, Scripted};
 use crate::pool::MachinePool;
+
+/// Outcome of an exhaustive exploration.
+#[derive(Clone, Debug)]
+pub struct ExploreReport {
+    /// Complete executions checked (`execs_explored` in bench output).
+    pub executions: u64,
+    /// Whether the whole schedule tree was covered (false if
+    /// `max_executions` truncated the walk).
+    pub complete: bool,
+    /// The deepest decision point seen (total operations of the longest
+    /// execution).
+    pub max_depth: usize,
+    /// Branches the reductions suppressed: sleep-set–blocked grants plus
+    /// visited-state subtree cuts. Always 0 for the unreduced walk
+    /// ([`ReduceConfig::off`]).
+    pub execs_pruned: u64,
+    /// Distinct canonical state fingerprints recorded by the visited
+    /// set. 0 when visited-state hashing is off.
+    pub states_canonical: u64,
+    /// The minimized failing schedule, when a `check` failed and the
+    /// shrinker ran: a grant sequence (pids in grant order) that still
+    /// fails on replay. `None` when every execution passed or shrinking
+    /// was disabled.
+    pub minimized: Option<Vec<Pid>>,
+}
+
+impl ExploreReport {
+    /// Length of the minimized failing schedule, if one was produced.
+    #[must_use]
+    pub fn minimized_len(&self) -> Option<usize> {
+        self.minimized.as_ref().map(Vec::len)
+    }
+}
 
 /// Which reductions the reduced explorer applies.
 ///
 /// All-off ([`ReduceConfig::off`]) is the oracle configuration: the same
-/// depth-first enumerator with every reduction disabled, which must
-/// reproduce the unreduced [`crate::explore_pool`] execution count and
-/// verdicts exactly (differentially tested).
+/// depth-first enumerator with every reduction disabled, which walks
+/// every interleaving — for straight-line programs, exactly the
+/// multinomial number of them (tested).
 #[derive(Clone, Debug)]
 pub struct ReduceConfig {
     /// Sleep-set partial-order reduction (one execution per Mazurkiewicz
@@ -290,42 +322,34 @@ where
 }
 
 /// Greedy chunk-removal minimization (`ddmin`-lite): repeatedly tries
-/// dropping chunks of halving sizes, keeping any removal after which the
-/// replayed schedule still fails `check`. The result is a subsequence of
-/// `failing` by construction, and the procedure is deterministic.
-fn shrink_schedule<M, B, C>(
-    engine: &mut StepEngine<B>,
-    pool: &mut MachinePool<M>,
-    check: &mut C,
-    failing: Vec<Pid>,
-) -> Vec<Pid>
-where
-    M: StepMachine,
-    B: RegisterBank,
-    C: FnMut(&MachinePool<M>) -> bool,
-{
-    let mut cur = failing;
-    let mut chunk = cur.len() / 2;
-    while chunk >= 1 {
+/// dropping chunks of halving sizes, down to single grants, keeping any
+/// removal for which `still_fails` holds. The result is a subsequence of
+/// `failing` by construction (possibly empty), and the procedure is
+/// deterministic.
+fn shrink(failing: &[Pid], mut still_fails: impl FnMut(&[Pid]) -> bool) -> Vec<Pid> {
+    let mut cur = failing.to_vec();
+    let mut chunk = (cur.len() / 2).max(1);
+    loop {
         let mut i = 0;
         while i < cur.len() {
             let mut candidate = cur[..i].to_vec();
             candidate.extend_from_slice(&cur[(i + chunk).min(cur.len())..]);
-            replay_pool(engine, pool, &candidate);
-            if !check(pool) {
+            if still_fails(&candidate) {
                 cur = candidate; // removal kept the failure: stay at `i`
             } else {
                 i += chunk;
             }
         }
+        if chunk == 1 {
+            return cur;
+        }
         chunk /= 2;
     }
-    cur
 }
 
 /// Minimizes a schedule that provokes a footprint violation from the
-/// engine's installed checker: the same greedy chunk-removal as the
-/// exploration shrinker, with "still fails" meaning the replay still
+/// engine's installed checker: the exploration shrinker's greedy
+/// chunk-removal, with "still fails" meaning the replay still
 /// counts at least one violation ([`Metrics::checker_violations`]).
 /// The result is a subsequence of `failing`; replaying it on the same
 /// engine/pool deterministically reproduces a violation, and the
@@ -352,33 +376,15 @@ where
         engine.checker().is_some(),
         "shrink_violation needs a checker installed on the engine"
     );
-    replay_pool(engine, pool, failing);
-    assert!(
-        engine.metrics().checker_violations > 0,
-        "schedule handed to shrink_violation does not violate under replay"
-    );
-    let violates = |engine: &mut StepEngine<B>, pool: &mut MachinePool<M>, s: &[Pid]| {
+    let mut violates = |s: &[Pid]| {
         replay_pool(engine, pool, s);
         engine.metrics().checker_violations > 0
     };
-    let mut cur = failing.to_vec();
-    let mut chunk = (cur.len() / 2).max(1);
-    loop {
-        let mut i = 0;
-        while i < cur.len() {
-            let mut candidate = cur[..i].to_vec();
-            candidate.extend_from_slice(&cur[(i + chunk).min(cur.len())..]);
-            if violates(engine, pool, &candidate) {
-                cur = candidate; // removal kept the violation: stay at `i`
-            } else {
-                i += chunk;
-            }
-        }
-        if chunk == 1 {
-            break;
-        }
-        chunk /= 2;
-    }
+    assert!(
+        violates(failing),
+        "schedule handed to shrink_violation does not violate under replay"
+    );
+    let cur = shrink(failing, violates);
     // Leave the engine/pool state at the minimized replay so callers can
     // read the violation report directly.
     replay_pool(engine, pool, &cur);
@@ -447,7 +453,10 @@ where
     } = dfs;
     let minimized = failing.map(|schedule| {
         if config.shrink {
-            shrink_schedule(engine, pool, &mut check, schedule)
+            shrink(&schedule, |s| {
+                replay_pool(engine, pool, s);
+                !check(pool)
+            })
         } else {
             schedule
         }
@@ -589,7 +598,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::explore_pool_with;
     use exsel_shm::{ArcBank, Poll, RegAlloc, RegId, ShmOp, Word};
     use std::collections::BTreeSet;
 
@@ -677,20 +685,128 @@ mod tests {
         assert!(report.execs_pruned > 0);
     }
 
+    /// `ops` writes to one shared register, then done.
+    struct StraightLine {
+        reg: RegId,
+        ops: u64,
+        done: u64,
+    }
+
+    impl StepMachine for StraightLine {
+        type Output = u64;
+        fn op(&self) -> ShmOp {
+            ShmOp::Write(self.reg, Word::Int(self.done))
+        }
+        fn advance(&mut self, _input: &Word) -> Poll<u64> {
+            self.done += 1;
+            if self.done == self.ops {
+                Poll::Ready(self.done)
+            } else {
+                Poll::Pending
+            }
+        }
+        fn reset(&mut self, _pid: Pid) {
+            self.done = 0;
+        }
+    }
+
+    fn straight_pool(reg: RegId, ops: &[u64]) -> MachinePool<StraightLine> {
+        ops.iter()
+            .map(|&ops| StraightLine { reg, ops, done: 0 })
+            .collect()
+    }
+
     #[test]
-    fn off_config_matches_unreduced_explorer_exactly() {
+    fn off_config_walks_every_interleaving_of_straight_line_programs() {
+        // Processes with k₁, …, kₙ operations interleave in exactly
+        // (Σkᵢ)! / Πkᵢ! ways, and the deepest execution grants all Σkᵢ.
         let mut alloc = RegAlloc::new();
         let bank = alloc.reserve(1);
-        let mut pool = wr_pool(bank.get(0), &[1, 2]);
         let mut engine = StepEngine::reusable(alloc.total());
-        let oracle = explore_pool_with(&mut engine, &mut pool, 10_000, |_| {});
-        let reduced =
-            explore_pool_sleep(&mut engine, &mut pool, &ReduceConfig::off(10_000), |_| true);
-        assert_eq!(oracle.executions, reduced.executions); // C(4,2) = 6
-        assert_eq!(oracle.max_depth, reduced.max_depth);
-        assert!(reduced.complete);
-        assert_eq!(reduced.execs_pruned, 0);
-        assert_eq!(reduced.states_canonical, 0);
+        for (ops, multinomial) in [
+            (&[1, 1][..], 2),
+            (&[2, 2], 6),
+            (&[2, 2, 2], 90),
+            (&[1, 2, 3], 60),
+            (&[2, 2, 2, 1], 630),
+        ] {
+            let mut pool = straight_pool(bank.get(0), ops);
+            let report =
+                explore_pool_sleep(&mut engine, &mut pool, &ReduceConfig::off(10_000), |_| true);
+            assert_eq!(report.executions, multinomial, "shape {ops:?}");
+            assert_eq!(
+                report.max_depth as u64,
+                ops.iter().sum::<u64>(),
+                "shape {ops:?}"
+            );
+            assert!(report.complete && report.minimized.is_none());
+            assert_eq!(report.execs_pruned, 0);
+            assert_eq!(report.states_canonical, 0);
+        }
+    }
+
+    #[test]
+    fn truncation_reports_incomplete() {
+        let mut alloc = RegAlloc::new();
+        let bank = alloc.reserve(1);
+        let mut pool = straight_pool(bank.get(0), &[2, 2, 2]);
+        let mut engine = StepEngine::reusable(alloc.total());
+        let report = explore_pool_sleep(&mut engine, &mut pool, &ReduceConfig::off(4), |_| true);
+        assert_eq!(report.executions, 4);
+        assert!(!report.complete);
+    }
+
+    /// Read-modify-write without atomicity: read `reg`, write back the
+    /// value plus one, return what was read.
+    struct Incr {
+        reg: RegId,
+        seen: Option<u64>,
+    }
+
+    impl StepMachine for Incr {
+        type Output = u64;
+        fn op(&self) -> ShmOp {
+            match self.seen {
+                None => ShmOp::Read(self.reg),
+                Some(v) => ShmOp::Write(self.reg, Word::Int(v + 1)),
+            }
+        }
+        fn advance(&mut self, input: &Word) -> Poll<u64> {
+            match self.seen {
+                None => {
+                    self.seen = Some(input.as_int().unwrap_or(0));
+                    Poll::Pending
+                }
+                Some(v) => Poll::Ready(v),
+            }
+        }
+        fn reset(&mut self, _pid: Pid) {
+            self.seen = None;
+        }
+    }
+
+    #[test]
+    fn both_walks_witness_the_lost_update() {
+        // The classic race: both processes read 0 before either writes.
+        // Coverage, not luck, must find it — with and without sleep sets.
+        let mut alloc = RegAlloc::new();
+        let bank = alloc.reserve(1);
+        let mut pool: MachinePool<Incr> = (0..2)
+            .map(|_| Incr {
+                reg: bank.get(0),
+                seen: None,
+            })
+            .collect();
+        let mut engine = StepEngine::reusable(alloc.total());
+        for config in [ReduceConfig::off(1_000), ReduceConfig::sleep_only(1_000)] {
+            let mut saw_race = false;
+            let report = explore_pool_sleep(&mut engine, &mut pool, &config, |pool| {
+                saw_race |= pool.results() == [Some(Ok(0)), Some(Ok(0))];
+                true
+            });
+            assert!(report.complete);
+            assert!(saw_race, "{config:?} missed the lost update");
+        }
     }
 
     /// Terminal signature of a completed WriteRead execution: the sorted
@@ -711,9 +827,11 @@ mod tests {
         let mut pool = wr_pool(bank.get(0), &[1, 2]);
         let mut engine = StepEngine::reusable(alloc.total());
         let mut oracle_sigs = BTreeSet::new();
-        let oracle = explore_pool_with(&mut engine, &mut pool, 10_000, |pool| {
-            oracle_sigs.insert(signature(pool));
-        });
+        let oracle =
+            explore_pool_sleep(&mut engine, &mut pool, &ReduceConfig::off(10_000), |pool| {
+                oracle_sigs.insert(signature(pool));
+                true
+            });
         let mut reduced_sigs = BTreeSet::new();
         let reduced = explore_pool_sleep(
             &mut engine,
@@ -818,6 +936,22 @@ mod tests {
         );
         assert_eq!(report2.minimized.as_deref(), Some(&minimized[..]));
         assert_eq!(report.minimized_len(), Some(minimized.len()));
+    }
+
+    #[test]
+    fn shrinker_tries_the_empty_schedule() {
+        // A check that fails everywhere fails on the empty replay too, so
+        // even a one-grant failing schedule shrinks to nothing.
+        let mut alloc = RegAlloc::new();
+        let bank = alloc.reserve(2);
+        let mut engine = StepEngine::reusable(alloc.total());
+        for n in [1, 2] {
+            let mut pool: MachinePool<SoloWrite> =
+                (0..n).map(|i| SoloWrite { reg: bank.get(i) }).collect();
+            let report =
+                explore_pool_sleep(&mut engine, &mut pool, &ReduceConfig::off(10), |_| false);
+            assert_eq!(report.minimized, Some(Vec::new()), "{n} machines");
+        }
     }
 
     #[test]

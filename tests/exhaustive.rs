@@ -3,71 +3,65 @@
 //! sample. This is the strongest evidence this stack offers for the
 //! safety lemmas: Lemma 1 (compete-for-register), the splitter property,
 //! and snapshot self-inclusion are checked over the *complete* schedule
-//! tree of 2–3 process programs.
+//! tree of 2–3 process programs, walked by the unreduced
+//! (`ReduceConfig::off`) replay enumerator over pooled machines.
 
-use exclusive_selection::renaming::{MoirAnderson, SlotBank};
-use exclusive_selection::shm::Snapshot;
-use exclusive_selection::sim::explore::{explore, explore_engine};
-use exclusive_selection::{Outcome, RegAlloc, StepMachine, StepRename, Word};
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+use exclusive_selection::renaming::{CompeteOp, MoirAnderson, SlotBank};
+use exclusive_selection::shm::snapshot::{ScanOp, UpdateOp};
+use exclusive_selection::shm::{Pid, Snapshot};
+use exclusive_selection::sim::{
+    explore_pool_reduced, explore_pool_sleep, replay_pool, ExploreReport, MachinePool,
+    ReduceConfig, StepEngine,
+};
+use exclusive_selection::storecollect::{FirstStoreOp, StoreCollect};
+use exclusive_selection::unbounded::AltruisticDeposit;
+use exclusive_selection::{Poll, RegAlloc, ShmOp, StepMachine, Word};
+
+/// Walks every interleaving of `pool` and asserts the walk was complete
+/// and `check` held on every execution.
+fn walk_all<M: StepMachine>(
+    engine: &mut StepEngine,
+    pool: &mut MachinePool<M>,
+    check: impl FnMut(&MachinePool<M>) -> bool,
+) -> ExploreReport {
+    let report = explore_pool_sleep(engine, pool, &ReduceConfig::off(u64::MAX), check);
+    assert!(report.complete, "schedule tree not fully covered");
+    assert!(
+        report.minimized.is_none(),
+        "violating schedule: {:?}",
+        report.minimized
+    );
+    report
+}
+
+/// At most one contender wins the slot.
+fn compete_ok(pool: &MachinePool<CompeteOp>) -> bool {
+    pool.completed().filter(|(_, won)| **won).count() <= 1
+}
+
+/// A `k`-contender compete pool on one slot, plus its engine.
+fn compete(k: u64) -> (StepEngine, MachinePool<CompeteOp>) {
+    let mut alloc = RegAlloc::new();
+    let bank = SlotBank::new(&mut alloc, 1);
+    let pool: MachinePool<CompeteOp> = (1..=k).map(|t| bank.begin_compete(0, t)).collect();
+    (StepEngine::reusable(alloc.total()), pool)
+}
 
 #[test]
 fn lemma1_exclusive_wins_every_interleaving_two_contenders() {
-    // Both backends cover the identical tree; the thread-backed run keeps
-    // that backend honest, the engine run is the fast path.
-    let mut alloc = RegAlloc::new();
-    let bank = SlotBank::new(&mut alloc, 1);
-    let check = |outcome: &exclusive_selection::sim::SimOutcome<bool>| {
-        let winners = outcome
-            .results
-            .iter()
-            .filter(|r| *r.as_ref().unwrap())
-            .count();
-        assert!(winners <= 1, "two winners in one interleaving");
-    };
-    let threaded = explore(
-        alloc.total(),
-        2,
-        100_000,
-        |ctx| bank.compete(ctx, 0, ctx.pid().0 as u64 + 1),
-        check,
-    );
-    let engine = explore_engine(
-        alloc.total(),
-        2,
-        100_000,
-        |pid| Box::new(bank.begin_compete(0, pid.0 as u64 + 1)),
-        check,
-    );
-    assert!(
-        threaded.complete && engine.complete,
-        "schedule tree not fully covered"
-    );
-    assert_eq!(
-        threaded.executions, engine.executions,
-        "backends saw different trees"
-    );
-    assert!(engine.executions >= 2, "suspiciously few schedules");
+    let (mut engine, mut pool) = compete(2);
+    let report = walk_all(&mut engine, &mut pool, compete_ok);
+    assert_eq!(report.executions, 116);
 }
 
 #[test]
 fn lemma1_exclusive_wins_every_interleaving_three_contenders() {
-    let mut alloc = RegAlloc::new();
-    let bank = SlotBank::new(&mut alloc, 1);
-    let report = explore_engine(
-        alloc.total(),
-        3,
-        2_000_000,
-        |pid| Box::new(bank.begin_compete(0, pid.0 as u64 + 1)),
-        |outcome| {
-            let winners = outcome
-                .results
-                .iter()
-                .filter(|r| *r.as_ref().unwrap())
-                .count();
-            assert!(winners <= 1, "two winners in one interleaving");
-        },
-    );
-    assert!(report.complete, "schedule tree not fully covered");
+    let (mut engine, mut pool) = compete(3);
+    let report = walk_all(&mut engine, &mut pool, compete_ok);
+    assert_eq!(report.executions, 73_608);
 }
 
 /// A bank walk: compete for slot 0, then slot 1 if lost, and so on. The
@@ -76,7 +70,7 @@ struct SlotWalk {
     bank: SlotBank,
     token: u64,
     slot: usize,
-    inner: exclusive_selection::renaming::CompeteOp,
+    inner: CompeteOp,
 }
 
 impl SlotWalk {
@@ -92,11 +86,10 @@ impl SlotWalk {
 
 impl StepMachine for SlotWalk {
     type Output = Option<usize>;
-    fn op(&self) -> exclusive_selection::ShmOp {
+    fn op(&self) -> ShmOp {
         self.inner.op()
     }
-    fn advance(&mut self, input: &Word) -> exclusive_selection::Poll<Option<usize>> {
-        use exclusive_selection::Poll;
+    fn advance(&mut self, input: &Word) -> Poll<Option<usize>> {
         match self.inner.advance(input) {
             Poll::Pending => Poll::Pending,
             Poll::Ready(true) => Poll::Ready(Some(self.slot)),
@@ -111,74 +104,104 @@ impl StepMachine for SlotWalk {
             }
         }
     }
+    fn reset(&mut self, _pid: Pid) {
+        self.slot = 0;
+        self.inner = self.bank.begin_compete(0, self.token);
+    }
 }
 
 #[test]
 fn lemma1_walks_exclusive_every_interleaving_two_contenders_three_slots() {
-    // Up to 15 ops per process, schedule-tree depth 26, ~185k complete
-    // executions — a depth the thread-backed explorer cannot finish in
-    // reasonable test time; on the engine it is routine. Every
+    // Up to 15 ops per process, schedule-tree depth 26: every
     // interleaving must keep slot wins exclusive.
     let mut alloc = RegAlloc::new();
     let bank = SlotBank::new(&mut alloc, 3);
-    let report = explore_engine(
-        alloc.total(),
-        2,
-        1_000_000,
-        |pid| Box::new(SlotWalk::new(&bank, pid.0 as u64 + 1)),
-        |outcome| {
-            let wins: Vec<usize> = outcome
-                .results
-                .iter()
-                .filter_map(|r| *r.as_ref().unwrap())
-                .collect();
-            let set: std::collections::BTreeSet<usize> = wins.iter().copied().collect();
-            assert_eq!(set.len(), wins.len(), "a slot won twice: {wins:?}");
-        },
-    );
-    assert!(report.complete, "schedule tree not fully covered");
-    assert!(
-        report.executions > 100_000,
-        "only {} schedules",
-        report.executions
-    );
+    let mut pool: MachinePool<SlotWalk> = (1..=2).map(|t| SlotWalk::new(&bank, t)).collect();
+    let mut engine = StepEngine::reusable(alloc.total());
+    let report = walk_all(&mut engine, &mut pool, |pool| {
+        let wins: Vec<usize> = pool.completed().filter_map(|(_, w)| *w).collect();
+        let set: BTreeSet<usize> = wins.iter().copied().collect();
+        set.len() == wins.len()
+    });
+    assert_eq!(report.executions, 185_240);
 }
 
 #[test]
 fn splitter_grid_exclusive_every_interleaving_k2() {
     let mut alloc = RegAlloc::new();
     let algo = MoirAnderson::new(&mut alloc, 2);
-    let report = explore_engine(
-        alloc.total(),
-        2,
-        500_000,
-        |pid| {
-            Box::new(
-                algo.begin_rename(pid, pid.0 as u64 + 1)
-                    .map_output(Outcome::name),
-            )
-        },
-        |outcome| {
-            let names: Vec<u64> = outcome
-                .results
-                .iter()
-                .map(|r| {
-                    r.as_ref()
-                        .unwrap()
-                        .expect("within capacity: both must stop")
-                })
-                .collect();
-            assert_ne!(names[0], names[1], "duplicate names");
-            assert!(names.iter().all(|&m| (1..=3).contains(&m)));
-        },
-    );
-    assert!(report.complete);
+    let mut pool: MachinePool<_> = (1..=2).map(|t| algo.begin_walk(t)).collect();
+    let mut engine = StepEngine::reusable(alloc.total());
+    let report = walk_all(&mut engine, &mut pool, |pool| {
+        // Within capacity both must stop, on distinct grid names.
+        let names: Vec<Option<u64>> = pool.completed().map(|(_, o)| o.name()).collect();
+        names.len() == 2 && names[0] != names[1] && names.iter().all(|m| matches!(m, Some(1..=3)))
+    });
     // The grid program is 4–8 ops per process: a real tree, not a toy.
-    assert!(
-        report.executions > 50,
-        "only {} schedules",
-        report.executions
-    );
+    assert_eq!(report.executions, 1_694);
+}
+
+/// One snapshot process: its updates in order, then an optional scan,
+/// whose view is the output.
+struct SnapProc {
+    updates: Vec<UpdateOp>,
+    scan: Option<ScanOp>,
+    next: usize,
+}
+
+impl SnapProc {
+    fn new(snap: &Snapshot, updates: &[(usize, u64)], scan: bool) -> Self {
+        SnapProc {
+            updates: updates
+                .iter()
+                .map(|&(slot, v)| snap.begin_update(slot, Word::Int(v)))
+                .collect(),
+            scan: scan.then(|| snap.begin_scan()),
+            next: 0,
+        }
+    }
+}
+
+impl StepMachine for SnapProc {
+    type Output = Option<Arc<[Word]>>;
+    fn op(&self) -> ShmOp {
+        match self.updates.get(self.next) {
+            Some(update) => update.op(),
+            None => self.scan.as_ref().expect("scan pending").op(),
+        }
+    }
+    fn advance(&mut self, input: &Word) -> Poll<Self::Output> {
+        if let Some(update) = self.updates.get_mut(self.next) {
+            if update.advance(input).ready().is_some() {
+                self.next += 1;
+                if self.next == self.updates.len() && self.scan.is_none() {
+                    return Poll::Ready(None);
+                }
+            }
+            return Poll::Pending;
+        }
+        match self.scan.as_mut().expect("scan pending").advance(input) {
+            Poll::Ready(view) => Poll::Ready(Some(view)),
+            Poll::Pending => Poll::Pending,
+        }
+    }
+    fn reset(&mut self, pid: Pid) {
+        for update in &mut self.updates {
+            update.reset(pid);
+        }
+        if let Some(scan) = &mut self.scan {
+            scan.reset(pid);
+        }
+        self.next = 0;
+    }
+}
+
+/// Component `slot` of process `pid`'s scanned view.
+fn scanned(pool: &MachinePool<SnapProc>, pid: usize, slot: usize) -> Option<u64> {
+    match &pool.results()[pid] {
+        Some(Ok(Some(view))) => view[slot].as_int(),
+        other => panic!("process {pid} did not scan: {other:?}"),
+    }
 }
 
 #[test]
@@ -188,30 +211,17 @@ fn snapshot_self_inclusion_every_interleaving() {
     // two operations' register accesses.
     let mut alloc = RegAlloc::new();
     let snap = Snapshot::new(&mut alloc, 2);
-    let report = explore(
-        alloc.total(),
-        2,
-        500_000,
-        |ctx| {
-            let slot = ctx.pid().0;
-            snap.update(ctx, slot, Word::Int(slot as u64 + 10))?;
-            if slot == 1 {
-                let view = snap.scan(ctx)?;
-                return Ok(view[1].as_int());
-            }
-            Ok(None)
-        },
-        |outcome| {
-            let scanned = outcome.results[1].as_ref().unwrap();
-            assert_eq!(*scanned, Some(11), "scan missed own completed update");
-        },
-    );
-    assert!(report.complete);
-    assert!(
-        report.executions > 100,
-        "only {} schedules",
-        report.executions
-    );
+    let mut pool: MachinePool<SnapProc> = [
+        SnapProc::new(&snap, &[(0, 10)], false),
+        SnapProc::new(&snap, &[(1, 11)], true),
+    ]
+    .into_iter()
+    .collect();
+    let mut engine = StepEngine::reusable(alloc.total());
+    let report = walk_all(&mut engine, &mut pool, |pool| {
+        scanned(pool, 1, 1) == Some(11)
+    });
+    assert_eq!(report.executions, 16_044);
 }
 
 #[test]
@@ -221,29 +231,17 @@ fn snapshot_validity_every_interleaving() {
     // every interleaving.
     let mut alloc = RegAlloc::new();
     let snap = Snapshot::new(&mut alloc, 2);
-    let report = explore(
-        alloc.total(),
-        2,
-        2_000_000,
-        |ctx| {
-            if ctx.pid().0 == 0 {
-                let view = snap.scan(ctx)?;
-                Ok(view[1].as_int())
-            } else {
-                snap.update(ctx, 1, Word::Int(10))?;
-                snap.update(ctx, 1, Word::Int(20))?;
-                Ok(None)
-            }
-        },
-        |outcome| {
-            let scanned = outcome.results[0].as_ref().unwrap();
-            assert!(
-                matches!(scanned, None | Some(10) | Some(20)),
-                "invalid scanned value {scanned:?}"
-            );
-        },
-    );
-    assert!(report.complete);
+    let mut pool: MachinePool<SnapProc> = [
+        SnapProc::new(&snap, &[], true),
+        SnapProc::new(&snap, &[(1, 10), (1, 20)], false),
+    ]
+    .into_iter()
+    .collect();
+    let mut engine = StepEngine::reusable(alloc.total());
+    let report = walk_all(&mut engine, &mut pool, |pool| {
+        matches!(scanned(pool, 0, 1), None | Some(10) | Some(20))
+    });
+    assert_eq!(report.executions, 9_954);
 }
 
 // ---------------------------------------------------------------------
@@ -254,21 +252,6 @@ fn snapshot_validity_every_interleaving() {
 // verdicts; the full symmetry stack must preserve pass/fail.
 // ---------------------------------------------------------------------
 
-use exclusive_selection::renaming::CompeteOp;
-use exclusive_selection::shm::Pid;
-use exclusive_selection::sim::explore::explore_pool_with;
-use exclusive_selection::sim::{
-    explore_pool_reduced, explore_pool_sleep, replay_pool, MachinePool, ReduceConfig, StepEngine,
-};
-use exclusive_selection::storecollect::{FirstStoreOp, StoreCollect};
-use exclusive_selection::unbounded::AltruisticDeposit;
-use std::collections::BTreeSet;
-
-/// At most one contender wins the slot.
-fn compete_ok(pool: &MachinePool<CompeteOp>) -> bool {
-    pool.completed().filter(|(_, won)| **won).count() <= 1
-}
-
 /// The per-process results vector — the terminal-state signature the
 /// sleep-set differential compares as a set.
 fn result_signature<M: StepMachine>(pool: &MachinePool<M>) -> Vec<String>
@@ -278,33 +261,24 @@ where
     pool.results().iter().map(|r| format!("{r:?}")).collect()
 }
 
-/// A 3-contender compete pool plus its engine.
-fn compete3() -> (StepEngine, MachinePool<CompeteOp>) {
-    let mut alloc = RegAlloc::new();
-    let bank = SlotBank::new(&mut alloc, 1);
-    let pool: MachinePool<CompeteOp> = (1..=3u64).map(|t| bank.begin_compete(0, t)).collect();
-    (StepEngine::reusable(alloc.total()), pool)
-}
-
 #[test]
 fn oracle_flag_replays_the_unreduced_tree_across_families() {
     // Compete, 3 contenders: the committed 73,608-execution tree.
-    let (mut engine, mut pool) = compete3();
-    let unreduced = explore_pool_with(&mut engine, &mut pool, u64::MAX, |_| {});
+    let (mut engine, mut pool) = compete(3);
     let oracle = explore_pool_sleep(
         &mut engine,
         &mut pool,
         &ReduceConfig::off(u64::MAX),
         compete_ok,
     );
-    assert_eq!(unreduced.executions, 73_608);
-    assert_eq!(oracle.executions, unreduced.executions);
+    assert_eq!(oracle.executions, 73_608);
     assert_eq!(oracle.execs_pruned, 0);
     assert!(oracle.complete && oracle.minimized.is_none());
 
-    // Store&collect setting (i), 2 contenders (the 3-proc oracle tree
-    // holds 17.15M executions — release-mode bench territory, see the
-    // explore-reduced scenario).
+    // Store&collect setting (i), 2 contenders: two straight-line programs
+    // of 6 operations each, so C(12, 6) = 12!/(6!·6!) = 924 interleavings
+    // (the 3-proc oracle tree holds 17.15M executions — release-mode
+    // bench territory, see the explore-reduced scenario).
     let mut alloc = RegAlloc::new();
     let sc = StoreCollect::known(
         &mut alloc,
@@ -316,28 +290,27 @@ fn oracle_flag_replays_the_unreduced_tree_across_families() {
         .map(|p| sc.begin_first_store(Pid(p), p as u64 + 1, 7))
         .collect();
     let mut engine = StepEngine::reusable(alloc.total());
-    let unreduced = explore_pool_with(&mut engine, &mut pool, u64::MAX, |_| {});
     let oracle = explore_pool_sleep(&mut engine, &mut pool, &ReduceConfig::off(u64::MAX), |_| {
         true
     });
-    assert_eq!(oracle.executions, unreduced.executions);
+    assert_eq!(oracle.executions, 924);
     assert!(oracle.complete);
 
-    // Deposit, 3 serve-only machines (fixed event counts — depositor
-    // machines have schedule-dependent depth and an astronomically
-    // large unreduced tree even at 2 processes).
+    // Deposit, 3 serve-only machines of 2 events each (fixed event
+    // counts — depositor machines have schedule-dependent depth and an
+    // astronomically large unreduced tree even at 2 processes):
+    // 6!/(2!)³ = 90 interleavings.
     let mut alloc = RegAlloc::new();
     let repo = AltruisticDeposit::new(&mut alloc, 3, 6);
     let mut pool: MachinePool<_> = (0..3).map(|p| repo.begin_server(Pid(p), 2)).collect();
     let mut engine = StepEngine::reusable(alloc.total());
-    let unreduced = explore_pool_with(&mut engine, &mut pool, u64::MAX, |_| {});
     let oracle = explore_pool_sleep(
         &mut engine,
         &mut pool,
         &ReduceConfig::off(u64::MAX),
         |pool| pool.results().iter().all(|r| matches!(r, Some(Ok(None)))),
     );
-    assert_eq!(oracle.executions, unreduced.executions);
+    assert_eq!(oracle.executions, 90);
     assert!(oracle.complete && oracle.minimized.is_none());
 }
 
@@ -345,7 +318,7 @@ fn oracle_flag_replays_the_unreduced_tree_across_families() {
 fn sleep_sets_preserve_terminal_states_and_verdicts_across_families() {
     // Compete, 3 contenders: strictly fewer executions, identical
     // terminal-state set, identical verdict.
-    let (mut engine, mut pool) = compete3();
+    let (mut engine, mut pool) = compete(3);
     let mut oracle_sigs = BTreeSet::new();
     let oracle = explore_pool_sleep(
         &mut engine,
@@ -436,7 +409,7 @@ fn sleep_sets_preserve_terminal_states_and_verdicts_across_families() {
 #[test]
 fn symmetry_stack_agrees_with_the_oracle_on_compete_verdicts() {
     // Passing checker: oracle and full stack both report no failure.
-    let (mut engine, mut pool) = compete3();
+    let (mut engine, mut pool) = compete(3);
     let tokens = vec![1u64, 2, 3];
     let oracle = explore_pool_sleep(
         &mut engine,
@@ -495,7 +468,7 @@ fn shrinker_minimizes_a_seeded_known_bad_interleaving() {
     // the raw failing schedule, (c) be deterministic across runs.
     let pid0_never_wins =
         |pool: &MachinePool<CompeteOp>| !matches!(pool.results()[0], Some(Ok(true)));
-    let (mut engine, mut pool) = compete3();
+    let (mut engine, mut pool) = compete(3);
     let raw = explore_pool_sleep(
         &mut engine,
         &mut pool,

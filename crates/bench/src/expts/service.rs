@@ -529,6 +529,7 @@ pub fn run(name: &str, spec: &ServiceSpec, overrides: &RunOverrides) -> Vec<serd
                     ("shed", report.totals.shed),
                     ("rejected", report.totals.rejected),
                     ("session_p999", report.cumulative[4].quantile(999, 1000)),
+                    ("arena_fresh", world.arena_stats().fresh_allocations()),
                 ],
             };
             if let Err(e) =
@@ -542,6 +543,17 @@ pub fn run(name: &str, spec: &ServiceSpec, overrides: &RunOverrides) -> Vec<serd
     }
     table.emit();
     rows
+}
+
+/// Snapshot-arena misses summed over every shard's world since it was
+/// built — warm-up included, so a short reservation shows even when the
+/// miss falls before the measured window.
+fn fleet_arena_fresh(world: &MegaServiceWorld) -> u64 {
+    world
+        .shard_worlds()
+        .iter()
+        .map(|w| w.arena_stats().fresh_allocations())
+        .sum()
 }
 
 /// Asserts a mega report's fleet-level invariants for `name`: the
@@ -705,6 +717,7 @@ pub fn run_mega(
                     ("shed", report.totals.shed),
                     ("rejected", report.totals.rejected),
                     ("session_p999", report.cumulative[4].quantile(999, 1000)),
+                    ("arena_fresh", fleet_arena_fresh(&world)),
                 ],
             };
             if let Err(e) =
@@ -773,6 +786,7 @@ pub fn measure(quick: bool) -> Row {
             ("shed", report.totals.shed),
             ("rejected", report.totals.rejected),
             ("session_p999", report.cumulative[4].quantile(999, 1000)),
+            ("arena_fresh", world.arena_stats().fresh_allocations()),
             ("steady_allocs", window.allocs),
             ("steady_frees", window.deallocs),
             ("alloc_probe", u64::from(alloc_probe::active())),
@@ -849,6 +863,7 @@ fn measure_mega_at(shards: usize, target: u64) -> Row {
                 "session_p999",
                 mega.report.cumulative[4].quantile(999, 1000),
             ),
+            ("arena_fresh", fleet_arena_fresh(&world)),
             ("steady_allocs", window.allocs),
             ("steady_frees", window.deallocs),
             ("alloc_probe", u64::from(alloc_probe::active())),

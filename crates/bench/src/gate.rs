@@ -19,7 +19,8 @@
 //! counting allocator is installed — see [`crate::alloc_probe`]).
 //! Service rows re-measure the whole committed shard axis
 //! ([`crate::expts::service::measure_rows`]), so a throughput or
-//! zero-alloc regression at any shard count fails the gate.
+//! zero-alloc regression at any shard count fails the gate, and so does
+//! any snapshot-arena miss over a whole service run (`arena_fresh`).
 
 /// One measured workload row — the in-memory form of a
 /// `BENCH_engine.json` entry.
@@ -228,6 +229,22 @@ pub fn check(fresh: &[Measurement], committed: &serde_json::Value) -> GateReport
                 report.failures.push(format!(
                     "{key}: {measured} sessions/sec below the {threshold} floor"
                 ));
+            }
+            // A snapshot-arena miss anywhere in the run, warm-up
+            // included, means a world reserved less than its holders
+            // can pin — caught here with or without the counting
+            // allocator.
+            if let Some(fresh) = row.extra("arena_fresh") {
+                let ok = fresh == 0;
+                report.lines.push(format!(
+                    "{} {key}: {fresh} snapshot-arena misses (need 0)",
+                    if ok { "PASS" } else { "FAIL" },
+                ));
+                if !ok {
+                    report.failures.push(format!(
+                        "{key}: {fresh} snapshot-arena misses: a world's reservation fell short"
+                    ));
+                }
             }
         } else {
             let hard = category_floor(row.baseline).expect("timing category has a floor");
@@ -483,6 +500,25 @@ mod tests {
         let mut bad = fast;
         bad.extras = vec![("sessions_per_sec", 2_900)];
         assert!(!check(std::slice::from_ref(&bad), &committed_slow).passed());
+    }
+
+    #[test]
+    fn service_rows_fail_on_any_arena_miss() {
+        let mut tight = meas("service/mega/open_loop", "sessions_floor", 1.0);
+        tight.extras = vec![
+            ("sessions_per_sec", SESSIONS_FLOOR * 10),
+            ("arena_fresh", 0),
+        ];
+        let doc = committed(&[]);
+        assert!(check(std::slice::from_ref(&tight), &doc).passed());
+        // One miss fails the row even without the counting allocator.
+        let mut short = tight;
+        short.extras = vec![
+            ("sessions_per_sec", SESSIONS_FLOOR * 10),
+            ("alloc_probe", 0),
+            ("arena_fresh", 1),
+        ];
+        assert!(!check(&[short], &doc).passed());
     }
 
     #[test]

@@ -109,6 +109,10 @@ impl StepRename for AdaptiveRename {
             phase.footprint(pid, spec);
         }
     }
+
+    fn snapshot_registers(&self) -> usize {
+        self.phases.iter().map(StepRename::snapshot_registers).sum()
+    }
 }
 
 /// Checks Theorem 4's closed form: the cumulative ranges indeed satisfy

@@ -170,6 +170,10 @@ impl StepRename for EfficientRename {
             .reads(final_regs)
             .writes_shared(final_regs);
     }
+
+    fn snapshot_registers(&self) -> usize {
+        self.final_stage.num_slots()
+    }
 }
 
 enum EffStage<'a> {

@@ -314,6 +314,10 @@ impl StepRename for SnapshotRename {
             b.writes_excl(regs.slice(pid.0, 1));
         }
     }
+
+    fn snapshot_registers(&self) -> usize {
+        self.num_slots()
+    }
 }
 
 #[cfg(test)]

@@ -35,6 +35,13 @@ pub trait StepRename: Rename {
     fn footprint(&self, pid: Pid, spec: &mut FootprintSpec) {
         let _ = (pid, spec);
     }
+
+    /// Registers that can hold a snapshot record ([`Word::Snap`]): the
+    /// components of the renamer's snapshot objects. The default, 0, is
+    /// right for every renamer without a snapshot stage.
+    fn snapshot_registers(&self) -> usize {
+        0
+    }
 }
 
 impl<T: StepRename + ?Sized> StepRename for &T {
@@ -45,6 +52,10 @@ impl<T: StepRename + ?Sized> StepRename for &T {
     fn footprint(&self, pid: Pid, spec: &mut FootprintSpec) {
         (**self).footprint(pid, spec);
     }
+
+    fn snapshot_registers(&self) -> usize {
+        (**self).snapshot_registers()
+    }
 }
 
 impl<T: StepRename + ?Sized> StepRename for Box<T> {
@@ -54,6 +65,10 @@ impl<T: StepRename + ?Sized> StepRename for Box<T> {
 
     fn footprint(&self, pid: Pid, spec: &mut FootprintSpec) {
         (**self).footprint(pid, spec);
+    }
+
+    fn snapshot_registers(&self) -> usize {
+        (**self).snapshot_registers()
     }
 }
 

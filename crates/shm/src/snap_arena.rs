@@ -167,7 +167,12 @@ where
     for off in 0..len {
         let i = start + off;
         let i = if i < len { i } else { i - len };
-        if Arc::get_mut(&mut list[i]).is_some() {
+        // A reservation sized to its holder bound leaves few views
+        // reclaimable (every tracked record pins its view), so most
+        // probes miss: a plain count load rejects them, and only a
+        // candidate pays for `get_mut`'s read-modify-write on the weak
+        // count.
+        if Arc::strong_count(&list[i]) == 1 && Arc::get_mut(&mut list[i]).is_some() {
             *cursor = i;
             return Some(list.swap_remove(i));
         }

@@ -368,19 +368,30 @@ pub struct MegaServiceHarness<'w, B: RegisterBank = SlabBank> {
 
 impl<'w> MegaServiceHarness<'w, SlabBank> {
     /// Builds a harness over per-shard [`SlabBank`]s, pre-seeding each
-    /// slab's snapshot slots past the shard's live-buffer high-water
-    /// (the same O(slots²) bound the world's snapshot arenas reserve)
-    /// so steady state stays allocation-free from the first session.
+    /// slab with every snapshot slot its shard can hold live at once
+    /// ([`ServiceWorld::snapshot_registers`] + 1), so steady state stays
+    /// allocation-free from the first session.
     #[must_use]
     pub fn new(world: &'w MegaServiceWorld, cfg: &MegaServiceConfig) -> Self {
-        let banks = (0..cfg.shards)
-            .map(|_| {
+        let banks = world
+            .worlds
+            .iter()
+            .map(|w| {
                 let mut bank = SlabBank::new();
-                bank.reserve_slots(32 * cfg.base.slots * cfg.base.slots + 64);
+                bank.reserve_slots(Self::slab_slots(w));
                 bank
             })
             .collect();
         MegaServiceHarness::with_banks(world, cfg, banks)
+    }
+
+    /// The slab slots one shard can hold live at once: one per register
+    /// that can hold a snapshot record
+    /// ([`ServiceWorld::snapshot_registers`]; 66 at 8 slots), plus one
+    /// because [`SlabBank`]'s write parks the new record before it frees
+    /// the one it displaces.
+    fn slab_slots(world: &ServiceWorld) -> usize {
+        world.snapshot_registers() + 1
     }
 }
 
@@ -845,6 +856,38 @@ mod tests {
         assert_eq!(a.report.windows, b.report.windows);
         assert_eq!(a.report.names, b.report.names);
         assert_eq!(a.shard_totals, b.shard_totals);
+    }
+
+    /// No shard's slab grows past its reserved slots and no shard's
+    /// snapshot arenas miss, on a primed crashy fleet under light and
+    /// overload arrivals.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release-mode audit: cargo test --release")]
+    fn slab_reservation_is_never_short() {
+        for mean_gap in [2800.0, 0.5] {
+            let base = ServiceConfig {
+                seed: 5,
+                target_sessions: 2_000,
+                arrivals: Arrivals::Poisson { mean_gap },
+                crash_hazard: 2e-3,
+                ..ServiceConfig::default()
+            };
+            let cfg = MegaServiceConfig { base, shards: 4 };
+            let world = MegaServiceWorld::new(&cfg);
+            let mut harness = MegaServiceHarness::new(&world, &cfg);
+            harness.prime();
+            assert!(harness.run_until(base.target_sessions), "{cfg:?}");
+            for (s, (shard, w)) in harness.shards.iter().zip(&world.worlds).enumerate() {
+                let reserved = MegaServiceHarness::slab_slots(w);
+                assert!(
+                    shard.bank.peak_slots() <= reserved,
+                    "shard {s}: {} live slots, {reserved} reserved ({cfg:?})",
+                    shard.bank.peak_slots()
+                );
+                assert_eq!(shard.bank.allocated_slots(), reserved, "shard {s}");
+                assert_eq!(w.arena_stats().fresh_allocations(), 0, "shard {s}");
+            }
+        }
     }
 
     #[test]

@@ -69,7 +69,9 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use exsel_core::RenameConfig;
-use exsel_shm::{ArcBank, Pid, Poll, RegAlloc, RegisterBank, ShmOp, StepMachine, Word};
+use exsel_shm::{
+    ArcBank, Pid, Poll, RegAlloc, RegisterBank, ShmOp, SnapArenaStats, StepMachine, Word,
+};
 use exsel_storecollect::StoreCollect;
 use exsel_unbounded::{AltruisticDeposit, UnboundedNaming};
 use rand::{rngs::SmallRng, Rng, RngCore, SeedableRng};
@@ -183,15 +185,24 @@ pub struct Admission {
 }
 
 impl Admission {
+    /// The un-jittered backoff delay for the given attempt:
+    /// `backoff_base << attempt`, capped at `backoff_cap`. A shift that
+    /// would push bits out of the word saturates at the cap instead of
+    /// wrapping towards 0.
+    fn backoff(&self, attempt: u32) -> u64 {
+        let base = self.backoff_base.max(1);
+        let cap = self.backoff_cap.max(1);
+        if attempt <= base.leading_zeros() {
+            (base << attempt).min(cap)
+        } else {
+            cap
+        }
+    }
+
     /// The jittered exponential backoff delay for the given attempt.
     fn delay(&self, attempt: u32, rng: &mut SmallRng) -> u64 {
-        let base = self
-            .backoff_base
-            .max(1)
-            .checked_shl(attempt)
-            .unwrap_or(self.backoff_cap)
-            .min(self.backoff_cap.max(1));
-        base + rng.gen_range(0..=base / 2)
+        let base = self.backoff(attempt);
+        base.saturating_add(rng.gen_range(0..=base / 2))
     }
 }
 
@@ -293,17 +304,14 @@ impl ServiceWorld {
         let naming = UnboundedNaming::new(&mut alloc, cfg.slots);
         let sc = StoreCollect::adaptive(&mut alloc, cfg.slots, &RenameConfig::default());
         let repo = AltruisticDeposit::new(&mut alloc, cfg.slots, cfg.arena().max(2 * cfg.slots));
-        // Pre-seed the snapshot recycling arenas past any live-buffer
-        // high-water a `slots`-bounded run can reach: each component
-        // register pins one record, every scanner's collect cache pins
-        // up to `slots` more, and rare interleavings stack generations —
-        // so even the first contention excursion deep into a run stays
-        // allocation-free, where warm-up alone only covers the
-        // high-water it happened to visit (O(slots²) small buffers;
-        // ~1 MiB at the default 8 slots).
-        let reserve = 32 * cfg.slots * cfg.slots + 64;
-        naming.snapshot().arena().reserve(reserve, reserve);
-        repo.naming().snapshot().arena().reserve(reserve, reserve);
+        // Pre-seed both naming objects' snapshot arenas with every buffer
+        // their holders can pin at once, so even the first contention
+        // excursion deep into a run stays allocation-free, where warm-up
+        // alone only covers the high-water it happened to visit
+        // (2·slots² + 2·slots records and 2·slots² + 5·slots views per
+        // object; about 0.1 MB per world at the default 8 slots).
+        naming.reserve_snapshot_buffers();
+        repo.naming().reserve_snapshot_buffers();
         ServiceWorld {
             naming,
             sc,
@@ -316,6 +324,30 @@ impl ServiceWorld {
     #[must_use]
     pub fn num_registers(&self) -> usize {
         self.registers
+    }
+
+    /// Registers that can hold a [`Word::Snap`]: the `slots` snapshot
+    /// components of each naming object (the session tickets' and the
+    /// repository's), plus those of the store&collect renamer's snapshot
+    /// stages, which only a slot's first store writes.
+    #[must_use]
+    pub fn snapshot_registers(&self) -> usize {
+        self.naming.snapshot().num_slots()
+            + self.repo.naming().snapshot().num_slots()
+            + self.sc.snapshot_registers()
+    }
+
+    /// The two naming objects' snapshot-arena telemetry merged: fresh
+    /// and recycled counts add, peaks take the larger arena's. Counters
+    /// run from construction, so `fresh_allocations()` counts every miss
+    /// of the reserved arenas over every run on this world. (The
+    /// store&collect renamer's snapshot stages are not reserved: each
+    /// slot's first store fills them once.)
+    #[must_use]
+    pub fn arena_stats(&self) -> SnapArenaStats {
+        let mut stats = self.naming.snapshot().arena().stats();
+        stats.merge(&self.repo.naming().snapshot().arena().stats());
+        stats
     }
 }
 
@@ -1530,6 +1562,86 @@ mod tests {
             let report = ServiceHarness::new(&world, &cfg).run();
             assert!(report.totals.completed >= 100, "{arrivals:?}");
             assert!(report.accounted(), "{arrivals:?}");
+        }
+    }
+
+    #[test]
+    fn backoff_saturates_at_the_cap_instead_of_wrapping() {
+        let mut rng = SmallRng::seed_from_u64(0);
+        for (backoff_base, backoff_cap) in [
+            (256, 1 << 14),
+            (256, u64::MAX / 4),
+            (3, 1 << 40),
+            (1, u64::MAX / 4),
+            (u64::MAX / 2, 1 << 20),
+        ] {
+            let adm = Admission {
+                backoff_base,
+                backoff_cap,
+                ..ServiceConfig::default().admission
+            };
+            let mut last = 0;
+            for attempt in 0..=100 {
+                let base = adm.backoff(attempt);
+                assert!(
+                    base >= last.max(1) && base <= backoff_cap,
+                    "base {base} after {last} at attempt {attempt} of {adm:?}"
+                );
+                assert!(adm.delay(attempt, &mut rng) >= base);
+                last = base;
+            }
+            assert_eq!(last, backoff_cap, "{adm:?} never reached its cap");
+        }
+        // Shifting 256 left by 56..=63 pushes its only bit out of the word.
+        let adm = Admission {
+            backoff_base: 256,
+            backoff_cap: 1 << 14,
+            ..ServiceConfig::default().admission
+        };
+        assert!((56..64).all(|attempt| adm.backoff(attempt) == 1 << 14));
+    }
+
+    /// The holder-bound reservation of both naming objects' snapshot
+    /// arenas is never short: light and overload arrivals, crashless
+    /// and crashy, slot counts up to the default 8, and no update or
+    /// scan ever misses an arena. (Hazard 10⁻² runs only up to 4 slots,
+    /// to keep the audit short.)
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release-mode audit: cargo test --release")]
+    fn snapshot_reservation_is_never_short() {
+        for slots in [1, 2, 3, 4, 8] {
+            let hazards: &[f64] = if slots <= 4 {
+                &[0.0, 2e-3, 1e-2]
+            } else {
+                &[0.0, 2e-3]
+            };
+            for &crash_hazard in hazards {
+                for mean_gap in [(400 * slots * slots) as f64, 1.5] {
+                    let cfg = ServiceConfig {
+                        seed: slots as u64,
+                        slots,
+                        target_sessions: 2_000,
+                        arrivals: Arrivals::Poisson { mean_gap },
+                        crash_hazard,
+                        admission: Admission {
+                            max_inflight: slots,
+                            ..ServiceConfig::default().admission
+                        },
+                        ..ServiceConfig::default()
+                    };
+                    let world = ServiceWorld::new(&cfg);
+                    let mut harness = ServiceHarness::new(&world, &cfg);
+                    harness.prime();
+                    let report = harness.run();
+                    assert!(report.totals.completed >= 2_000, "{cfg:?}");
+                    for arena in [
+                        world.naming.snapshot().arena(),
+                        world.repo.naming().snapshot().arena(),
+                    ] {
+                        assert_eq!(arena.stats().fresh_allocations(), 0, "{arena:?} {cfg:?}");
+                    }
+                }
+            }
         }
     }
 

@@ -148,6 +148,13 @@ impl StoreCollect {
         self.layout.num_registers()
     }
 
+    /// Registers that can hold a snapshot record: the renamer's snapshot
+    /// components (value and control registers hold plain words).
+    #[must_use]
+    pub fn snapshot_registers(&self) -> usize {
+        self.renamer.snapshot_registers()
+    }
+
     /// Stores `value` for the calling process (unique original name
     /// `original`). The first store runs the renaming subroutine and
     /// raises interval controls; later stores through the same handle are

@@ -157,6 +157,30 @@ impl UnboundedNaming {
         &self.w
     }
 
+    /// Pre-seeds `W`'s recycling arena with every buffer its holders
+    /// can pin at once, so no update or scan ever misses the arena —
+    /// not even a contention excursion deep into a run.
+    ///
+    /// The bound assumes each process drives one [`AcquireOp`] at a
+    /// time, as a [`NamingMachine`] or an altruistic depositor state
+    /// does. An `AcquireOp` owns one `UpdateOp` (whose embedded scan
+    /// caches a collect) and one `ScanOp`, so the holders are:
+    ///
+    /// - records: the `n` registers, `2n` collect-cache entries per
+    ///   process and one pending record per update — `2n² + 2n`;
+    /// - views: one embedded in each of those records, plus each scan's
+    ///   last direct view (`2n`) and each update's captured view (`n`)
+    ///   — `2n² + 5n`.
+    ///
+    /// [`SnapArena::reserve`](exsel_shm::SnapArena::reserve) tracks each
+    /// reserved record's embedded view itself, so only the `3n` views
+    /// outside records are requested separately. `ARCHITECTURE.md`
+    /// derives why no transient needs a spare buffer.
+    pub fn reserve_snapshot_buffers(&self) {
+        let n = self.n;
+        self.w.arena().reserve(2 * n * n + 2 * n, 3 * n);
+    }
+
     /// Starts a poll-based acquire for process `pid`.
     ///
     /// # Panics

@@ -28,7 +28,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use exclusive_selection::sim::policy::{RandomPolicy, RoundRobin};
 use exclusive_selection::sim::service::mega::{
@@ -46,38 +45,42 @@ use exsel_shm::snapshot::UpdateOp;
 use exsel_shm::SlabBank;
 use exsel_unbounded::{AltruisticDeposit, DepositOp, NamingMachine, UnboundedNaming};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static FREES: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     /// Only the test thread arms this, strictly around the measured
     /// loop — allocations from harness/runtime threads (or from test
     /// scaffolding outside the window) must not trip the assertion.
     static MEASURING: Cell<bool> = const { Cell::new(false) };
+    /// This thread's counts. Per thread, because tests run in parallel
+    /// and one of them measures a window that must allocate (the boxed
+    /// deposit baseline): shared counters would charge its allocations
+    /// to any zero-alloc window that overlaps it.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static FREES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one event on this thread if its measuring window is armed.
+fn note(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+    if MEASURING.with(Cell::get) {
+        counter.with(|c| c.set(c.get() + 1));
+    }
 }
 
 struct CountingAlloc;
 
 // SAFETY: delegates verbatim to the system allocator; the counters are
-// plain relaxed atomics behind a const-initialized thread-local gate
-// (no allocation on the TLS path).
+// const-initialized thread-locals without destructors (no allocation on
+// the TLS path).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if MEASURING.with(Cell::get) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note(&ALLOCS);
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if MEASURING.with(Cell::get) {
-            FREES.fetch_add(1, Ordering::Relaxed);
-        }
+        note(&FREES);
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if MEASURING.with(Cell::get) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note(&ALLOCS);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -86,7 +89,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 fn counts() -> (u64, u64) {
-    (ALLOCS.load(Ordering::SeqCst), FREES.load(Ordering::SeqCst))
+    (ALLOCS.with(Cell::get), FREES.with(Cell::get))
 }
 
 /// Allocations and frees on this thread while running `f` with the
@@ -515,10 +518,10 @@ fn steady_state_checked_trials_are_zero_alloc() {
 /// The open-loop service harness end to end: Poisson arrivals, pooled
 /// acquire→store→collect→deposit sessions, admission control, and the
 /// windowed report, all running out of recycled buffers. `ServiceWorld`
-/// pre-seeds the snapshot arenas past any reachable live-buffer
-/// high-water, so after a short warm-up (free-list cursors settle, the
-/// report vectors are pre-reserved) the remaining ninety percent of the
-/// run must be literally zero-alloc and zero-free.
+/// pre-seeds the naming objects' snapshot arenas with every buffer their
+/// holders can pin at once, so after a short warm-up (free-list cursors
+/// settle, the report vectors are pre-reserved) the remaining ninety
+/// percent of the run must be literally zero-alloc and zero-free.
 #[test]
 fn steady_state_service_sessions_are_zero_alloc() {
     let cfg = ServiceConfig {

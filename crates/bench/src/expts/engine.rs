@@ -1,8 +1,9 @@
 //! T11 — execution backends: the thread-backed lock-step scheduler vs
 //! the single-threaded step-machine engine on identical workloads, plus
 //! the engine-reuse comparison (fresh engine per trial vs one engine
-//! reused through `reset()`/`run_trial()`), the snapshot-compaction row
-//! and, with the `check` feature, the footprint checker's overhead.
+//! reused through `reset()`/`run_trial()`), the snapshot-compaction row,
+//! the construction-cost row and, with the `check` feature, the
+//! footprint checker's overhead.
 //!
 //! Both backends replay the *same* executions (same policy ⇒ same trace;
 //! the blocking renaming APIs are `drive` adapters over the same step
@@ -14,9 +15,10 @@
 //!
 //! `cargo run --release -p exsel-bench --bin expt -- run engine`
 
+use std::hint::black_box;
 use std::time::Instant;
 
-use exsel_core::{Majority, RenameConfig};
+use exsel_core::{AdaptiveRename, Majority, PolyLogRename, RenameConfig};
 use exsel_shm::RegAlloc;
 use exsel_sim::policy::RandomPolicy;
 #[cfg(feature = "check")]
@@ -36,6 +38,19 @@ pub(crate) fn time(iters: u32, mut f: impl FnMut()) -> f64 {
         f();
     }
     start.elapsed().as_secs_f64() / f64::from(iters)
+}
+
+/// Wall-clock of the fastest of `runs` runs of `f`, in seconds — for
+/// one-shot work such as construction, where a single run can hit a
+/// one-off allocator stall that an average would carry into the row.
+fn fastest(runs: u32, mut f: impl FnMut()) -> f64 {
+    (0..runs)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// Measures every T11 workload and returns the rows. `quick` is the
@@ -129,6 +144,44 @@ pub fn measure(quick: bool) -> Vec<Row> {
             contender: "reused",
             baseline_s: fresh_s,
             contender_s: reused_s,
+            extras: Vec::new(),
+        });
+    }
+
+    // Construction cost: `EfficientRename` sizes its PolyLog stage by
+    // arithmetic and builds it only where it shrinks the name range, which
+    // no phase of an n = 256 `AdaptiveRename` reaches (the first is
+    // k = 1024). The `speculative` arm adds back the selection by trial
+    // build: every phase's PolyLog stage built on a scratch allocator
+    // and dropped.
+    {
+        const N: usize = 256;
+        let builds = if quick { 5 } else { 10 };
+        let adaptive = || {
+            let mut alloc = RegAlloc::new();
+            black_box(AdaptiveRename::new(&mut alloc, N, &cfg));
+        };
+        let speculative_s = fastest(builds, || {
+            adaptive();
+            for i in 0..=N.ilog2() {
+                let k = 1usize << i;
+                let phase = cfg.child(0x40_0000 + u64::from(i));
+                let mut scratch = RegAlloc::new();
+                black_box(PolyLogRename::new(
+                    &mut scratch,
+                    k * (k + 1) / 2,
+                    k,
+                    &phase.child(0x20_0000),
+                ));
+            }
+        });
+        let arithmetic_s = fastest(builds, adaptive);
+        rows.push(Row {
+            workload: format!("construct/adaptive_rename/n={N}"),
+            baseline: "speculative",
+            contender: "arithmetic",
+            baseline_s: speculative_s,
+            contender_s: arithmetic_s,
             extras: Vec::new(),
         });
     }

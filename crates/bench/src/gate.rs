@@ -31,7 +31,8 @@ pub struct Measurement {
     /// count suffix so quick reruns compare against full-scale rows.
     pub workload: String,
     /// Baseline label (`threads`, `fresh`, `recycle_off`, `arc_pool`,
-    /// `check_off`, `sessions_floor`) — also selects the gate category.
+    /// `check_off`, `speculative`, `sessions_floor`) — also selects the
+    /// gate category.
     pub baseline: &'static str,
     /// Contender label.
     pub contender: &'static str,
@@ -108,6 +109,9 @@ pub fn category_floor(baseline: &str) -> Option<f64> {
         // The dynamic footprint checker may cost at most ~10% over the
         // same sweep with no checker installed.
         "check_off" => Some(0.9),
+        // Sizing the PolyLog stage by arithmetic must keep construction
+        // ≥ 10× cheaper than selecting it by a discarded trial build.
+        "speculative" => Some(10.0),
         // Snapshot compaction competes on allocations; the service
         // harness competes on absolute sessions/sec (see [`check`]).
         "recycle_off" | "sessions_floor" => None,
@@ -423,6 +427,8 @@ mod tests {
         let doc = committed(&[]);
         assert!(check(&[meas("new-row", "threads", 5.1)], &doc).passed());
         assert!(!check(&[meas("new-row", "threads", 4.9)], &doc).passed());
+        assert!(check(&[meas("new-row", "speculative", 10.1)], &doc).passed());
+        assert!(!check(&[meas("new-row", "speculative", 9.9)], &doc).passed());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! `Basic-Rename(k, N)` — Lemma 5: `(k,N)`-renaming in `O(log k · log N)`
 //! local steps with `M = O(k · log(N/k))` new names.
 
+use exsel_expander::ExpanderParams;
 use exsel_shm::{drive, Ctx, Pid, RegAlloc, Step};
 
 use crate::step::{RenameMachine, Staged, StepRename};
@@ -35,23 +36,53 @@ impl BasicRename {
     pub fn new(alloc: &mut RegAlloc, n_names: usize, capacity: usize, cfg: &RenameConfig) -> Self {
         assert!(n_names > 0, "need at least one possible original name");
         assert!(capacity > 0, "capacity must be positive");
-        let num_stages = capacity.ilog2() as usize + 1;
-        let mut stages = Vec::with_capacity(num_stages);
-        let mut offsets = Vec::with_capacity(num_stages);
-        let mut offset = 0u64;
-        for i in 0..num_stages {
-            let stage_cap = (capacity >> i).max(1);
-            let stage = Majority::new(alloc, n_names, stage_cap, &cfg.child(i as u64));
+        let (mut stages, mut offsets) = (Vec::new(), Vec::new());
+        Self::layout(n_names, capacity, &cfg.expander, |i, stage_cap, offset| {
+            stages.push(Majority::new(
+                alloc,
+                n_names,
+                stage_cap,
+                &cfg.child(i as u64),
+            ));
             offsets.push(offset);
-            offset += stage.name_bound();
-            stages.push(stage);
-        }
+        });
         BasicRename {
             stages,
             offsets,
             capacity,
             n_names,
         }
+    }
+
+    /// The name bound [`BasicRename::new`] produces for these sizes
+    /// under `params`, without drawing any graph: the sum of the stages'
+    /// [`Majority::name_bound_for`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0` or the bound overflows `u64`.
+    #[must_use]
+    pub fn name_bound_for(n_names: usize, capacity: usize, params: &ExpanderParams) -> u64 {
+        Self::layout(n_names, capacity, params, |_, _, _| {})
+    }
+
+    /// Walks the stage layout: calls `stage(i, capacity_i, offset_i)` for
+    /// every stage `i`, where `offset_i` is the sum of the earlier
+    /// stages' name bounds, and returns the total name bound. The one
+    /// walk both sizes and builds an instance, so the two cannot differ.
+    fn layout(
+        n_names: usize,
+        capacity: usize,
+        params: &ExpanderParams,
+        mut stage: impl FnMut(usize, usize, u64),
+    ) -> u64 {
+        (0..=capacity.ilog2() as usize).fold(0u64, |offset, i| {
+            let stage_cap = (capacity >> i).max(1);
+            stage(i, stage_cap, offset);
+            offset
+                .checked_add(Majority::name_bound_for(n_names, stage_cap, params))
+                .expect("name bound overflows u64")
+        })
     }
 
     /// The contender capacity `k`.

@@ -14,10 +14,17 @@
 //!
 //! Stage 2 only pays off asymptotically: its `O(k)` bound carries a large
 //! constant (the fixpoint of `k·c·log`), so for practical `k` it would
-//! *expand* `k(k+1)/2`. The constructor detects that and skips the stage
-//! (an identity pass keeps the theorem's guarantees); the
-//! [`Pipeline::Direct`] ablation forces the skip so benches can measure
-//! the stage's contribution at any scale.
+//! *expand* `k(k+1)/2`. With [`ExpanderParams::compact`] it shrinks the
+//! range only from `k = 585`, so [`crate::AdaptiveRename`]'s power-of-two
+//! phases first build it at `k = 1024`. The constructor decides by
+//! arithmetic: it computes the stage's bound with
+//! [`PolyLogRename::name_bound_for`] from the expander sizes alone, and
+//! builds the stage only when that bound is below `k(k+1)/2`; otherwise
+//! it skips the stage (an identity pass keeps the theorem's guarantees).
+//! The [`Pipeline::Direct`] ablation forces the skip so benches can
+//! measure the stage's contribution at any scale.
+//!
+//! [`ExpanderParams::compact`]: exsel_expander::ExpanderParams::compact
 
 use exsel_shm::{drive, Ctx, Pid, Poll, RegAlloc, ShmOp, Step, StepMachine, Word};
 
@@ -27,8 +34,10 @@ use crate::{MoirAnderson, Outcome, PolyLogRename, Rename, RenameConfig, Snapshot
 /// Which stages the pipeline includes.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Pipeline {
-    /// The paper's pipeline; the polylog stage is included whenever it
-    /// shrinks the name range (always, asymptotically).
+    /// The paper's pipeline; the polylog stage is included whenever its
+    /// name bound, computed by [`PolyLogRename::name_bound_for`] without
+    /// building anything, is below Moir–Anderson's `k(k+1)/2` (always,
+    /// asymptotically).
     Paper,
     /// Ablation: Moir–Anderson feeding the snapshot stage directly.
     Direct,
@@ -70,21 +79,9 @@ impl EfficientRename {
         let ma = MoirAnderson::new(alloc, k);
         let ma_bound = usize::try_from(ma.name_bound()).expect("bound fits usize");
 
-        let polylog = match pipeline {
-            Pipeline::Direct => None,
-            Pipeline::Paper => {
-                // Construct speculatively: commit the registers only if the
-                // stage actually shrinks the range.
-                let mut trial = alloc.clone();
-                let pl = PolyLogRename::new(&mut trial, ma_bound, k, &cfg.child(0x20_0000));
-                if pl.name_bound() < ma_bound as u64 {
-                    *alloc = trial;
-                    Some(pl)
-                } else {
-                    None
-                }
-            }
-        };
+        let polylog = (pipeline == Pipeline::Paper
+            && PolyLogRename::name_bound_for(ma_bound, k, &cfg.expander) < ma.name_bound())
+        .then(|| PolyLogRename::new(alloc, ma_bound, k, &cfg.child(0x20_0000)));
 
         let slots = polylog
             .as_ref()

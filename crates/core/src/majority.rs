@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use exsel_expander::BipartiteGraph;
+use exsel_expander::{BipartiteGraph, ExpanderParams};
 use exsel_shm::{drive, Ctx, Pid, Poll, RegAlloc, ShmOp, Step, StepMachine, Word};
 
 use crate::compete::CompeteOp;
@@ -39,12 +39,24 @@ impl Majority {
         assert!(n_names > 0, "need at least one possible original name");
         assert!(capacity > 0, "capacity must be positive");
         let graph = BipartiteGraph::random(n_names, capacity, &cfg.expander, cfg.seed);
+        debug_assert_eq!(
+            Self::name_bound_for(n_names, capacity, &cfg.expander),
+            graph.num_outputs() as u64
+        );
         let slots = SlotBank::new(alloc, graph.num_outputs());
         Majority {
             graph: Arc::new(graph),
             slots,
             capacity,
         }
+    }
+
+    /// The name bound [`Majority::new`] produces for these sizes under
+    /// `params`, without drawing the graph: one name per expander output,
+    /// [`ExpanderParams::width`].
+    #[must_use]
+    pub fn name_bound_for(n_names: usize, capacity: usize, params: &ExpanderParams) -> u64 {
+        u64::try_from(params.width(n_names, capacity)).expect("output count fits u64")
     }
 
     /// The contender capacity `ℓ` this instance was sized for.

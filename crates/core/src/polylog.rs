@@ -1,6 +1,7 @@
 //! `PolyLog-Rename(k, N)` — Theorem 1: `(k,N)`-renaming with `M = O(k)`
 //! in `O(log k (log N + log k · log log N))` local steps.
 
+use exsel_expander::ExpanderParams;
 use exsel_shm::{drive, Ctx, Pid, RegAlloc, Step};
 
 use crate::step::{Piped, RenameMachine, StepRename};
@@ -34,22 +35,54 @@ impl PolyLogRename {
         assert!(n_names > 0, "need at least one possible original name");
         assert!(capacity > 0, "capacity must be positive");
         let mut epochs = Vec::new();
-        let mut nj = n_names;
-        for j in 0.. {
-            let epoch = BasicRename::new(alloc, nj, capacity, &cfg.child(0x10_0000 + j));
-            let next = usize::try_from(epoch.name_bound()).expect("bound fits usize");
-            epochs.push(epoch);
-            if next >= nj {
-                // The chain stalled: `nj` is (within a factor) the fixpoint
-                // M = Θ(k log(M/k)); a further epoch could not shrink it.
-                break;
-            }
-            nj = next;
-        }
+        Self::chain(n_names, capacity, &cfg.expander, |nj| {
+            let j = epochs.len() as u64;
+            epochs.push(BasicRename::new(
+                alloc,
+                nj,
+                capacity,
+                &cfg.child(0x10_0000 + j),
+            ));
+        });
         PolyLogRename {
             epochs,
             capacity,
             n_names,
+        }
+    }
+
+    /// The name bound [`PolyLogRename::new`] produces for these sizes
+    /// under `params`, without drawing any graph: the bound of the last
+    /// epoch of the chain of [`BasicRename::name_bound_for`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0` or a bound overflows.
+    #[must_use]
+    pub fn name_bound_for(n_names: usize, capacity: usize, params: &ExpanderParams) -> u64 {
+        Self::chain(n_names, capacity, params, |_| {})
+    }
+
+    /// Walks the epoch chain: calls `epoch(N_j)` for every epoch and
+    /// returns the final epoch's name bound. The one walk both sizes and
+    /// builds an instance, so the two cannot differ.
+    fn chain(
+        n_names: usize,
+        capacity: usize,
+        params: &ExpanderParams,
+        mut epoch: impl FnMut(usize),
+    ) -> u64 {
+        let mut nj = n_names;
+        loop {
+            epoch(nj);
+            let bound = BasicRename::name_bound_for(nj, capacity, params);
+            let next = usize::try_from(bound).expect("bound fits usize");
+            if next >= nj {
+                // The chain stalled: `nj` is (within a factor) the fixpoint
+                // M = Θ(k log(M/k)); a further epoch could not shrink it.
+                return bound;
+            }
+            nj = next;
         }
     }
 

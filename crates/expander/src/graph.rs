@@ -57,22 +57,31 @@ impl BipartiteGraph {
     /// picks `Δ` *distinct* uniform neighbours, with `Δ` and `|W|` sized by
     /// `params` for contender capacity `capacity`.
     ///
+    /// The output count is [`ExpanderParams::width`], which is never below
+    /// the degree.
+    ///
     /// # Panics
     ///
-    /// Panics if `num_inputs == 0`.
+    /// Panics if `num_inputs == 0`, or if the output count exceeds
+    /// `u32::MAX` (checked before anything is allocated).
     #[must_use]
     pub fn random(num_inputs: usize, capacity: usize, params: &ExpanderParams, seed: u64) -> Self {
         assert!(num_inputs > 0, "graph needs at least one input");
         let degree = params.degree(num_inputs, capacity);
-        let num_outputs = params.width(num_inputs, capacity).max(degree);
+        let num_outputs = params.width(num_inputs, capacity);
+        let outputs = u32::try_from(num_outputs).expect("too many outputs");
+        let edges = num_inputs
+            .checked_mul(degree)
+            .expect("adjacency size overflows usize");
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut adj = Vec::with_capacity(num_inputs * degree);
-        let mut chosen = HashSet::with_capacity(degree);
-        for _v in 0..num_inputs {
-            chosen.clear();
-            while chosen.len() < degree {
-                let w = rng.gen_range(0..num_outputs) as u32;
-                if chosen.insert(w) {
+        let mut adj = Vec::with_capacity(edges);
+        for v in 0..num_inputs {
+            // Reject a repeat by scanning the ≤ Δ neighbours drawn so far
+            // for `v`: cheaper than hashing at every degree used here.
+            let drawn = v * degree;
+            while adj.len() < drawn + degree {
+                let w = rng.gen_range(0..outputs);
+                if !adj[drawn..].contains(&w) {
                     adj.push(w);
                 }
             }
@@ -180,6 +189,45 @@ mod tests {
             assert_eq!(set.len(), ns.len(), "duplicate neighbour at input {v}");
             assert!(ns.iter().all(|&w| (w as usize) < g.num_outputs()));
         }
+    }
+
+    /// FNV-1a over every adjacency list in input order.
+    fn fnv(g: &BipartiteGraph) -> u64 {
+        (0..g.num_inputs())
+            .flat_map(|v| g.neighbors(v).iter().copied())
+            .fold(0xcbf2_9ce4_8422_2325, |h, w| {
+                (h ^ u64::from(w)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn random_graphs_are_pinned() {
+        // The graphs are part of the algorithms' code: a change to the
+        // sampler or its generator would silently swap every algorithm.
+        let p = ExpanderParams::compact();
+        assert_eq!(
+            fnv(&BipartiteGraph::random(65_536, 8, &p, 7)),
+            0x8bac_d5bb_f2e7_7a08
+        );
+        assert_eq!(
+            fnv(&BipartiteGraph::random(32_896, 256, &p, 7)),
+            0xb42c_b90a_4b49_0bc6
+        );
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "2^20 inputs: release only")]
+    fn large_random_graph_is_pinned() {
+        let g = BipartiteGraph::random(1 << 20, 64, &ExpanderParams::compact(), 7);
+        assert_eq!(fnv(&g), 0x57de_60c2_1cba_f4ee);
+    }
+
+    #[test]
+    #[should_panic(expected = "too many outputs")]
+    fn random_rejects_output_ids_beyond_u32() {
+        // 7·2³⁷ outputs: the check must fire before the 2⁴⁰·Δ-entry
+        // adjacency array is allocated.
+        let _ = BipartiteGraph::random(1 << 40, 1 << 33, &ExpanderParams::compact(), 0);
     }
 
     #[test]

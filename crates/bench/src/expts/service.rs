@@ -333,6 +333,46 @@ fn window_json(
     serde_json::Value::Object(obj)
 }
 
+/// A fleet's epochs by length ([`MegaServiceHarness::epoch_lengths`])
+/// as a JSON object `{"<len>": [epochs, ticks], ...}`, lengths run only.
+fn epochs_json(epochs: &[(u64, u64)]) -> serde_json::Value {
+    let mut obj = serde_json::Map::new();
+    for (len, &(count, ticks)) in epochs.iter().enumerate().filter(|(_, e)| e.0 > 0) {
+        obj.insert(
+            len.to_string(),
+            serde_json::Value::Array(vec![count.into(), ticks.into()]),
+        );
+    }
+    serde_json::Value::Object(obj)
+}
+
+/// A fleet's epochs and the ticks they covered as bench-row extras, in
+/// three length buckets: one tick; 2–7 ticks, where an in-flight
+/// session's stage minimum (at most 7) or a window end cut the epoch
+/// short; and 8 ticks or more.
+fn epoch_extras(epochs: &[(u64, u64)]) -> [(&'static str, u64); 6] {
+    let bucket = |lens: std::ops::RangeInclusive<usize>| {
+        epochs
+            .iter()
+            .enumerate()
+            .filter(|(len, _)| lens.contains(len))
+            .fold((0, 0), |(n, t), (_, &(count, ticks))| {
+                (n + count, t + ticks)
+            })
+    };
+    let (one, one_ticks) = bucket(1..=1);
+    let (short, short_ticks) = bucket(2..=7);
+    let (long, long_ticks) = bucket(8..=usize::MAX);
+    [
+        ("epochs_1", one),
+        ("epoch_ticks_1", one_ticks),
+        ("epochs_2_7", short),
+        ("epoch_ticks_2_7", short_ticks),
+        ("epochs_8_up", long),
+        ("epoch_ticks_8_up", long_ticks),
+    ]
+}
+
 /// The per-seed summary line closing a seed's window series.
 fn summary_json(
     name: &str,
@@ -409,11 +449,12 @@ fn run_service_harness(
 
 /// Mega-fleet counterpart of [`run_service_harness`]: one checker per
 /// admission shard under `--features check`, zero violations required.
+/// Returns the report and the run's epochs by length.
 fn run_mega_harness(
     world: &MegaServiceWorld,
     cfg: &MegaServiceConfig,
     mut harness: MegaServiceHarness,
-) -> MegaServiceReport {
+) -> (MegaServiceReport, Vec<(u64, u64)>) {
     #[cfg(feature = "check")]
     harness.install_checkers(
         world
@@ -438,7 +479,8 @@ fn run_mega_harness(
         0,
         "mega scenario stepped outside its declared footprints"
     );
-    harness.finish()
+    let epochs = harness.epoch_lengths().to_vec();
+    (harness.finish(), epochs)
 }
 
 /// Runs a service scenario: one full open-loop run per seed (the
@@ -669,7 +711,7 @@ pub fn run_mega(
         let world = MegaServiceWorld::new(&cfg);
         let harness = MegaServiceHarness::new(&world, &cfg);
         let start = Instant::now();
-        let mega = run_mega_harness(&world, &cfg, harness);
+        let (mega, epochs) = run_mega_harness(&world, &cfg, harness);
         let secs = start.elapsed().as_secs_f64();
         assert_mega_report(name, &cfg, &mega);
         let report = &mega.report;
@@ -700,25 +742,31 @@ pub fn run_mega(
         for w in &report.windows {
             rows.push(window_json(name, seed, shards, spec.policy, w));
         }
-        rows.push(summary_json(name, seed, shards, spec.policy, report));
+        let mut summary = summary_json(name, seed, shards, spec.policy, report);
+        if let serde_json::Value::Object(obj) = &mut summary {
+            obj.insert("epochs".into(), epochs_json(&epochs));
+        }
+        rows.push(summary);
         if let (Some(workload), false) = (spec.bench_workload, overrides.quick) {
+            let mut extras = vec![
+                ("sessions", report.totals.completed),
+                ("sessions_per_sec", sessions_per_sec),
+                ("total_ops", report.totals.ops),
+                ("shards", shards),
+                ("slots", cfg.total_slots() as u64),
+                ("shed", report.totals.shed),
+                ("rejected", report.totals.rejected),
+                ("session_p999", report.cumulative[4].quantile(999, 1000)),
+                ("arena_fresh", fleet_arena_fresh(&world)),
+            ];
+            extras.extend(epoch_extras(&epochs));
             let bench = Row {
                 workload: workload.into(),
                 baseline: "sessions_floor",
                 contender: "open_loop",
                 baseline_s: secs,
                 contender_s: secs,
-                extras: vec![
-                    ("sessions", report.totals.completed),
-                    ("sessions_per_sec", sessions_per_sec),
-                    ("total_ops", report.totals.ops),
-                    ("shards", shards),
-                    ("slots", cfg.total_slots() as u64),
-                    ("shed", report.totals.shed),
-                    ("rejected", report.totals.rejected),
-                    ("session_p999", report.cumulative[4].quantile(999, 1000)),
-                    ("arena_fresh", fleet_arena_fresh(&world)),
-                ],
+                extras,
             };
             if let Err(e) =
                 crate::gate::merge_into_artifact("BENCH_engine.json", std::slice::from_ref(&bench))
@@ -833,6 +881,7 @@ fn measure_mega_at(shards: usize, target: u64) -> Row {
     let secs = start.elapsed().as_secs_f64();
     let window = alloc_probe::counts().since(&before);
     let steady_ops = harness.ops() - ops_before;
+    let epochs = epoch_extras(harness.epoch_lengths());
     let mega = harness.finish();
     assert_mega_report("service-mega(gate)", &cfg, &mega);
     let measured = target - warm;
@@ -847,27 +896,29 @@ fn measure_mega_at(shards: usize, target: u64) -> Row {
     } else {
         format!("service/mega/open_loop/shards={shards}")
     };
+    let mut extras = vec![
+        ("sessions", measured),
+        ("sessions_per_sec", sessions_per_sec),
+        ("total_ops", steady_ops),
+        ("shards", shards as u64),
+        ("slots", cfg.total_slots() as u64),
+        (
+            "session_p999",
+            mega.report.cumulative[4].quantile(999, 1000),
+        ),
+        ("arena_fresh", fleet_arena_fresh(&world)),
+        ("steady_allocs", window.allocs),
+        ("steady_frees", window.deallocs),
+        ("alloc_probe", u64::from(alloc_probe::active())),
+    ];
+    extras.extend(epochs);
     Row {
         workload,
         baseline: "sessions_floor",
         contender: "open_loop",
         baseline_s: secs,
         contender_s: secs,
-        extras: vec![
-            ("sessions", measured),
-            ("sessions_per_sec", sessions_per_sec),
-            ("total_ops", steady_ops),
-            ("shards", shards as u64),
-            ("slots", cfg.total_slots() as u64),
-            (
-                "session_p999",
-                mega.report.cumulative[4].quantile(999, 1000),
-            ),
-            ("arena_fresh", fleet_arena_fresh(&world)),
-            ("steady_allocs", window.allocs),
-            ("steady_frees", window.deallocs),
-            ("alloc_probe", u64::from(alloc_probe::active())),
-        ],
+        extras,
     }
 }
 
@@ -970,6 +1021,10 @@ mod tests {
         // No counting allocator in the test harness; the row must say
         // so rather than claim flatness it never observed.
         assert_eq!(row.extra("alloc_probe"), Some(0));
+        // Most of the run's ticks fall in epochs of 8 ticks or more.
+        let ticks = ["epoch_ticks_1", "epoch_ticks_2_7", "epoch_ticks_8_up"]
+            .map(|key| row.extra(key).expect("epoch extras recorded"));
+        assert!(2 * ticks[2] > ticks.iter().sum::<u64>(), "{ticks:?}");
         // The axis ends at the committed full-scale fleet, so that
         // point's row keys the committed BENCH_engine.json entry.
         assert_eq!(MEGA_SHARD_AXIS.last(), Some(&mega_spec().cfg.shards));
@@ -1016,6 +1071,10 @@ mod tests {
             Some(&serde_json::Value::String("summary".into()))
         );
         assert_eq!(last.get("shards"), Some(&serde_json::Value::from(4u64)));
+        let Some(serde_json::Value::Object(epochs)) = last.get("epochs") else {
+            panic!("summary row lacks its `epochs` by length");
+        };
+        assert!(!epochs.is_empty());
         // Up to one completion per shard lands on the final tick, so
         // the fleet may overshoot the target by at most shards − 1.
         let Some(&serde_json::Value::Int(completed)) = last.get("completed") else {

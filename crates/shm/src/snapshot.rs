@@ -281,6 +281,15 @@ impl ScanOp {
         self.regs.len()
     }
 
+    /// The fewest reads a scan of `n` registers can complete in: `2n`.
+    /// A scan returns only after a collect that has a predecessor — a
+    /// clean double collect — or, to borrow a writer's view, after a
+    /// third collect, and every collect reads all `n` registers.
+    #[must_use]
+    pub const fn min_ops(n: usize) -> u64 {
+        2 * n as u64
+    }
+
     /// Restarts the scan from its first collect **within the same
     /// trial**, allocation-free: the collect buffers are reused as-is,
     /// and the generation-tag cache (`cur`) is kept — writer sequence
@@ -420,6 +429,14 @@ pub struct UpdateOp {
 }
 
 impl UpdateOp {
+    /// The fewest operations an update of an `n`-register snapshot can
+    /// complete in: `2n + 2` — the embedded scan ([`ScanOp::min_ops`]),
+    /// then one read of the own register and the write.
+    #[must_use]
+    pub const fn min_ops(n: usize) -> u64 {
+        ScanOp::min_ops(n) + 2
+    }
+
     /// Re-arms this operation in place as a fresh update of `slot` to
     /// `value` **within the same trial** — the allocation-free
     /// counterpart of [`Snapshot::begin_update`] for machines that
@@ -575,6 +592,24 @@ mod tests {
         let view = snap.scan(ctx).unwrap();
         assert_eq!(view[0], Word::Null);
         assert_eq!(view[1], Word::Int(9));
+    }
+
+    /// A solo scan and a solo update meet their minima exactly, so the
+    /// minima are tight.
+    #[test]
+    fn solo_scan_and_update_take_their_minimum_ops() {
+        for n in 1..=6 {
+            let (snap, mem) = setup(n, 1);
+            let ctx = Ctx::new(&mem, Pid(0));
+            snap.update(ctx, 0, Word::Int(1)).unwrap();
+            assert_eq!(ctx.steps(), UpdateOp::min_ops(n), "update, n = {n}");
+            snap.scan(ctx).unwrap();
+            assert_eq!(
+                ctx.steps(),
+                UpdateOp::min_ops(n) + ScanOp::min_ops(n),
+                "scan, n = {n}"
+            );
+        }
     }
 
     #[test]

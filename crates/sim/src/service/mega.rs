@@ -19,34 +19,64 @@
 //!
 //! One global tick = one parallel grant round: every shard with an
 //! active session grants (or crashes) exactly one shared-memory
-//! operation. Shards never touch each other's registers, so the round
-//! is embarrassingly parallel in structure even though the harness is
-//! single-threaded; `totals.ops / totals.steps` approaches the shard
-//! count under load. When **no** shard has an active session the clock
-//! fast-forwards to the earliest next event across the fleet.
+//! operation. Shards never touch each other's registers, so
+//! `totals.ops / totals.steps` approaches the shard count under load.
+//! When **no** shard has an active session the clock fast-forwards to
+//! the earliest next event across the fleet.
 //!
-//! A tick visits only the shards that have work, so it costs
+//! The harness runs those ticks **shard-major**, in epochs of `E`
+//! ticks: each visited shard runs through all `E` ticks — at each tick
+//! its due events, then one grant, idle stretches skipped — before the
+//! next shard starts, so a shard's registers and machines stay in cache
+//! for its whole visit. `E = 1` is one tick-major round. Reports are
+//! bit-identical to the tick-by-tick reference for any `E`:
+//!
+//! - **Exact stops.** `run_until` must halt after the very tick in
+//!   which the completion count reaches its target. A shard grants one
+//!   operation per tick, and a session needs a minimum number of
+//!   operations to finish: `S_min(n) = 5n + 9` from binding
+//!   ([`ServiceWorld::min_session_ops`]), and per in-flight stage
+//!   `MIN_OPS_LEFT` (1 for a deposit holding its name, 3 for other
+//!   deposits, 5 collect, 6 store, 7 acquire). The sink counts in-flight
+//!   sessions per stage, so the bound on sessions that can complete in
+//!   an epoch's first `E − 1` ticks is a sum of a few counters. `E` is
+//!   the largest length up to `min(S_min, ticks to the window end,
+//!   ticks to the horizon)` whose bound stays below the sessions still
+//!   needed; a session bound inside the epoch needs `S_min ≥ E` ticks
+//!   and cannot complete before its last tick. Each epoch asserts that
+//!   bound, and each completion that its session took at least `S_min`
+//!   operations.
+//! - **Audit order.** Tickets enter the audit in completion order,
+//!   which the reference produces as `(tick, shard)` and an epoch as
+//!   `(shard, tick)`. Each epoch re-sorts its completions by
+//!   `(tick, shard)` in a pre-sized scratch before the audit keeps them.
+//!   An epoch completes at most its bound before its last tick and one
+//!   session per shard at it, so the rule caps the bound at
+//!   `max(shards, max_inflight)` and the scratch holds that plus
+//!   `shards` entries.
+//!   Everything else the shards share only adds to counters and
+//!   histograms, and epochs never cross a window end.
+//! - **Drained clock.** When the fleet drains inside an epoch, the clock
+//!   stops one tick past the last grant, as the reference's does.
+//!
+//! An epoch visits only the shards that have work, so it costs
 //! O(busy shards + shards with a due event + shards / 64) rather than
 //! O(shards):
 //!
 //! - A **busy bitset** holds one bit per shard, set exactly while the
-//!   shard has an active session. The grant round walks the set bits in
-//!   ascending shard order. The order matters: tickets enter the audit
-//!   in completion order, and shards that complete in the same tick
-//!   complete in the order they step.
+//!   shard has an active session. An epoch walks the set bits in
+//!   ascending shard order.
 //! - An **event calendar**, a fixed-capacity indexed min-heap with one
 //!   entry per shard keyed `(next_event, shard)`, yields the shards
-//!   whose arrival or backoff timer is due. They fire in heap order, not
-//!   shard order: admission only adds to telemetry counters, and sums do
-//!   not depend on order. A crash in the grant round can only pull its
-//!   shard's next event earlier (the backoff timer), and re-keys the
-//!   shard. The idle fast-forward reads the heap minimum.
+//!   whose arrival or backoff timer falls due inside the epoch; the
+//!   epoch visits them too, and re-keys each visited shard once. The
+//!   idle fast-forward reads the heap minimum.
 //! - **Lazy gauges.** The fleet's `(inflight, queued, waiting)` gauges
 //!   are summed over the shards only when a window closes, and in
 //!   `finish`, because only window rows record them.
 //!
-//! An idle tick ends the run when the calendar is empty. That relies on
-//! `Admission::max_inflight ≥ 1`, asserted at construction: a shard
+//! An idle fleet ends the run when the calendar is empty. That relies
+//! on `Admission::max_inflight ≥ 1`, asserted at construction: a shard
 //! with a queued client then always has a session in flight, so a fleet
 //! with no busy shard has no queue either, and an empty calendar means
 //! every shard is drained.
@@ -105,7 +135,10 @@
 
 use exsel_shm::{RegisterBank, SlabBank};
 
-use super::{Arrivals, ServiceConfig, ServiceReport, ServiceWorld, ShardState, Telemetry, Totals};
+use super::{
+    Arrivals, ServiceConfig, ServiceReport, ServiceWorld, ShardState, Stepped, Telemetry, Totals,
+    MIN_OPS_LEFT,
+};
 
 /// Salt multiplier deriving per-shard RNG seeds (the 64-bit golden
 /// ratio, as in the engine's pid-mixing); shard 0's salt is 0 so the
@@ -358,12 +391,25 @@ pub struct MegaServiceHarness<'w, B: RegisterBank = SlabBank> {
     tel: Telemetry,
     now: u64,
     /// One bit per shard, set exactly when the shard has an active
-    /// session.
+    /// session (between epochs; during one, also for the shards with an
+    /// event due inside it).
     busy: Vec<u64>,
     /// Every shard's next arrival or timer.
     events: EventHeap,
-    /// Scratch for the shards whose events fall due in one tick.
-    due: Vec<usize>,
+    /// `S_min(n)` ([`ServiceWorld::min_session_ops`]), the longest epoch.
+    min_session_ops: u64,
+    /// The `(tick, shard, ticket)` of every session completed in the
+    /// current epoch, re-sorted by `(tick, shard)` into the audit when
+    /// the epoch ends. Sized for the most an epoch can complete: its
+    /// bound before the last tick, and one per shard at it.
+    finished: Vec<(u64, usize, u64)>,
+    /// With tickets recorded, the largest bound an epoch may rest on,
+    /// `max(shards, max_inflight)`, so its completions fit `finished`;
+    /// `u64::MAX` without.
+    max_bound: u64,
+    /// `epochs[len]` counts the epochs of `len` ticks and the ticks they
+    /// covered.
+    epochs: Vec<(u64, u64)>,
 }
 
 impl<'w> MegaServiceHarness<'w, SlabBank> {
@@ -422,6 +468,16 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
             .map(|(s, (w, bank))| ShardState::new(w, &cfg.shard_cfg(s), bank, s as u64, step))
             .collect();
         let events = EventHeap::new(shards.iter().map(ShardState::next_event).collect());
+        let min_session_ops = world.worlds[0].min_session_ops();
+        // The cap lets a 1-shard fleet count all `max_inflight`
+        // sessions; a larger fleet shortens epochs only while more
+        // sessions than shards are in flight.
+        let (max_bound, finished) = if cfg.base.record_names {
+            let max_bound = cfg.shards.max(cfg.base.admission.max_inflight);
+            (max_bound as u64, cfg.shards + max_bound)
+        } else {
+            (u64::MAX, 0)
+        };
         MegaServiceHarness {
             cfg: *cfg,
             shards,
@@ -429,7 +485,10 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
             now: 0,
             busy: vec![0; cfg.shards.div_ceil(64)],
             events,
-            due: Vec::with_capacity(cfg.shards),
+            min_session_ops,
+            finished: Vec::with_capacity(finished),
+            max_bound,
+            epochs: vec![(0, 0); min_session_ops as usize + 1],
         }
     }
 
@@ -481,16 +540,11 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
     /// target reached, every shard drained, or horizon) and returns the
     /// report.
     pub fn run(mut self) -> MegaServiceReport {
-        loop {
-            if self.cfg.base.target_sessions > 0
-                && self.tel.totals.completed >= self.cfg.base.target_sessions
-            {
-                break;
-            }
-            if !self.advance() {
-                break;
-            }
-        }
+        let target = match self.cfg.base.target_sessions {
+            0 => u64::MAX,
+            t => t,
+        };
+        let _ = self.run_until(target);
         self.finish()
     }
 
@@ -498,14 +552,24 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
     /// fleet-wide (an absolute count). Returns `false` when the run
     /// ended first. Benchmarks use this to separate warm-up from the
     /// measured steady state before calling
-    /// [`MegaServiceHarness::finish`].
+    /// [`MegaServiceHarness::finish`]. The stop is exact: the fleet
+    /// halts after the very tick in which the count reaches `sessions`.
     pub fn run_until(&mut self, sessions: u64) -> bool {
         while self.tel.totals.completed < sessions {
-            if !self.advance() {
+            if !self.epoch(sessions) {
                 return false;
             }
         }
         true
+    }
+
+    /// The epochs run so far: entry `len` holds the number of epochs of
+    /// `len` ticks and the ticks they covered (fewer than `len` only in
+    /// the epoch in which the fleet drained). Entry 0 is unused; the
+    /// last entry is `S_min(n)`, the longest epoch.
+    #[must_use]
+    pub fn epoch_lengths(&self) -> &[(u64, u64)] {
+        &self.epochs
     }
 
     /// Sessions completed fleet-wide so far.
@@ -528,44 +592,79 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
         })
     }
 
-    /// One global tick: roll telemetry windows, fire the due timers and
-    /// arrivals of every shard with an event due, then run one parallel
-    /// grant round (each busy shard grants or crashes one operation).
-    /// Fast-forwards idle gaps; returns `false` when the run cannot
-    /// continue.
-    fn advance(&mut self) -> bool {
+    /// Whether no session is in flight anywhere in the fleet.
+    fn idle(&self) -> bool {
+        self.tel.stages.iter().all(|&n| n == 0)
+    }
+
+    /// The next epoch's length and the bound it rests on: the largest
+    /// `len ≤ min(S_min, ticks to the window end, ticks to the horizon)`
+    /// whose bound — the in-flight sessions whose stage minimum
+    /// ([`MIN_OPS_LEFT`]) fits in the first `len − 1` ticks — stays below
+    /// `needed`. A session bound inside the epoch needs `S_min ≥ len`
+    /// ticks, so it cannot complete before the last one.
+    fn epoch_len(&self, needed: u64) -> (u64, u64) {
+        let cap = self
+            .min_session_ops
+            .min(self.tel.window_end - self.now)
+            .min(self.cfg.base.horizon - self.now);
+        let mut bound = 0;
+        for (stage, &left) in MIN_OPS_LEFT.iter().enumerate() {
+            if left >= cap {
+                break;
+            }
+            let with = bound + self.tel.stages[stage];
+            if with >= needed {
+                return (left, bound);
+            }
+            bound = with;
+        }
+        (cap, bound)
+    }
+
+    /// Runs one epoch ([`Self::epoch_len`]) shard by shard, or
+    /// fast-forwards an idle fleet to its next event, window boundary
+    /// or horizon. Stops short of `target` completions until the epoch's
+    /// last tick. Returns `false` when the run cannot continue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the epoch completes more sessions before its last tick
+    /// than its bound allows.
+    fn epoch(&mut self, target: u64) -> bool {
         let now = self.now;
-        if now >= self.cfg.base.horizon {
+        let horizon = self.cfg.base.horizon;
+        if now >= horizon {
             return false;
         }
         if now >= self.tel.window_end {
             let gauges = self.gauges();
             self.tel.roll(now, gauges);
         }
-        // Pull every due shard off the calendar before firing any, so
-        // a shard whose events stay due (a zero backoff delay) still
-        // fires once per tick.
+        let next = self.events.min().0;
+        if next > now && self.idle() {
+            // No shard is busy, so (with `max_inflight ≥ 1`) none holds
+            // a queue: the fleet is drained once no event remains.
+            if next == u64::MAX {
+                return false;
+            }
+            self.now = next.min(self.tel.window_end).min(horizon);
+            return true;
+        }
+        let needed = target - self.tel.totals.completed;
+        let (len, bound) = self.epoch_len(needed.min(self.max_bound.saturating_add(1)));
+        let end = now + len;
+        // Visit the shards with an event due inside the epoch too.
         loop {
             let (due, s) = self.events.min();
-            if due > now {
+            if due >= end {
                 break;
             }
             self.events.set(s, u64::MAX);
-            self.due.push(s);
+            self.busy[s / 64] |= 1 << (s % 64);
         }
-        for &s in &self.due {
-            let shard = &mut self.shards[s];
-            shard.fire_due_timers(now, &mut self.tel);
-            shard.generate_arrivals(now, &mut self.tel);
-            if !shard.active.is_empty() {
-                self.busy[s / 64] |= 1 << (s % 64);
-            }
-            self.events.set(s, shard.next_event());
-        }
-        self.due.clear();
-        // Ascending shard order keeps the ticket audit in completion
-        // order.
-        let mut granted = false;
+        let mut early = 0;
+        let mut last_grant = now;
         for w in 0..self.busy.len() {
             let mut bits = self.busy[w];
             while bits != 0 {
@@ -573,42 +672,72 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
                 bits ^= bit;
                 let s = w * 64 + bit.trailing_zeros() as usize;
                 let shard = &mut self.shards[s];
-                granted |= shard.step(now, &mut self.tel);
+                let mut t = now;
+                let mut next = shard.next_event();
+                loop {
+                    if next <= t {
+                        shard.fire_due_timers(t, &mut self.tel);
+                        shard.generate_arrivals(t, &mut self.tel);
+                        next = shard.next_event();
+                    }
+                    if shard.active.is_empty() {
+                        if next >= end {
+                            break;
+                        }
+                        t = next;
+                        continue;
+                    }
+                    match shard.step(t, &mut self.tel) {
+                        Stepped::Completed => {
+                            early += u64::from(t + 1 < end);
+                            if self.tel.record_names {
+                                let ticket = self.tel.names[self.tel.names.len() - 1];
+                                self.finished.push((t, s, ticket));
+                            }
+                        }
+                        // A crash's backoff timer can only pull the
+                        // next event earlier.
+                        Stepped::Crashed => next = shard.next_event(),
+                        Stepped::Granted | Stepped::Idle => {}
+                    }
+                    last_grant = last_grant.max(t);
+                    t += 1;
+                    if t == end {
+                        break;
+                    }
+                }
                 if shard.active.is_empty() {
                     self.busy[w] &= !bit;
                 }
-                // A crash's backoff timer can only pull the next event
-                // earlier.
-                let next = shard.next_event();
-                if next < self.events.due[s] {
+                if next != self.events.due[s] {
                     self.events.set(s, next);
                 }
             }
         }
-        if !granted {
-            // No shard is busy, so (with `max_inflight ≥ 1`) none holds
-            // a queue: the fleet is drained once no event remains.
-            if self.events.min().0 == u64::MAX {
-                return false;
+        assert!(
+            early <= bound,
+            "{early} sessions completed before the last of {len} ticks, above the bound {bound}"
+        );
+        // Shard by shard, tickets reach the audit in (shard, tick)
+        // order; the reference tick records them in (tick, shard) order.
+        if len > 1 {
+            self.finished.sort_unstable_by_key(|&(t, s, _)| (t, s));
+            let from = self.tel.names.len() - self.finished.len();
+            for (name, &(_, _, ticket)) in self.tel.names[from..].iter_mut().zip(&self.finished) {
+                *name = ticket;
             }
-            self.fast_forward();
-            return true;
         }
-        self.now += 1;
+        self.finished.clear();
+        // A drained fleet's clock stops one tick past its last grant.
+        self.now = if self.idle() && self.events.min().0 == u64::MAX {
+            last_grant + 1
+        } else {
+            end
+        };
+        let (epochs, ticks) = &mut self.epochs[len as usize];
+        *epochs += 1;
+        *ticks += self.now - now;
         true
-    }
-
-    /// Advances the clock over a fleet-wide idle gap to the earliest
-    /// next event (any shard's arrival or timer, a window boundary, or
-    /// the horizon).
-    fn fast_forward(&mut self) {
-        let next = self
-            .cfg
-            .base
-            .horizon
-            .min(self.tel.window_end)
-            .min(self.events.min().0);
-        self.now = next.max(self.now + 1);
     }
 
     /// Emits the final partial window and assembles the report.
@@ -640,15 +769,17 @@ mod tests {
     use std::collections::BTreeSet;
 
     /// The reference tick: every tick it rolls the gauges and fires,
-    /// generates and steps every shard, and an idle tick scans every
-    /// shard for `drained` and folds every shard's `next_event`. It
-    /// drives the harness's own shards and sink, and ignores the busy
-    /// set and the event calendar.
-    fn reference_run<B: RegisterBank>(mut h: MegaServiceHarness<'_, B>) -> MegaServiceReport {
+    /// generates and steps every shard in ascending order, and an idle
+    /// tick scans every shard for `drained` and folds every shard's
+    /// `next_event`. It drives the harness's own shards and sink, and
+    /// ignores the busy set, the event calendar and the epochs. Runs
+    /// until `sessions` have completed; returns `false` when the run
+    /// ends first.
+    fn reference_until<B: RegisterBank>(h: &mut MegaServiceHarness<'_, B>, sessions: u64) -> bool {
         let base = h.cfg.base;
-        while base.target_sessions == 0 || h.tel.totals.completed < base.target_sessions {
+        while h.tel.totals.completed < sessions {
             if h.now >= base.horizon {
-                break;
+                return false;
             }
             let gauges = h.gauges();
             h.tel.roll(h.now, gauges);
@@ -658,14 +789,14 @@ mod tests {
             }
             let mut granted = false;
             for shard in &mut h.shards {
-                granted |= shard.step(h.now, &mut h.tel);
+                granted |= shard.step(h.now, &mut h.tel) != Stepped::Idle;
             }
             if granted {
                 h.now += 1;
                 continue;
             }
             if h.shards.iter().all(ShardState::drained) {
-                break;
+                return false;
             }
             let next = h
                 .shards
@@ -674,6 +805,16 @@ mod tests {
                 .fold(base.horizon.min(h.tel.window_end), u64::min);
             h.now = next.max(h.now + 1);
         }
+        true
+    }
+
+    /// [`reference_until`] to the configuration's own stop.
+    fn reference_run<B: RegisterBank>(mut h: MegaServiceHarness<'_, B>) -> MegaServiceReport {
+        let target = match h.cfg.base.target_sessions {
+            0 => u64::MAX,
+            t => t,
+        };
+        let _ = reference_until(&mut h, target);
         h.finish()
     }
 
@@ -753,6 +894,170 @@ mod tests {
             prop_assert_eq!(fast.report.in_system, slow.report.in_system);
             prop_assert!(fast == slow, "cumulative histograms diverge");
         }
+
+        /// `run_until` stops exactly where the reference tick does when
+        /// driven in many short segments, as benchmarks drive it: a
+        /// warm-up past the fleet's slot count, then targets a few
+        /// sessions apart, on primed and unprimed fleets. Client-budget
+        /// runs then drain, and their final clocks must agree. Epochs
+        /// longer than one tick must have run.
+        #[test]
+        fn segmented_epoch_stops_match_the_reference_tick(
+            seed in 0u64..10_000,
+            shards in 1usize..=40,
+            slots in 1usize..=6,
+            hazard in 0.0f64..0.01,
+            arrivals in any_arrivals(),
+            window_log in 6u32..=12,
+            primed in any::<bool>(),
+            drained in any::<bool>(),
+            warm in 1u64..64,
+            gaps in proptest::collection::vec(1u64..8, 1..24),
+            slack in 0u64..40,
+            admission in (1usize..=6, 0usize..6, 1usize..32),
+        ) {
+            let (max_inflight, queue_capacity, waiting_capacity) = admission;
+            let warm = (shards * slots) as u64 + warm;
+            let targets: Vec<u64> = std::iter::once(warm)
+                .chain(gaps.iter().scan(warm, |t, &gap| {
+                    *t += gap;
+                    Some(*t)
+                }))
+                .collect();
+            let base = ServiceConfig {
+                seed,
+                slots,
+                max_clients: if drained { targets[targets.len() - 1] + slack } else { 0 },
+                window: 1 << window_log,
+                arrivals,
+                crash_hazard: hazard,
+                admission: Admission {
+                    max_inflight: max_inflight.min(slots),
+                    queue_capacity,
+                    backoff_base: 16,
+                    backoff_cap: 1 << 9,
+                    max_retries: 3,
+                    waiting_capacity,
+                },
+                ..ServiceConfig::default()
+            };
+            let cfg = MegaServiceConfig { base, shards };
+            let world_a = MegaServiceWorld::new(&cfg);
+            let mut fast = MegaServiceHarness::new(&world_a, &cfg);
+            let world_b = MegaServiceWorld::new(&cfg);
+            let mut slow = MegaServiceHarness::new(&world_b, &cfg);
+            if primed {
+                fast.prime();
+                slow.prime();
+            }
+            let scratch = fast.finished.capacity();
+            for &target in &targets {
+                prop_assert_eq!(fast.run_until(target), reference_until(&mut slow, target));
+                prop_assert_eq!(fast.ops(), slow.ops(), "target {}", target);
+                prop_assert_eq!(fast.completed(), slow.completed(), "target {}", target);
+            }
+            if drained {
+                prop_assert!(!fast.run_until(u64::MAX));
+                prop_assert!(!reference_until(&mut slow, u64::MAX));
+            }
+            prop_assert!(
+                fast.epoch_lengths()[2..].iter().any(|&(epochs, _)| epochs > 0),
+                "only one-tick epochs ran"
+            );
+            prop_assert_eq!(fast.finished.capacity(), scratch, "the epoch scratch grew");
+            let (fast, slow) = (fast.finish(), slow.finish());
+            prop_assert_eq!(fast.report.totals, slow.report.totals);
+            prop_assert_eq!(&fast.shard_totals, &slow.shard_totals);
+            prop_assert_eq!(&fast.report.windows, &slow.report.windows);
+            prop_assert_eq!(&fast.report.names, &slow.report.names);
+            prop_assert_eq!(fast.report.in_system, slow.report.in_system);
+            prop_assert!(fast == slow, "cumulative histograms diverge");
+        }
+    }
+
+    /// A primed 250-shard × 8-slot fleet at the benchmark's per-shard
+    /// load, driven through a warm-up and 64 short segments, reports
+    /// exactly what the reference tick reports, and spends most of its
+    /// ticks in multi-tick epochs.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "release-mode differential: cargo test --release"
+    )]
+    fn fleet_epochs_match_the_reference_tick_over_64_segments() {
+        let base = ServiceConfig {
+            seed: 12,
+            arrivals: Arrivals::Poisson {
+                mean_gap: 2800.0 / 250.0,
+            },
+            crash_hazard: 1e-4,
+            window: 1 << 14,
+            ..ServiceConfig::default()
+        };
+        let cfg = MegaServiceConfig { base, shards: 250 };
+        let world_a = MegaServiceWorld::new(&cfg);
+        let mut fast = MegaServiceHarness::new(&world_a, &cfg);
+        let world_b = MegaServiceWorld::new(&cfg);
+        let mut slow = MegaServiceHarness::new(&world_b, &cfg);
+        fast.prime();
+        slow.prime();
+        for target in (0..=64).map(|segment| 2_000 + 40 * segment) {
+            assert!(fast.run_until(target) && reference_until(&mut slow, target));
+            assert_eq!(
+                (fast.ops(), fast.completed()),
+                (slow.ops(), slow.completed())
+            );
+        }
+        let epochs = fast.epoch_lengths();
+        let long: u64 = epochs[2..].iter().map(|&(_, ticks)| ticks).sum();
+        let all: u64 = epochs.iter().map(|&(_, ticks)| ticks).sum();
+        assert!(
+            2 * long > all,
+            "{long} of {all} epoch ticks in multi-tick epochs"
+        );
+        let (fast, slow) = (fast.finish(), slow.finish());
+        assert!(fast.report.totals.crashes > 0, "{:?}", fast.report.totals);
+        assert!(fast == slow, "reports diverge");
+    }
+
+    /// Every session takes at least `S_min(n) = 5n + 9` granted ops, and
+    /// no epoch completes more sessions before its last tick than its
+    /// bound: both are asserted online (in `ShardState::grant` and in
+    /// the epoch loop), here over slots 1..=8 under light and overload
+    /// arrivals, crashless and at hazard 2e-3, in short segments.
+    #[test]
+    fn sessions_and_epochs_respect_the_minimum_ops() {
+        for slots in 1..=8 {
+            let light = (400 * slots * slots) as f64 / 3.0;
+            for (mean_gap, crash_hazard) in [(light, 0.0), (0.5, 0.0), (0.5, 2e-3)] {
+                let base = ServiceConfig {
+                    seed: slots as u64,
+                    slots,
+                    window: 1 << 10,
+                    arrivals: Arrivals::Poisson { mean_gap },
+                    crash_hazard,
+                    admission: Admission {
+                        max_inflight: slots,
+                        ..ServiceConfig::default().admission
+                    },
+                    ..ServiceConfig::default()
+                };
+                let cfg = MegaServiceConfig { base, shards: 3 };
+                let world = MegaServiceWorld::new(&cfg);
+                assert_eq!(world.worlds[0].min_session_ops(), 5 * slots as u64 + 9);
+                let mut harness = MegaServiceHarness::new(&world, &cfg);
+                for target in (1..=30).map(|segment| 7 * segment) {
+                    assert!(harness.run_until(target), "{cfg:?}");
+                }
+                assert!(harness.epoch_lengths()[2..].iter().any(|&(n, _)| n > 0));
+            }
+        }
+    }
+
+    #[test]
+    fn stage_minima_rise_strictly() {
+        assert!(MIN_OPS_LEFT.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(MIN_OPS_LEFT, [1, 3, 5, 6, 7]);
     }
 
     #[test]

@@ -73,7 +73,7 @@ use exsel_shm::{
     ArcBank, Pid, Poll, RegAlloc, RegisterBank, ShmOp, SnapArenaStats, StepMachine, Word,
 };
 use exsel_storecollect::StoreCollect;
-use exsel_unbounded::{AltruisticDeposit, UnboundedNaming};
+use exsel_unbounded::{AltruisticDeposit, DepositOp, UnboundedNaming};
 use rand::{rngs::SmallRng, Rng, RngCore, SeedableRng};
 
 use crate::machines::SessionMachines;
@@ -337,6 +337,18 @@ impl ServiceWorld {
             + self.sc.snapshot_registers()
     }
 
+    /// `S_min(n) = 5n + 9`: the fewest granted operations any session
+    /// can complete in, summed over its four phases. The acquire takes
+    /// at least [`UnboundedNaming::min_acquire_ops`] (`5n + 3`), the
+    /// store at least its value write, the collect at least its first
+    /// read, and the deposit at least [`DepositOp::MIN_OPS`] (4). Every
+    /// completed session is checked against it, and the sharded fleet's
+    /// epochs rest on it ([`mega`]).
+    #[must_use]
+    pub fn min_session_ops(&self) -> u64 {
+        self.naming.min_acquire_ops() + 1 + 1 + DepositOp::MIN_OPS
+    }
+
     /// The two naming objects' snapshot-arena telemetry merged: fresh
     /// and recycled counts add, peaks take the larger arena's. Counters
     /// run from construction, so `fresh_allocations()` counts every miss
@@ -378,6 +390,52 @@ enum Phase {
     Collect,
     /// Driving one wait-free deposit round.
     Deposit,
+}
+
+/// An in-flight session's stage: its phase, with the deposit split by
+/// whether the round holds a name. Stages are ordered by
+/// [`MIN_OPS_LEFT`], the fewest granted operations a session in the
+/// stage still needs to complete.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(usize)]
+enum Stage {
+    /// A deposit holding its name: the arena write and the `Help`
+    /// clear, or the clear alone, remain.
+    NamedDeposit = 0,
+    /// A deposit still looking for a name.
+    Deposit = 1,
+    Collect = 2,
+    Store = 3,
+    Acquire = 4,
+}
+
+const STAGES: usize = 5;
+
+/// The fewest granted operations to completion of a session in each
+/// [`Stage`], counting at least one more operation of its current phase
+/// and each later phase at its minimum: a store takes at least its
+/// value write, a collect at least its first read, and a deposit round
+/// [`DepositOp::MIN_OPS`], of which at least 3 remain until it holds a
+/// name.
+const MIN_OPS_LEFT: [u64; STAGES] = [
+    1,
+    DepositOp::MIN_OPS - 1,
+    1 + DepositOp::MIN_OPS,
+    2 + DepositOp::MIN_OPS,
+    3 + DepositOp::MIN_OPS,
+];
+
+/// What one [`ShardState::step`] did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Stepped {
+    /// No session was in flight.
+    Idle,
+    /// One operation was granted, and its session goes on.
+    Granted,
+    /// The picked session crashed; its client may hold a new timer.
+    Crashed,
+    /// One operation was granted, and it completed its session.
+    Completed,
 }
 
 /// The per-op latency families a service run measures.
@@ -613,6 +671,23 @@ struct Slot<'w> {
     session_start: u64,
     phase_start: u64,
     original: u64,
+    /// Operations granted to the bound session so far (a `u32` fits
+    /// the slot's padding; it saturates rather than wraps).
+    ops: u32,
+}
+
+impl Slot<'_> {
+    /// The bound session's [`Stage`].
+    fn stage(&self) -> Stage {
+        match self.phase {
+            Phase::Free => unreachable!("a free slot has no stage"),
+            Phase::Acquire => Stage::Acquire,
+            Phase::Store => Stage::Store,
+            Phase::Collect => Stage::Collect,
+            Phase::Deposit if self.machines.deposit.holds_name() => Stage::NamedDeposit,
+            Phase::Deposit => Stage::Deposit,
+        }
+    }
 }
 
 /// The telemetry sink of a service run: global counter totals, the
@@ -632,6 +707,9 @@ struct Telemetry {
     totals: Totals,
     names: Vec<u64>,
     record_names: bool,
+    /// In-flight sessions per [`Stage`], summed over every shard that
+    /// records into this sink.
+    stages: [u64; STAGES],
 }
 
 impl Telemetry {
@@ -662,6 +740,7 @@ impl Telemetry {
             totals: Totals::default(),
             names: Vec::with_capacity(expected_names),
             record_names: cfg.record_names,
+            stages: [0; STAGES],
         }
     }
 
@@ -669,6 +748,12 @@ impl Telemetry {
     fn record(&mut self, family: OpFamily, sample: u64) {
         self.window_hists[family as usize].record(sample);
         self.cumulative[family as usize].record(sample);
+    }
+
+    /// Moves one in-flight session from stage `from` to stage `to`.
+    fn restage(&mut self, from: Stage, to: Stage) {
+        self.stages[from as usize] -= 1;
+        self.stages[to as usize] += 1;
     }
 
     /// Emits window rows for every boundary at or before `now`. The
@@ -775,6 +860,8 @@ struct ShardState<'w, B: RegisterBank> {
     /// independent naming objects.
     ticket_step: u64,
     ticket_base: u64,
+    /// [`ServiceWorld::min_session_ops`], asserted at every completion.
+    min_session_ops: u64,
     /// The shard's dynamic footprint checker, if one is installed —
     /// consulted on every granted (and priming) operation. Sharded
     /// worlds get one checker per shard: each shard's world and bank
@@ -858,6 +945,7 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
                 session_start: 0,
                 phase_start: 0,
                 original: p as u64 + 1,
+                ops: 0,
             })
             .collect();
         let mut arrival_rng = SmallRng::seed_from_u64(cfg.seed ^ 0xA221_55A1);
@@ -882,6 +970,7 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
             totals: Totals::default(),
             ticket_step,
             ticket_base,
+            min_session_ops: world.min_session_ops(),
             #[cfg(feature = "check")]
             checker: None,
         }
@@ -1029,11 +1118,13 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
         self.totals.admitted += 1;
         tel.totals.admitted += 1;
         tel.window_counts.admitted += 1;
+        tel.stages[Stage::Acquire as usize] += 1;
         let s = &mut self.slots[slot];
         s.client = client;
         s.phase = Phase::Acquire;
         s.session_start = now;
         s.phase_start = now;
+        s.ops = 0;
         s.machines.begin_acquire();
         debug_assert_eq!(self.active_pos[slot], NOT_ACTIVE);
         self.active_pos[slot] = self.active.len();
@@ -1060,6 +1151,7 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
         tel.totals.crashes += 1;
         tel.window_counts.crashes += 1;
         let s = &mut self.slots[slot];
+        tel.stages[s.stage() as usize] -= 1;
         match s.phase {
             Phase::Acquire => s.machines.naming_dirty = true,
             Phase::Deposit => s.machines.deposit_dirty = true,
@@ -1091,11 +1183,18 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
     }
 
     /// Grants one shared-memory operation to the session on `slot` and
-    /// advances its state machine.
-    fn grant(&mut self, slot: usize, now: u64, tel: &mut Telemetry) {
+    /// advances its state machine; returns whether the session
+    /// completed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session completes in fewer than
+    /// [`ServiceWorld::min_session_ops`] operations.
+    fn grant(&mut self, slot: usize, now: u64, tel: &mut Telemetry) -> bool {
         self.totals.ops += 1;
         tel.totals.ops += 1;
         let s = &mut self.slots[slot];
+        s.ops = s.ops.saturating_add(1);
         #[cfg(feature = "check")]
         if let Some(c) = &mut self.checker {
             let (kind, reg) = Self::peek_slot(s);
@@ -1111,6 +1210,7 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
                     s.phase = Phase::Store;
                     s.phase_start = now + 1;
                     tel.record(OpFamily::Acquire, lat);
+                    tel.restage(Stage::Acquire, Stage::Store);
                 }
             }
             Phase::Store => {
@@ -1121,6 +1221,7 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
                     s.phase = Phase::Collect;
                     s.phase_start = now + 1;
                     tel.record(OpFamily::Store, lat);
+                    tel.restage(Stage::Store, Stage::Collect);
                 } else if let Poll::Ready(res) = step_machine(&mut self.bank, &mut m.first_store) {
                     let reg = res.expect("store&collect sized for every slot");
                     m.registered = Some(reg);
@@ -1135,31 +1236,46 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
                     s.phase = Phase::Deposit;
                     s.phase_start = now + 1;
                     tel.record(OpFamily::Collect, lat);
+                    tel.restage(Stage::Collect, Stage::Deposit);
                 }
             }
             Phase::Deposit => {
-                if let Poll::Ready(out) = step_machine(&mut self.bank, &mut m.deposit) {
-                    debug_assert!(out.is_some(), "depositors always claim");
-                    let lat = now + 1 - s.phase_start;
-                    let session = now + 1 - s.session_start;
-                    let sojourn = now + 1 - s.client.arrival;
-                    let ticket = s.ticket;
-                    s.phase = Phase::Free;
-                    tel.record(OpFamily::Deposit, lat);
-                    tel.record(OpFamily::Session, session);
-                    tel.record(OpFamily::Sojourn, sojourn);
-                    self.totals.completed += 1;
-                    tel.totals.completed += 1;
-                    tel.window_counts.completed += 1;
-                    if tel.record_names {
-                        tel.names.push(ticket * self.ticket_step + self.ticket_base);
+                let named = m.deposit.holds_name();
+                let Poll::Ready(out) = step_machine(&mut self.bank, &mut m.deposit) else {
+                    if !named && m.deposit.holds_name() {
+                        tel.restage(Stage::Deposit, Stage::NamedDeposit);
                     }
-                    self.deactivate(slot);
-                    self.free.push(slot);
-                    self.drain_queue(now, tel);
+                    return false;
+                };
+                debug_assert!(out.is_some(), "depositors always claim");
+                assert!(
+                    u64::from(s.ops) >= self.min_session_ops,
+                    "a session completed in {} ops, below S_min = {}",
+                    s.ops,
+                    self.min_session_ops
+                );
+                let lat = now + 1 - s.phase_start;
+                let session = now + 1 - s.session_start;
+                let sojourn = now + 1 - s.client.arrival;
+                let ticket = s.ticket;
+                s.phase = Phase::Free;
+                tel.record(OpFamily::Deposit, lat);
+                tel.record(OpFamily::Session, session);
+                tel.record(OpFamily::Sojourn, sojourn);
+                tel.stages[Stage::NamedDeposit as usize] -= 1;
+                self.totals.completed += 1;
+                tel.totals.completed += 1;
+                tel.window_counts.completed += 1;
+                if tel.record_names {
+                    tel.names.push(ticket * self.ticket_step + self.ticket_base);
                 }
+                self.deactivate(slot);
+                self.free.push(slot);
+                self.drain_queue(now, tel);
+                return true;
             }
         }
+        false
     }
 
     /// Pre-registers every slot's store&collect infrastructure: drives
@@ -1213,21 +1329,22 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
 
     /// One scheduling step of this shard: picks an active slot under the
     /// shard's scheduler stream, draws the crash hazard, and grants (or
-    /// crashes) one shared-memory operation. Returns `false` when the
-    /// shard has no active session to drive.
-    fn step(&mut self, now: u64, tel: &mut Telemetry) -> bool {
+    /// crashes) one shared-memory operation.
+    fn step(&mut self, now: u64, tel: &mut Telemetry) -> Stepped {
         if self.active.is_empty() {
-            return false;
+            return Stepped::Idle;
         }
         let pick = self.sched_rng.gen_range(0..self.active.len());
         let slot = self.active[pick];
         let crash = self.cfg.crash_hazard > 0.0 && self.hazard_rng.gen_bool(self.cfg.crash_hazard);
         if crash {
             self.crash(slot, now, tel);
+            Stepped::Crashed
+        } else if self.grant(slot, now, tel) {
+            Stepped::Completed
         } else {
-            self.grant(slot, now, tel);
+            Stepped::Granted
         }
-        true
     }
 
     /// Whether this shard can never produce another event: arrivals
@@ -1374,7 +1491,7 @@ impl<'w, B: RegisterBank> ServiceHarness<'w, B> {
         self.tel.roll(self.now, self.shard.gauges());
         self.shard.fire_due_timers(self.now, &mut self.tel);
         self.shard.generate_arrivals(self.now, &mut self.tel);
-        if !self.shard.step(self.now, &mut self.tel) {
+        if self.shard.step(self.now, &mut self.tel) == Stepped::Idle {
             if self.shard.drained() {
                 return false; // drained
             }

@@ -439,6 +439,23 @@ pub struct DepositOp<'a> {
 }
 
 impl DepositOp<'_> {
+    /// The fewest operations a deposit round can complete in: one
+    /// `Row` event, a `Column` read that finds a parked name, the
+    /// `ArenaWrite` and the `HelpClear`. A round that has begun has at
+    /// least 3 operations left until it [holds a name](Self::holds_name),
+    /// and at least 1 after.
+    pub const MIN_OPS: u64 = 4;
+
+    /// Whether the current round has found its name: only the arena
+    /// write and the `Help` clear remain (2 operations, then 1).
+    #[must_use]
+    pub fn holds_name(&self) -> bool {
+        matches!(
+            self.phase,
+            DepositPhase::ArenaWrite { .. } | DepositPhase::HelpClear { .. }
+        )
+    }
+
     /// The arena register indices claimed so far in this trial, in
     /// deposit order (empty for serve machines). Deposits recorded here
     /// are permanent even if the machine is crashed later in the trial.
@@ -670,6 +687,30 @@ mod tests {
         // Found within a couple of column sweeps (much less than a full
         // acquire would cost).
         assert!(ctx1.steps() - before < 50);
+    }
+
+    /// A round whose first column read finds a parked name takes exactly
+    /// `DepositOp::MIN_OPS` operations, and holds its name from that read
+    /// on.
+    #[test]
+    fn deposit_with_a_parked_name_takes_the_minimum_ops() {
+        let mut alloc = RegAlloc::new();
+        let repo = AltruisticDeposit::new(&mut alloc, 2, 64);
+        let mem = ThreadedShm::new(alloc.total(), 2);
+        repo.serve(
+            Ctx::new(&mem, Pid(0)),
+            &mut repo.depositor_state(Pid(0)),
+            400,
+        )
+        .unwrap();
+        let ctx = Ctx::new(&mem, Pid(1));
+        let mut machine = repo.begin_deposit(Pid(1), 5, 1);
+        let mut named = Vec::new();
+        while machine.poll(ctx).unwrap().ready().is_none() {
+            named.push(machine.holds_name());
+        }
+        assert_eq!(ctx.steps(), DepositOp::MIN_OPS);
+        assert_eq!(named, [false, true, true]);
     }
 
     #[test]

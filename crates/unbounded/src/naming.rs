@@ -144,6 +144,20 @@ impl UnboundedNaming {
         }
     }
 
+    /// The fewest shared-memory operations an acquire over a published
+    /// suite can complete in: `5n + 3`. It announces the candidate with
+    /// a snapshot update ([`UpdateOp::min_ops`], `2n + 2`), scans `W`
+    /// ([`ScanOp::min_ops`], `2n`), reads at least `A_q` of each of the
+    /// `n − 1` other suites (Theorem 10's availability check), then
+    /// commits with two suite writes. An unpublished suite adds its `2n`
+    /// publication writes, and every retry adds a further update and
+    /// scan.
+    #[must_use]
+    pub fn min_acquire_ops(&self) -> u64 {
+        let n = self.n;
+        UpdateOp::min_ops(n) + ScanOp::min_ops(n) + (n as u64 - 1) + 2
+    }
+
     /// Registers used: `n` snapshot components plus `2n` per process.
     #[must_use]
     pub fn num_registers(&self) -> usize {
@@ -360,7 +374,8 @@ impl AcquireOp {
     ///
     /// Panics if the acquire already completed.
     pub(crate) fn describe(&self, naming: &UnboundedNaming, st: &NamerState) -> ShmOp {
-        let my_b = naming.b[self.slot];
+        // Only the suite writes load the own suite `B_p`: scan and update
+        // ops, the bulk of an acquire, skip that bounds-checked load.
         match &self.state {
             AcqState::Publish { idx } => {
                 let value = if *idx == 0 {
@@ -368,7 +383,7 @@ impl AcquireOp {
                 } else {
                     st.slots[*idx - 1]
                 };
-                ShmOp::Write(my_b.get(*idx), Word::Int(value))
+                ShmOp::Write(naming.b[self.slot].get(*idx), Word::Int(value))
             }
             AcqState::Update => self.update.op(),
             AcqState::Scan => self.scan.op(),
@@ -376,10 +391,10 @@ impl AcquireOp {
             AcqState::CheckSlots { q, j } => ShmOp::Read(naming.b[*q].get(*j)),
             AcqState::PruneSlot | AcqState::CommitSlot => {
                 let j = st.slot_of(self.candidate);
-                ShmOp::Write(my_b.get(j + 1), Word::Int(st.next_fresh))
+                ShmOp::Write(naming.b[self.slot].get(j + 1), Word::Int(st.next_fresh))
             }
             AcqState::PruneAdvanceA | AcqState::CommitAdvanceA { .. } => {
-                ShmOp::Write(my_b.get(0), Word::Int(st.next_fresh))
+                ShmOp::Write(naming.b[self.slot].get(0), Word::Int(st.next_fresh))
             }
             AcqState::Done => panic!("acquire driven after completion"),
         }
@@ -792,6 +807,23 @@ mod tests {
                 break;
             }
         }
+    }
+
+    /// A lone process's acquire over its published suite meets the
+    /// minimum exactly: nothing moves between its collects, and with
+    /// `n = 1` no other suite needs checking.
+    #[test]
+    fn solo_published_acquire_takes_the_minimum_ops() {
+        let mut alloc = RegAlloc::new();
+        let naming = UnboundedNaming::new(&mut alloc, 1);
+        let mem = ThreadedShm::new(alloc.total(), 1);
+        let ctx = Ctx::new(&mem, Pid(0));
+        let mut st = naming.namer_state();
+        naming.acquire(ctx, &mut st).unwrap();
+        let published = ctx.steps();
+        naming.acquire(ctx, &mut st).unwrap();
+        assert_eq!(ctx.steps() - published, naming.min_acquire_ops());
+        assert_eq!(naming.min_acquire_ops(), 5 + 3);
     }
 
     #[test]

@@ -347,10 +347,13 @@ fn epochs_json(epochs: &[(u64, u64)]) -> serde_json::Value {
 }
 
 /// A fleet's epochs and the ticks they covered as bench-row extras, in
-/// three length buckets: one tick; 2–7 ticks, where an in-flight
-/// session's stage minimum (at most 7) or a window end cut the epoch
-/// short; and 8 ticks or more.
-fn epoch_extras(epochs: &[(u64, u64)]) -> [(&'static str, u64); 6] {
+/// four length buckets: one tick; 2–7 ticks; 8 ticks up to one short of
+/// `S_min`; and full-length epochs of `S_min` ticks (the last entry of
+/// [`MegaServiceHarness::epoch_lengths`]), which the column-gated bound
+/// keeps running up to each stop. A window end, the horizon, or a
+/// session that can complete early cuts an epoch short.
+fn epoch_extras(epochs: &[(u64, u64)]) -> [(&'static str, u64); 8] {
+    let full = epochs.len() - 1;
     let bucket = |lens: std::ops::RangeInclusive<usize>| {
         epochs
             .iter()
@@ -362,7 +365,8 @@ fn epoch_extras(epochs: &[(u64, u64)]) -> [(&'static str, u64); 6] {
     };
     let (one, one_ticks) = bucket(1..=1);
     let (short, short_ticks) = bucket(2..=7);
-    let (long, long_ticks) = bucket(8..=usize::MAX);
+    let (long, long_ticks) = bucket(8..=full - 1);
+    let (whole, whole_ticks) = bucket(full..=full);
     [
         ("epochs_1", one),
         ("epoch_ticks_1", one_ticks),
@@ -370,7 +374,19 @@ fn epoch_extras(epochs: &[(u64, u64)]) -> [(&'static str, u64); 6] {
         ("epoch_ticks_2_7", short_ticks),
         ("epochs_8_up", long),
         ("epoch_ticks_8_up", long_ticks),
+        ("epochs_full", whole),
+        ("epoch_ticks_full", whole_ticks),
     ]
+}
+
+/// The ticks a fleet ran in full-length epochs, with their share of
+/// all its epoch ticks, for the summary table.
+fn full_epoch_ticks(epochs: &[(u64, u64)]) -> String {
+    let all: u64 = epochs.iter().map(|&(_, ticks)| ticks).sum();
+    let full = epochs[epochs.len() - 1].1;
+    #[allow(clippy::cast_precision_loss)]
+    let share = 100.0 * full as f64 / all.max(1) as f64;
+    format!("{full} ({share:.1}%)")
 }
 
 /// The per-seed summary line closing a seed's window series.
@@ -703,6 +719,8 @@ pub fn run_mega(
             "p50",
             "p99",
             "p999",
+            "full epochs",
+            "ticks in full epochs",
         ],
     );
     let mut rows = Vec::new();
@@ -737,6 +755,8 @@ pub fn run_mega(
             report.cumulative[4].quantile(1, 2).to_string(),
             report.cumulative[4].quantile(99, 100).to_string(),
             report.cumulative[4].quantile(999, 1000).to_string(),
+            epochs[epochs.len() - 1].0.to_string(),
+            full_epoch_ticks(&epochs),
         ]);
         let shards = cfg.shards as u64;
         for w in &report.windows {
@@ -745,6 +765,9 @@ pub fn run_mega(
         let mut summary = summary_json(name, seed, shards, spec.policy, report);
         if let serde_json::Value::Object(obj) = &mut summary {
             obj.insert("epochs".into(), epochs_json(&epochs));
+            for (key, value) in epoch_extras(&epochs) {
+                obj.insert(key.into(), serde_json::Value::from(value));
+            }
         }
         rows.push(summary);
         if let (Some(workload), false) = (spec.bench_workload, overrides.quick) {
@@ -1021,10 +1044,15 @@ mod tests {
         // No counting allocator in the test harness; the row must say
         // so rather than claim flatness it never observed.
         assert_eq!(row.extra("alloc_probe"), Some(0));
-        // Most of the run's ticks fall in epochs of 8 ticks or more.
-        let ticks = ["epoch_ticks_1", "epoch_ticks_2_7", "epoch_ticks_8_up"]
-            .map(|key| row.extra(key).expect("epoch extras recorded"));
-        assert!(2 * ticks[2] > ticks.iter().sum::<u64>(), "{ticks:?}");
+        // Most of the run's ticks fall in full-length epochs.
+        let ticks = [
+            "epoch_ticks_1",
+            "epoch_ticks_2_7",
+            "epoch_ticks_8_up",
+            "epoch_ticks_full",
+        ]
+        .map(|key| row.extra(key).expect("epoch extras recorded"));
+        assert!(2 * ticks[3] > ticks.iter().sum::<u64>(), "{ticks:?}");
         // The axis ends at the committed full-scale fleet, so that
         // point's row keys the committed BENCH_engine.json entry.
         assert_eq!(MEGA_SHARD_AXIS.last(), Some(&mega_spec().cfg.shards));
@@ -1075,6 +1103,9 @@ mod tests {
             panic!("summary row lacks its `epochs` by length");
         };
         assert!(!epochs.is_empty());
+        for key in ["epochs_full", "epoch_ticks_full"] {
+            assert!(last.get(key).is_some(), "summary row lacks `{key}`");
+        }
         // Up to one completion per shard lands on the final tick, so
         // the fleet may overshoot the target by at most shards − 1.
         let Some(&serde_json::Value::Int(completed)) = last.get("completed") else {

@@ -290,6 +290,21 @@ impl ScanOp {
         2 * n as u64
     }
 
+    /// The fewest reads this scan still needs to return: the rest of
+    /// the current collect, plus a whole further collect while the
+    /// current one has no predecessor. A fresh scan reports
+    /// [`ScanOp::min_ops`]; a returned one, 0.
+    #[must_use]
+    pub fn min_ops_left(&self) -> u64 {
+        let n = self.n() as u64;
+        let rest = n - self.idx as u64;
+        if self.have_prev {
+            rest
+        } else {
+            rest + n
+        }
+    }
+
     /// Restarts the scan from its first collect **within the same
     /// trial**, allocation-free: the collect buffers are reused as-is,
     /// and the generation-tag cache (`cur`) is kept — writer sequence
@@ -435,6 +450,20 @@ impl UpdateOp {
     #[must_use]
     pub const fn min_ops(n: usize) -> u64 {
         ScanOp::min_ops(n) + 2
+    }
+
+    /// The fewest operations this update still needs to install its
+    /// record: the embedded scan's [`ScanOp::min_ops_left`] plus the
+    /// own-register read and the write, then 2, then 1. A fresh update
+    /// reports [`UpdateOp::min_ops`]; an installed one, 0.
+    #[must_use]
+    pub fn min_ops_left(&self) -> u64 {
+        match self.state {
+            UpdateState::Scanning => self.scan.min_ops_left() + 2,
+            UpdateState::ReadOwn => 2,
+            UpdateState::Write => 1,
+            UpdateState::Done => 0,
+        }
     }
 
     /// Re-arms this operation in place as a fresh update of `slot` to
@@ -595,20 +624,41 @@ mod tests {
     }
 
     /// A solo scan and a solo update meet their minima exactly, so the
-    /// minima are tight.
+    /// minima are tight, and before every step `min_ops_left` names the
+    /// steps that remain.
     #[test]
     fn solo_scan_and_update_take_their_minimum_ops() {
         for n in 1..=6 {
             let (snap, mem) = setup(n, 1);
             let ctx = Ctx::new(&mem, Pid(0));
-            snap.update(ctx, 0, Word::Int(1)).unwrap();
+            let mut update = snap.begin_update(0, Word::Int(1));
+            assert_eq!(update.min_ops_left(), UpdateOp::min_ops(n));
+            let mut left = Vec::new();
+            loop {
+                left.push(update.min_ops_left());
+                if update.poll(ctx).unwrap().ready().is_some() {
+                    break;
+                }
+            }
             assert_eq!(ctx.steps(), UpdateOp::min_ops(n), "update, n = {n}");
-            snap.scan(ctx).unwrap();
+            assert!(left.iter().rev().copied().eq(1..=left.len() as u64));
+            assert_eq!(update.min_ops_left(), 0);
+            let mut scan = snap.begin_scan();
+            assert_eq!(scan.min_ops_left(), ScanOp::min_ops(n));
+            left.clear();
+            loop {
+                left.push(scan.min_ops_left());
+                if scan.poll(ctx).unwrap().ready().is_some() {
+                    break;
+                }
+            }
             assert_eq!(
                 ctx.steps(),
                 UpdateOp::min_ops(n) + ScanOp::min_ops(n),
                 "scan, n = {n}"
             );
+            assert!(left.iter().rev().copied().eq(1..=left.len() as u64));
+            assert_eq!(scan.min_ops_left(), 0);
         }
     }
 

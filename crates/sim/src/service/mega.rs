@@ -35,17 +35,21 @@
 //!   which the completion count reaches its target. A shard grants one
 //!   operation per tick, and a session needs a minimum number of
 //!   operations to finish: `S_min(n) = 5n + 9` from binding
-//!   ([`ServiceWorld::min_session_ops`]), and per in-flight stage
-//!   `MIN_OPS_LEFT` (1 for a deposit holding its name, 3 for other
-//!   deposits, 5 collect, 6 store, 7 acquire). The sink counts in-flight
-//!   sessions per stage, so the bound on sessions that can complete in
-//!   an epoch's first `E − 1` ticks is a sum of a few counters. `E` is
-//!   the largest length up to `min(S_min, ticks to the window end,
-//!   ticks to the horizon)` whose bound stays below the sessions still
-//!   needed; a session bound inside the epoch needs `S_min ≥ E` ticks
-//!   and cannot complete before its last tick. Each epoch asserts that
-//!   bound, and each completion that its session took at least `S_min`
-//!   operations.
+//!   ([`ServiceWorld::min_session_ops`]), and in flight a bound read
+//!   from its own machines and its column of the repository's `Help`
+//!   matrix. A deposit round completes only by consuming a name parked
+//!   in its own column, and a name gets there only through a row
+//!   server's park write after a whole acquire. So a session whose
+//!   column is empty completes no sooner than the nearest pending park
+//!   into it + 3 operations, and without one no sooner than `S_min`
+//!   (see `ShardState::bound_completions`). Each shard adds its
+//!   sessions' bounds to a histogram at the end of its visit. `E` is the
+//!   largest length up to `min(S_min, ticks to the window end, ticks to
+//!   the horizon)` for which the sessions with a bound below `E` stay
+//!   below the sessions still needed; a session bound inside the epoch
+//!   needs `S_min ≥ E` ticks and cannot complete before its last tick.
+//!   Each epoch asserts that bound, and each completion that its
+//!   session took at least `S_min` operations.
 //! - **Audit order.** Tickets enter the audit in completion order,
 //!   which the reference produces as `(tick, shard)` and an epoch as
 //!   `(shard, tick)`. Each epoch re-sorts its completions by
@@ -137,7 +141,6 @@ use exsel_shm::{RegisterBank, SlabBank};
 
 use super::{
     Arrivals, ServiceConfig, ServiceReport, ServiceWorld, ShardState, Stepped, Telemetry, Totals,
-    MIN_OPS_LEFT,
 };
 
 /// Salt multiplier deriving per-shard RNG seeds (the 64-bit golden
@@ -398,6 +401,17 @@ pub struct MegaServiceHarness<'w, B: RegisterBank = SlabBank> {
     events: EventHeap,
     /// `S_min(n)` ([`ServiceWorld::min_session_ops`]), the longest epoch.
     min_session_ops: u64,
+    /// `bounds[b]` counts the sessions in flight at the epoch's start
+    /// whose completion bound is `b` ticks (`S_min` for `S_min` and
+    /// more; [`ShardState::bound_completions`]). The next epoch's
+    /// length is read from it.
+    bounds: Vec<u64>,
+    /// The same histogram for the next epoch, gathered at the end of
+    /// each shard's visit and swapped with `bounds` when the epoch ends.
+    next_bounds: Vec<u64>,
+    /// Per-column scratch for [`ShardState::bound_completions`], one
+    /// entry per slot, `u64::MAX` between visits.
+    gate: Vec<u64>,
     /// The `(tick, shard, ticket)` of every session completed in the
     /// current epoch, re-sorted by `(tick, shard)` into the audit when
     /// the epoch ends. Sized for the most an epoch can complete: its
@@ -486,6 +500,9 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
             busy: vec![0; cfg.shards.div_ceil(64)],
             events,
             min_session_ops,
+            bounds: vec![0; min_session_ops as usize + 1],
+            next_bounds: vec![0; min_session_ops as usize + 1],
+            gate: vec![u64::MAX; cfg.base.slots],
             finished: Vec::with_capacity(finished),
             max_bound,
             epochs: vec![(0, 0); min_session_ops as usize + 1],
@@ -594,38 +611,20 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
 
     /// Whether no session is in flight anywhere in the fleet.
     fn idle(&self) -> bool {
-        self.tel.stages.iter().all(|&n| n == 0)
+        self.tel.inflight == 0
     }
 
-    /// The next epoch's length and the bound it rests on: the largest
-    /// `len ≤ min(S_min, ticks to the window end, ticks to the horizon)`
-    /// whose bound — the in-flight sessions whose stage minimum
-    /// ([`MIN_OPS_LEFT`]) fits in the first `len − 1` ticks — stays below
-    /// `needed`. A session bound inside the epoch needs `S_min ≥ len`
+    /// Runs one epoch shard by shard, or fast-forwards an idle fleet to
+    /// its next event, window boundary or horizon. Stops short of
+    /// `target` completions until the epoch's last tick. Returns `false`
+    /// when the run cannot continue.
+    ///
+    /// The epoch's length is the largest `len ≤ min(S_min, ticks to the
+    /// window end, ticks to the horizon)` for which the sessions that
+    /// can complete before its last tick — those whose completion bound
+    /// in `bounds` is below `len` — stay below the sessions still
+    /// needed. A session bound inside the epoch needs `S_min ≥ len`
     /// ticks, so it cannot complete before the last one.
-    fn epoch_len(&self, needed: u64) -> (u64, u64) {
-        let cap = self
-            .min_session_ops
-            .min(self.tel.window_end - self.now)
-            .min(self.cfg.base.horizon - self.now);
-        let mut bound = 0;
-        for (stage, &left) in MIN_OPS_LEFT.iter().enumerate() {
-            if left >= cap {
-                break;
-            }
-            let with = bound + self.tel.stages[stage];
-            if with >= needed {
-                return (left, bound);
-            }
-            bound = with;
-        }
-        (cap, bound)
-    }
-
-    /// Runs one epoch ([`Self::epoch_len`]) shard by shard, or
-    /// fast-forwards an idle fleet to its next event, window boundary
-    /// or horizon. Stops short of `target` completions until the epoch's
-    /// last tick. Returns `false` when the run cannot continue.
     ///
     /// # Panics
     ///
@@ -651,8 +650,19 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
             self.now = next.min(self.tel.window_end).min(horizon);
             return true;
         }
-        let needed = target - self.tel.totals.completed;
-        let (len, bound) = self.epoch_len(needed.min(self.max_bound.saturating_add(1)));
+        let needed = (target - self.tel.totals.completed).min(self.max_bound.saturating_add(1));
+        let cap = self
+            .min_session_ops
+            .min(self.tel.window_end - now)
+            .min(horizon - now);
+        let (mut len, mut bound) = (cap, 0);
+        for (b, &sessions) in self.bounds.iter().enumerate().take(cap as usize).skip(1) {
+            if bound + sessions >= needed {
+                len = b as u64;
+                break;
+            }
+            bound += sessions;
+        }
         let end = now + len;
         // Visit the shards with an event due inside the epoch too.
         loop {
@@ -708,6 +718,9 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
                 }
                 if shard.active.is_empty() {
                     self.busy[w] &= !bit;
+                } else {
+                    // The shard's machines are still in cache.
+                    shard.bound_completions(&mut self.gate, &mut self.next_bounds);
                 }
                 if next != self.events.due[s] {
                     self.events.set(s, next);
@@ -718,6 +731,10 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
             early <= bound,
             "{early} sessions completed before the last of {len} ticks, above the bound {bound}"
         );
+        // Every shard with a session in flight was visited.
+        std::mem::swap(&mut self.bounds, &mut self.next_bounds);
+        self.next_bounds.fill(0);
+        debug_assert_eq!(self.bounds.iter().sum::<u64>(), self.tel.inflight);
         // Shard by shard, tickets reach the audit in (shard, tick)
         // order; the reference tick records them in (tick, shard) order.
         if len > 1 {
@@ -1015,9 +1032,120 @@ mod tests {
             2 * long > all,
             "{long} of {all} epoch ticks in multi-tick epochs"
         );
+        // The column gate keeps epochs at their full `S_min` length up
+        // to each stop: sessions with an empty column and no server
+        // cannot complete inside one.
+        let full = epochs[epochs.len() - 1].1;
+        let short: u64 = epochs[..=7].iter().map(|&(_, ticks)| ticks).sum();
+        assert!(
+            3 * full >= 2 * all,
+            "{full} of {all} epoch ticks in full-length epochs"
+        );
+        assert!(
+            20 * short <= all,
+            "{short} of {all} epoch ticks in epochs of at most 7 ticks"
+        );
         let (fast, slow) = (fast.finish(), slow.finish());
         assert!(fast.report.totals.crashes > 0, "{:?}", fast.report.totals);
         assert!(fast == slow, "reports diverge");
+    }
+
+    /// The column-gated epoch bound holds on thousands of random fleets
+    /// driven in stops 1–5 sessions apart, so that few sessions are
+    /// still needed at any time and the bound decides nearly every
+    /// epoch's length. The check is the online `early ≤ bound` assert
+    /// in every epoch.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release-mode stress: cargo test --release")]
+    fn random_fleet_epochs_respect_the_column_bound() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for fleet in 0..3_000u64 {
+            let mut rng = SmallRng::seed_from_u64(fleet);
+            let slots = rng.gen_range(1usize..=8);
+            let base = ServiceConfig {
+                seed: fleet,
+                slots,
+                window: 1 << rng.gen_range(6u32..=12),
+                // Log-uniform fleet gaps from overload (0.2) to light
+                // load (600).
+                arrivals: Arrivals::Poisson {
+                    mean_gap: 0.2 * 3_000f64.powf(rng.gen_range(0.0f64..1.0)),
+                },
+                // Log-uniform hazards from 10⁻⁴ to 2·10⁻² on half the
+                // fleets.
+                crash_hazard: if rng.gen_bool(0.5) {
+                    0.0
+                } else {
+                    1e-4 * 200f64.powf(rng.gen_range(0.0f64..1.0))
+                },
+                admission: Admission {
+                    max_inflight: rng.gen_range(1..=slots),
+                    queue_capacity: rng.gen_range(0usize..8),
+                    backoff_base: 16,
+                    backoff_cap: 1 << 9,
+                    max_retries: 3,
+                    waiting_capacity: rng.gen_range(1usize..32),
+                },
+                ..ServiceConfig::default()
+            };
+            let cfg = MegaServiceConfig {
+                base,
+                shards: rng.gen_range(1usize..=24),
+            };
+            let primed = rng.gen_bool(0.5);
+            let stops = rng.gen_range(20usize..=120);
+            let gaps: Vec<u64> = (0..stops).map(|_| rng.gen_range(1u64..=5)).collect();
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                let world = MegaServiceWorld::new(&cfg);
+                let mut harness = MegaServiceHarness::new(&world, &cfg);
+                if primed {
+                    harness.prime();
+                }
+                let mut target = 0;
+                for gap in &gaps {
+                    target += gap;
+                    assert!(harness.run_until(target));
+                }
+            }));
+            assert!(
+                run.is_ok(),
+                "fleet {fleet} failed: {cfg:?}, primed {primed}, gaps {gaps:?}"
+            );
+        }
+    }
+
+    /// The parked counts every shard's lookahead reads equal its `Help`
+    /// matrix after every segment of crashy fleets (hazard up to 10⁻²).
+    #[test]
+    fn fleet_parked_counts_match_the_help_matrix() {
+        for (seed, slots, shards, crash_hazard) in
+            [(1, 2, 5, 1e-2), (2, 3, 3, 2e-3), (3, 8, 4, 1e-2)]
+        {
+            let base = ServiceConfig {
+                seed,
+                slots,
+                window: 1 << 9,
+                arrivals: Arrivals::Poisson { mean_gap: 0.5 },
+                crash_hazard,
+                admission: Admission {
+                    max_inflight: slots,
+                    ..ServiceConfig::default().admission
+                },
+                ..ServiceConfig::default()
+            };
+            let cfg = MegaServiceConfig { base, shards };
+            let world = MegaServiceWorld::new(&cfg);
+            let mut harness = MegaServiceHarness::new(&world, &cfg);
+            harness.prime();
+            for target in (1..=60).map(|segment| 4 * segment) {
+                assert!(harness.run_until(target), "{cfg:?}");
+                for (shard, w) in harness.shards.iter().zip(&world.worlds) {
+                    super::super::tests::assert_parked_matches_help(shard, w);
+                }
+            }
+            assert!(harness.tel.totals.crashes > 0, "{cfg:?}");
+        }
     }
 
     /// Every session takes at least `S_min(n) = 5n + 9` granted ops, and
@@ -1052,12 +1180,6 @@ mod tests {
                 assert!(harness.epoch_lengths()[2..].iter().any(|&(n, _)| n > 0));
             }
         }
-    }
-
-    #[test]
-    fn stage_minima_rise_strictly() {
-        assert!(MIN_OPS_LEFT.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(MIN_OPS_LEFT, [1, 3, 5, 6, 7]);
     }
 
     #[test]

@@ -343,7 +343,7 @@ impl ServiceWorld {
     /// store at least its value write, the collect at least its first
     /// read, and the deposit at least [`DepositOp::MIN_OPS`] (4). Every
     /// completed session is checked against it, and the sharded fleet's
-    /// epochs rest on it ([`mega`]).
+    /// epochs are at most this long ([`mega`]).
     #[must_use]
     pub fn min_session_ops(&self) -> u64 {
         self.naming.min_acquire_ops() + 1 + 1 + DepositOp::MIN_OPS
@@ -391,39 +391,6 @@ enum Phase {
     /// Driving one wait-free deposit round.
     Deposit,
 }
-
-/// An in-flight session's stage: its phase, with the deposit split by
-/// whether the round holds a name. Stages are ordered by
-/// [`MIN_OPS_LEFT`], the fewest granted operations a session in the
-/// stage still needs to complete.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-enum Stage {
-    /// A deposit holding its name: the arena write and the `Help`
-    /// clear, or the clear alone, remain.
-    NamedDeposit = 0,
-    /// A deposit still looking for a name.
-    Deposit = 1,
-    Collect = 2,
-    Store = 3,
-    Acquire = 4,
-}
-
-const STAGES: usize = 5;
-
-/// The fewest granted operations to completion of a session in each
-/// [`Stage`], counting at least one more operation of its current phase
-/// and each later phase at its minimum: a store takes at least its
-/// value write, a collect at least its first read, and a deposit round
-/// [`DepositOp::MIN_OPS`], of which at least 3 remain until it holds a
-/// name.
-const MIN_OPS_LEFT: [u64; STAGES] = [
-    1,
-    DepositOp::MIN_OPS - 1,
-    1 + DepositOp::MIN_OPS,
-    2 + DepositOp::MIN_OPS,
-    3 + DepositOp::MIN_OPS,
-];
 
 /// What one [`ShardState::step`] did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -674,19 +641,62 @@ struct Slot<'w> {
     /// Operations granted to the bound session so far (a `u32` fits
     /// the slot's padding; it saturates rather than wraps).
     ops: u32,
+    /// The names parked in this slot's column `Help[·][p]` of the
+    /// repository, kept from the granted operations alone: a park write
+    /// into the column adds one ([`DepositOp::next_park`]), and the
+    /// slot's completing session, the column's only consumer, takes one
+    /// with its `Help` clear. At most one name per row, so a `u16` (in
+    /// the slot's padding) holds any shard that fits in memory.
+    parked: u16,
 }
 
 impl Slot<'_> {
-    /// The bound session's [`Stage`].
-    fn stage(&self) -> Stage {
+    /// The fewest granted operations before the bound session's deposit
+    /// round begins — the rest of the acquire
+    /// ([`NamingMachine::min_ops_left`](exsel_unbounded::NamingMachine::min_ops_left)),
+    /// at least one store and one collect operation — or `None` once
+    /// the round has begun.
+    fn ops_to_deposit(&self) -> Option<u64> {
         match self.phase {
-            Phase::Free => unreachable!("a free slot has no stage"),
-            Phase::Acquire => Stage::Acquire,
-            Phase::Store => Stage::Store,
-            Phase::Collect => Stage::Collect,
-            Phase::Deposit if self.machines.deposit.holds_name() => Stage::NamedDeposit,
-            Phase::Deposit => Stage::Deposit,
+            Phase::Free => unreachable!("a free slot has no session"),
+            Phase::Acquire => Some(self.machines.naming.min_ops_left() + 2),
+            Phase::Store => Some(2),
+            Phase::Collect => Some(1),
+            Phase::Deposit => None,
         }
+    }
+
+    /// The bound session's completion floor: the fewest granted
+    /// operations before it completes if its deposit finds a name at
+    /// its first `Column` read. That is [`Slot::ops_to_deposit`] plus a
+    /// whole round ([`DepositOp::MIN_OPS`]), or in the deposit phase
+    /// [`DepositOp::min_ops_left`] — 7 at the least in the acquire, 6 in
+    /// the store, 5 in the collect, then 4, 3, 2 and 1.
+    fn floor(&self) -> u64 {
+        self.ops_to_deposit().map_or_else(
+            || self.machines.deposit.min_ops_left(),
+            |ops| ops + DepositOp::MIN_OPS,
+        )
+    }
+
+    /// The park the slot's row service has pending
+    /// ([`DepositOp::pending_park`]): its column, and the fewest granted
+    /// operations of this slot up to and including the park write. Row
+    /// events alternate with `Column` reads, so `rows` row events take
+    /// `2·rows − 1` operations from the next row event on. The row
+    /// state survives between rounds (only a re-entry clears it), so a
+    /// session in any phase may carry one. A session holding its name
+    /// reports none: its slot's next row event waits for a whole
+    /// further session.
+    fn park(&self) -> Option<(usize, u64)> {
+        let deposit = &self.machines.deposit;
+        let (column, rows) = deposit.pending_park()?;
+        let to_row = match self.ops_to_deposit() {
+            Some(ops) => ops,
+            None if deposit.holds_name() => return None,
+            None => u64::from(deposit.reads_column_next()),
+        };
+        Some((column, to_row + 2 * rows - 1))
     }
 }
 
@@ -707,9 +717,9 @@ struct Telemetry {
     totals: Totals,
     names: Vec<u64>,
     record_names: bool,
-    /// In-flight sessions per [`Stage`], summed over every shard that
-    /// records into this sink.
-    stages: [u64; STAGES],
+    /// Sessions in flight, summed over every shard that records into
+    /// this sink.
+    inflight: u64,
 }
 
 impl Telemetry {
@@ -740,7 +750,7 @@ impl Telemetry {
             totals: Totals::default(),
             names: Vec::with_capacity(expected_names),
             record_names: cfg.record_names,
-            stages: [0; STAGES],
+            inflight: 0,
         }
     }
 
@@ -748,12 +758,6 @@ impl Telemetry {
     fn record(&mut self, family: OpFamily, sample: u64) {
         self.window_hists[family as usize].record(sample);
         self.cumulative[family as usize].record(sample);
-    }
-
-    /// Moves one in-flight session from stage `from` to stage `to`.
-    fn restage(&mut self, from: Stage, to: Stage) {
-        self.stages[from as usize] -= 1;
-        self.stages[to as usize] += 1;
     }
 
     /// Emits window rows for every boundary at or before `now`. The
@@ -946,6 +950,7 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
                 phase_start: 0,
                 original: p as u64 + 1,
                 ops: 0,
+                parked: 0,
             })
             .collect();
         let mut arrival_rng = SmallRng::seed_from_u64(cfg.seed ^ 0xA221_55A1);
@@ -1118,7 +1123,7 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
         self.totals.admitted += 1;
         tel.totals.admitted += 1;
         tel.window_counts.admitted += 1;
-        tel.stages[Stage::Acquire as usize] += 1;
+        tel.inflight += 1;
         let s = &mut self.slots[slot];
         s.client = client;
         s.phase = Phase::Acquire;
@@ -1150,8 +1155,8 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
         self.totals.crashes += 1;
         tel.totals.crashes += 1;
         tel.window_counts.crashes += 1;
+        tel.inflight -= 1;
         let s = &mut self.slots[slot];
-        tel.stages[s.stage() as usize] -= 1;
         match s.phase {
             Phase::Acquire => s.machines.naming_dirty = true,
             Phase::Deposit => s.machines.deposit_dirty = true,
@@ -1210,7 +1215,6 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
                     s.phase = Phase::Store;
                     s.phase_start = now + 1;
                     tel.record(OpFamily::Acquire, lat);
-                    tel.restage(Stage::Acquire, Stage::Store);
                 }
             }
             Phase::Store => {
@@ -1221,7 +1225,6 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
                     s.phase = Phase::Collect;
                     s.phase_start = now + 1;
                     tel.record(OpFamily::Store, lat);
-                    tel.restage(Stage::Store, Stage::Collect);
                 } else if let Poll::Ready(res) = step_machine(&mut self.bank, &mut m.first_store) {
                     let reg = res.expect("store&collect sized for every slot");
                     m.registered = Some(reg);
@@ -1236,14 +1239,13 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
                     s.phase = Phase::Deposit;
                     s.phase_start = now + 1;
                     tel.record(OpFamily::Collect, lat);
-                    tel.restage(Stage::Collect, Stage::Deposit);
                 }
             }
             Phase::Deposit => {
-                let named = m.deposit.holds_name();
+                let park = m.deposit.next_park();
                 let Poll::Ready(out) = step_machine(&mut self.bank, &mut m.deposit) else {
-                    if !named && m.deposit.holds_name() {
-                        tel.restage(Stage::Deposit, Stage::NamedDeposit);
+                    if let Some(column) = park {
+                        self.slots[column].parked += 1;
                     }
                     return false;
                 };
@@ -1262,7 +1264,10 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
                 tel.record(OpFamily::Deposit, lat);
                 tel.record(OpFamily::Session, session);
                 tel.record(OpFamily::Sojourn, sojourn);
-                tel.stages[Stage::NamedDeposit as usize] -= 1;
+                // The round's `Help` clear emptied a cell of its own
+                // column.
+                s.parked -= 1;
+                tel.inflight -= 1;
                 self.totals.completed += 1;
                 tel.totals.completed += 1;
                 tel.window_counts.completed += 1;
@@ -1344,6 +1349,57 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
             Stepped::Completed
         } else {
             Stepped::Granted
+        }
+    }
+
+    /// Adds each in-flight session's completion bound to `hist`: the
+    /// fewest granted operations — one per tick at most — before the
+    /// session can complete, clamped to `hist.len() − 1 = S_min`.
+    /// `gate` is scratch of one entry per slot, all `u64::MAX` on entry
+    /// and on return. Reads only machine state and the parked counts,
+    /// never a register.
+    ///
+    /// A deposit round completes only by consuming a name parked in its
+    /// own column `Help[·][p]`. When column `p` holds one, the bound is
+    /// the session's [`Slot::floor`]; the slot's `parked` count includes
+    /// the name a session that has found one is about to clear.
+    /// Otherwise a row server must park one first: a session whose row
+    /// service is acquiring or parking for column `p`, `k` operations of
+    /// its slot from that write ([`Slot::park`]). The column read, the
+    /// arena write and the clear follow, so the bound is
+    /// `max(floor, k + 3)`. Any other park into `p` needs a row read
+    /// that finds the cell empty, a whole acquire (at least `5n + 3`)
+    /// and the write: `5n + 5` row events, which alternate with column
+    /// reads, so at least `10n + 9 ≥ S_min` operations. A session with
+    /// no server is therefore clamped to `S_min`. A session bound later
+    /// needs `S_min` operations from its binding.
+    fn bound_completions(&self, gate: &mut [u64], hist: &mut [u64]) {
+        let full = hist.len() as u64 - 1;
+        let mut servers = false;
+        for &slot in &self.active {
+            if let Some((column, ops)) = self.slots[slot].park() {
+                gate[column] = gate[column].min(ops);
+                servers = true;
+            }
+        }
+        for &slot in &self.active {
+            hist[self.completion_bound(slot, gate).min(full) as usize] += 1;
+        }
+        if servers {
+            gate.fill(u64::MAX);
+        }
+    }
+
+    /// The completion bound of the session on `slot`, given the fewest
+    /// operations to a park into each column (`gate`, `u64::MAX` where
+    /// no server targets it); see [`ShardState::bound_completions`].
+    fn completion_bound(&self, slot: usize, gate: &[u64]) -> u64 {
+        let s = &self.slots[slot];
+        let floor = s.floor();
+        if s.parked > 0 {
+            floor
+        } else {
+            floor.max(gate[slot].saturating_add(3))
         }
     }
 
@@ -1793,6 +1849,181 @@ mod tests {
             assert_eq!(w.window, i as u64);
             if i > 0 {
                 assert_eq!(w.start, report.windows[i - 1].end);
+            }
+        }
+    }
+
+    /// Asserts that `shard`'s parked-name count for every column equals
+    /// the non-null `Help` cells of that column, read from its bank.
+    pub(super) fn assert_parked_matches_help<B: RegisterBank>(
+        shard: &ShardState<'_, B>,
+        world: &ServiceWorld,
+    ) {
+        let n = shard.cfg.slots;
+        let cells = world.repo.help_occupancy_in_bank(&shard.bank);
+        for column in 0..n {
+            let names = (0..n)
+                .filter(|&row| cells[row * n + column].is_some())
+                .count();
+            assert_eq!(
+                usize::from(shard.slots[column].parked),
+                names,
+                "column {column} of {cells:?}"
+            );
+        }
+    }
+
+    /// The parked counts the fleet's lookahead reads equal the `Help`
+    /// matrix after every segment of crashy runs (hazard up to 10⁻²).
+    #[test]
+    fn parked_counts_match_the_help_matrix() {
+        let mut parked = 0;
+        for (seed, slots, crash_hazard) in [
+            (1, 1, 1e-2),
+            (2, 2, 0.0),
+            (3, 3, 2e-3),
+            (4, 4, 1e-2),
+            (5, 8, 1e-2),
+        ] {
+            let cfg = ServiceConfig {
+                seed,
+                slots,
+                arrivals: Arrivals::Poisson { mean_gap: 2.0 },
+                crash_hazard,
+                admission: Admission {
+                    max_inflight: slots,
+                    ..ServiceConfig::default().admission
+                },
+                ..ServiceConfig::default()
+            };
+            let world = ServiceWorld::new(&cfg);
+            let mut harness = ServiceHarness::new(&world, &cfg);
+            for target in 1..=300 {
+                assert!(harness.run_until(target), "{cfg:?}");
+                assert_parked_matches_help(&harness.shard, &world);
+                parked += harness
+                    .shard
+                    .slots
+                    .iter()
+                    .map(|s| u64::from(s.parked))
+                    .sum::<u64>();
+            }
+            assert_eq!(
+                harness.tel.totals.crashes > 0,
+                crash_hazard > 0.0,
+                "{cfg:?}"
+            );
+        }
+        assert!(parked > 0, "no audit saw a parked name");
+    }
+
+    /// Before every grant of a lone session, its floor is at most the
+    /// operations it still takes. At each phase's last operation the
+    /// floor is that phase's minimum — 7 in the acquire, 6 in the store,
+    /// 5 in the collect — and the deposit's operations read 4 (row
+    /// event), 3 (column read), 2 (arena write) and 1 (`Help` clear).
+    #[test]
+    fn session_floors_bound_the_ops_left_and_pin_the_phase_minima() {
+        let cfg = ServiceConfig {
+            seed: 9,
+            slots: 1,
+            arrivals: Arrivals::Poisson { mean_gap: 400.0 },
+            admission: Admission {
+                max_inflight: 1,
+                ..ServiceConfig::default().admission
+            },
+            ..ServiceConfig::default()
+        };
+        let world = ServiceWorld::new(&cfg);
+        let mut harness = ServiceHarness::new(&world, &cfg);
+        let mut floors = Vec::new();
+        let mut last = BTreeSet::new();
+        while harness.tel.totals.completed < 50 {
+            let Some(&slot) = harness.shard.active.first() else {
+                assert!(harness.advance());
+                continue;
+            };
+            let s = &harness.shard.slots[slot];
+            let (phase, floor) = (s.phase, s.floor());
+            let done = harness.tel.totals.completed;
+            assert!(harness.advance());
+            floors.push(floor);
+            let s = &harness.shard.slots[slot];
+            if harness.tel.totals.completed > done {
+                for (i, &floor) in floors.iter().rev().enumerate() {
+                    assert!(floor <= i as u64 + 1, "{floors:?}");
+                }
+                floors.clear();
+            }
+            if s.phase != phase || phase == Phase::Deposit {
+                last.insert((format!("{phase:?}"), floor));
+            }
+        }
+        let pinned: BTreeSet<(String, u64)> = [
+            ("Acquire", 7),
+            ("Store", 6),
+            ("Collect", 5),
+            ("Deposit", 4),
+            ("Deposit", 3),
+            ("Deposit", 2),
+            ("Deposit", 1),
+        ]
+        .into_iter()
+        .map(|(phase, floor)| (phase.to_string(), floor))
+        .collect();
+        assert_eq!(last, pinned);
+    }
+
+    /// `begin_round` keeps the row state, so a slot whose previous
+    /// session left its row service acquiring or parking for column `p`
+    /// is a server for `p` while its new session is back in the
+    /// acquire, store or collect phase: its park counts the operations
+    /// before its next round, then alternating row events, and it gates
+    /// the completion bound of `p`'s session.
+    #[test]
+    fn a_carried_over_row_service_is_a_server() {
+        let cfg = ServiceConfig {
+            seed: 4,
+            slots: 3,
+            arrivals: Arrivals::Poisson { mean_gap: 1.0 },
+            admission: Admission {
+                max_inflight: 3,
+                ..ServiceConfig::default().admission
+            },
+            ..ServiceConfig::default()
+        };
+        let world = ServiceWorld::new(&cfg);
+        let s_min = world.min_session_ops();
+        let mut harness = ServiceHarness::new(&world, &cfg);
+        let mut seen = BTreeSet::new();
+        while seen.len() < 3 {
+            assert!(harness.advance() && harness.tel.totals.completed < 20_000);
+            let shard = &harness.shard;
+            let mut gate = vec![u64::MAX; cfg.slots];
+            for &slot in &shard.active {
+                if let Some((column, ops)) = shard.slots[slot].park() {
+                    gate[column] = gate[column].min(ops);
+                }
+            }
+            for &slot in &shard.active {
+                let s = &shard.slots[slot];
+                let Some((column, rows)) = s.machines.deposit.pending_park() else {
+                    continue;
+                };
+                let Some(to_deposit) = s.ops_to_deposit() else {
+                    continue;
+                };
+                let ops = to_deposit + 2 * rows - 1;
+                assert_eq!(s.park(), Some((column, ops)));
+                if shard.active_pos[column] == NOT_ACTIVE || shard.slots[column].parked > 0 {
+                    continue;
+                }
+                let bound = shard.completion_bound(column, &gate);
+                assert!(bound <= shard.slots[column].floor().max(ops + 3));
+                if ops + 3 < s_min {
+                    assert!(bound < s_min, "slot {slot} does not gate column {column}");
+                    seen.insert(format!("{:?}", s.phase));
+                }
             }
         }
     }

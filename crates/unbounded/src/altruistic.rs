@@ -181,6 +181,18 @@ impl AltruisticDeposit {
         self.help.iter().map(|reg| regs[reg.0].as_int()).collect()
     }
 
+    /// [`AltruisticDeposit::help_occupancy`] over a
+    /// [`RegisterBank`](exsel_shm::RegisterBank), through its
+    /// non-mutating `load` — how tests audit the names parked in an
+    /// open-loop service's bank.
+    #[must_use]
+    pub fn help_occupancy_in_bank<B: exsel_shm::RegisterBank>(&self, bank: &B) -> Vec<Option<u64>> {
+        self.help
+            .iter()
+            .map(|reg| bank.load(reg).as_int())
+            .collect()
+    }
+
     /// The next operation of the row-service activity (pure).
     fn row_op(&self, pid: usize, st: &AltruisticState) -> ShmOp {
         match st.row_phase {
@@ -456,6 +468,72 @@ impl DepositOp<'_> {
         )
     }
 
+    /// The fewest operations before this machine completes, a pure
+    /// function of its phase: 4 at a `Row` event, 3 at a `Column` read
+    /// (which may find a name), 2 at the arena write, 1 at the `Help`
+    /// clear, plus [`DepositOp::MIN_OPS`] for each round still to begin.
+    /// A serve machine reports the events it has left, and a completed
+    /// machine 0.
+    #[must_use]
+    pub fn min_ops_left(&self) -> u64 {
+        let rounds = match self.goal {
+            DepositGoal::Deposit { rounds } => rounds,
+            DepositGoal::Serve { events } => return events - self.events_done,
+        };
+        let Some(later) = (rounds - self.deposits.len()).checked_sub(1) else {
+            return 0;
+        };
+        let round = match self.phase {
+            DepositPhase::Row => Self::MIN_OPS,
+            DepositPhase::Column => Self::MIN_OPS - 1,
+            DepositPhase::ArenaWrite { .. } => 2,
+            DepositPhase::HelpClear { .. } => 1,
+        };
+        round + later as u64 * Self::MIN_OPS
+    }
+
+    /// The row service's pending park, read from its local state: the
+    /// column `t` whose cell `Help[p][t]` receives the next name, and
+    /// the row events left up to and including that park write — the
+    /// embedded acquire's fewest operations left (counted as
+    /// [`NamingMachine::min_ops_left`](crate::NamingMachine::min_ops_left)
+    /// counts them) plus the write while acquiring, 1 at the write
+    /// itself. `None`
+    /// while the row is being scanned: a park then needs a scan read
+    /// that finds an empty cell and a whole acquire first.
+    ///
+    /// The row state outlives a round: [`DepositOp::begin_round`] keeps
+    /// it, and only [`DepositOp::reenter`] (and a trial reset) clear it.
+    /// Row and `Column` events strictly alternate within a round.
+    #[must_use]
+    pub fn pending_park(&self) -> Option<(usize, u64)> {
+        match self.st.row_phase {
+            RowPhase::Scanning => None,
+            RowPhase::Acquiring { target } => {
+                Some((target, self.st.acquire.min_ops_left(&self.repo.naming) + 1))
+            }
+            RowPhase::Parking { target, .. } => Some((target, 1)),
+        }
+    }
+
+    /// The column the next operation parks a name in — `Some(t)` when it
+    /// is the write into `Help[p][t]` — read before the operation is
+    /// granted. A park is the only write that puts a name into `Help`.
+    #[must_use]
+    pub fn next_park(&self) -> Option<usize> {
+        match (self.phase, self.st.row_phase) {
+            (DepositPhase::Row, RowPhase::Parking { target, .. }) => Some(target),
+            _ => None,
+        }
+    }
+
+    /// Whether the next operation is a `Column` read, so the next row
+    /// event is one operation further away.
+    #[must_use]
+    pub fn reads_column_next(&self) -> bool {
+        matches!(self.phase, DepositPhase::Column)
+    }
+
     /// The arena register indices claimed so far in this trial, in
     /// deposit order (empty for serve machines). Deposits recorded here
     /// are permanent even if the machine is crashed later in the trial.
@@ -690,8 +768,8 @@ mod tests {
     }
 
     /// A round whose first column read finds a parked name takes exactly
-    /// `DepositOp::MIN_OPS` operations, and holds its name from that read
-    /// on.
+    /// `DepositOp::MIN_OPS` operations, holds its name from that read
+    /// on, and reports exactly the operations left before each one.
     #[test]
     fn deposit_with_a_parked_name_takes_the_minimum_ops() {
         let mut alloc = RegAlloc::new();
@@ -706,11 +784,47 @@ mod tests {
         let ctx = Ctx::new(&mem, Pid(1));
         let mut machine = repo.begin_deposit(Pid(1), 5, 1);
         let mut named = Vec::new();
+        let mut left = vec![machine.min_ops_left()];
         while machine.poll(ctx).unwrap().ready().is_none() {
             named.push(machine.holds_name());
+            left.push(machine.min_ops_left());
         }
         assert_eq!(ctx.steps(), DepositOp::MIN_OPS);
         assert_eq!(named, [false, true, true]);
+        assert_eq!(left, [4, 3, 2, 1]);
+        assert_eq!(machine.min_ops_left(), 0);
+    }
+
+    /// The row service's pending park, the park write itself and the
+    /// alternation of row events with column reads, on a solo round
+    /// that must park its own name first: the park lands exactly when
+    /// `pending_park` says, because a lone process never retries.
+    #[test]
+    fn solo_round_parks_when_pending_park_says() {
+        let mut alloc = RegAlloc::new();
+        let repo = AltruisticDeposit::new(&mut alloc, 1, 64);
+        let mem = ThreadedShm::new(alloc.total(), 1);
+        let ctx = Ctx::new(&mem, Pid(0));
+        let mut machine = repo.begin_deposit(Pid(0), 5, 1);
+        let (mut row_events, mut parked) = (0, None);
+        let mut pending = Vec::new();
+        loop {
+            pending.push((row_events, machine.pending_park()));
+            if machine.next_park().is_some() {
+                parked = Some(row_events);
+            }
+            row_events += u64::from(!machine.holds_name() && !machine.reads_column_next());
+            if machine.poll(ctx).unwrap().ready().is_some() {
+                break;
+            }
+        }
+        let parked = parked.expect("a lone process parks its own name");
+        for (before, park) in pending {
+            if let Some((column, rows)) = park.filter(|_| before <= parked) {
+                assert_eq!(column, 0);
+                assert_eq!(rows, parked + 1 - before);
+            }
+        }
     }
 
     #[test]

@@ -400,6 +400,36 @@ impl AcquireOp {
         }
     }
 
+    /// The fewest operations this acquire still needs to commit, a pure
+    /// function of its local state. Each state counts its own remaining
+    /// operations at their minimum and every later state once, as
+    /// [`UnboundedNaming::min_acquire_ops`] does: the rest of the
+    /// publication, the update and the scan, one `A_q` read per process
+    /// still to check, and the two commit writes. A prune restarts the
+    /// whole acquire over the published suite. A fresh acquire over a
+    /// published suite reports `min_acquire_ops`; a committed one, 0.
+    #[must_use]
+    pub(crate) fn min_ops_left(&self, naming: &UnboundedNaming) -> u64 {
+        let n = naming.n as u64;
+        let acquire = naming.min_acquire_ops();
+        let checks = n - 1;
+        match self.state {
+            AcqState::Publish { idx } => 2 * n - idx as u64 + acquire,
+            AcqState::Update => self.update.min_ops_left() + ScanOp::min_ops(naming.n) + checks + 2,
+            AcqState::Scan => self.scan.min_ops_left() + checks + 2,
+            AcqState::CheckA { q } | AcqState::CheckSlots { q, .. } => {
+                // The processes after `q`, skipping ourselves.
+                let later = (naming.n - 1 - q) - usize::from(self.slot > q);
+                1 + later as u64 + 2
+            }
+            AcqState::PruneSlot => 2 + acquire,
+            AcqState::PruneAdvanceA => 1 + acquire,
+            AcqState::CommitSlot => 2,
+            AcqState::CommitAdvanceA { .. } => 1,
+            AcqState::Done => 0,
+        }
+    }
+
     /// [`AcquireOp::describe`] without materializing the operand word —
     /// delegates to the owned snapshot ops' `peek` in the update state,
     /// where `op()` would clone the pending record's `Arc`.
@@ -600,6 +630,20 @@ impl NamingMachine<'_> {
     #[must_use]
     pub fn names(&self) -> &[u64] {
         &self.names
+    }
+
+    /// The fewest operations before this machine completes, a pure
+    /// function of its local state: the current acquire's remaining
+    /// operations at their minimum — the rest of the publication, the
+    /// update, the scan, one `A_q` read per process still to check and
+    /// the two commit writes, with a prune restarting the acquire — plus
+    /// [`UnboundedNaming::min_acquire_ops`] for each round still to
+    /// begin. A session begun over a published suite reports
+    /// `min_acquire_ops`; a completed machine, 0.
+    #[must_use]
+    pub fn min_ops_left(&self) -> u64 {
+        let later = (self.rounds - self.names.len()).saturating_sub(1) as u64;
+        self.acquire.min_ops_left(self.naming) + later * self.naming.min_acquire_ops()
     }
 
     /// Re-arms a completed (or mid-flight) machine in place for its next
@@ -824,6 +868,23 @@ mod tests {
         naming.acquire(ctx, &mut st).unwrap();
         assert_eq!(ctx.steps() - published, naming.min_acquire_ops());
         assert_eq!(naming.min_acquire_ops(), 5 + 3);
+        // Before each operation the machine names exactly the operations
+        // left, over its publication and the acquire after it.
+        let mut machine = naming.begin_machine(Pid(0), 2);
+        let mem = ThreadedShm::new(alloc.total(), 1);
+        let ctx = Ctx::new(&mem, Pid(0));
+        let mut left = Vec::new();
+        loop {
+            left.push(machine.min_ops_left());
+            if machine.poll(ctx).unwrap().ready().is_some() {
+                break;
+            }
+        }
+        assert!(
+            left.iter().rev().copied().eq(1..=left.len() as u64),
+            "{left:?}"
+        );
+        assert_eq!(left.len() as u64, 2 + 2 * naming.min_acquire_ops());
     }
 
     #[test]

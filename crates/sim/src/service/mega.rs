@@ -1,10 +1,10 @@
 //! Mega-scale sharded service: per-shard admission controllers with a
 //! global telemetry roll-up, slab-backed for 10⁴+ concurrent slots.
 //!
-//! The unsharded [`ServiceHarness`](super::ServiceHarness) drives one
-//! internal `ShardState` — one world, one admission controller, one
-//! arrival stream. This module scales the serving layer the way a real
-//! fleet does: `shards` independent admission controllers, each with
+//! A `ShardState` is one world, one admission controller, one arrival
+//! stream; [`ServiceHarness`](super::ServiceHarness) is a fleet of one
+//! of them. This module scales the serving layer the way a real fleet
+//! does: `shards` independent admission controllers, each with
 //! its own shared-memory world ([`ServiceWorld`] per shard), its own
 //! [`SlabBank`] register file, its own bounded queue, backoff heap and
 //! fault injector, all driven in lock-step on **one global clock**. An
@@ -42,24 +42,26 @@
 //!   server's park write after a whole acquire. So a session whose
 //!   column is empty completes no sooner than the nearest pending park
 //!   into it + 3 operations, and without one no sooner than `S_min`
-//!   (see `ShardState::bound_completions`). Each shard adds its
-//!   sessions' bounds to a histogram at the end of its visit. `E` is the
-//!   largest length up to `min(S_min, ticks to the window end, ticks to
-//!   the horizon)` for which the sessions with a bound below `E` stay
-//!   below the sessions still needed; a session bound inside the epoch
-//!   needs `S_min ≥ E` ticks and cannot complete before its last tick.
-//!   Each epoch asserts that bound, and each completion that its
-//!   session took at least `S_min` operations.
-//! - **Audit order.** Tickets enter the audit in completion order,
-//!   which the reference produces as `(tick, shard)` and an epoch as
-//!   `(shard, tick)`. Each epoch re-sorts its completions by
-//!   `(tick, shard)` in a pre-sized scratch before the audit keeps them.
-//!   An epoch completes at most its bound before its last tick and one
-//!   session per shard at it, so the rule caps the bound at
-//!   `max(shards, max_inflight)` and the scratch holds that plus
-//!   `shards` entries.
-//!   Everything else the shards share only adds to counters and
-//!   histograms, and epochs never cross a window end.
+//!   (see `ShardState::bound_completions`). A session bound inside the
+//!   epoch needs `S_min ≥ E` ticks and cannot complete before its last
+//!   tick. So while more sessions are still needed than are in flight,
+//!   `E` is the cap, `min(S_min, ticks to the window end, ticks to the
+//!   horizon)`. Otherwise `E` is the largest length up to the cap for
+//!   which the sessions with a bound below `E` stay below the sessions
+//!   still needed. Each shard adds its sessions' bounds to a histogram
+//!   at the end of its visit, but only while at most
+//!   `2 · shards · max_inflight` sessions are still needed: an epoch
+//!   completes at most one session per in-flight slot, so after an
+//!   epoch that skips the gather the next one does not read it. Each
+//!   epoch asserts its bound and that any histogram it reads was
+//!   gathered, and each completion that its session took at least
+//!   `S_min` operations.
+//! - **Audit order.** The reference interleaves the shards' completions
+//!   by tick, and an epoch runs shard by shard. So `finish` sorts a
+//!   fleet's tickets in place, and both drivers report them in
+//!   ascending order; one shard's stay in completion order. Everything
+//!   else the shards share only adds to counters and histograms, and
+//!   epochs never cross a window end.
 //! - **Drained clock.** When the fleet drains inside an epoch, the clock
 //!   stops one tick past the last grant, as the reference's does.
 //!
@@ -77,7 +79,7 @@
 //!   idle fast-forward reads the heap minimum.
 //! - **Lazy gauges.** The fleet's `(inflight, queued, waiting)` gauges
 //!   are summed over the shards only when a window closes, and in
-//!   `finish`, because only window rows record them.
+//!   `finish`, because only window rows and the report read them.
 //!
 //! An idle fleet ends the run when the calendar is empty. That relies
 //! on `Admission::max_inflight ≥ 1`, asserted at construction: a shard
@@ -95,9 +97,10 @@
 //! ≥ 1 step) distorts *less* than the unsharded stream — and the fleet
 //! can absorb up to `shards` arrivals per tick where one stream is
 //! capped at one. With `shards = 1` the thinning factor is ×1.0 and the
-//! seed salt is 0, so the mega harness reproduces the unsharded run
-//! **bit-identically** — totals, every window row, every ticket
-//! (`tests/crash_semantics.rs` proves this differentially).
+//! seed salt is 0, so the shard runs the base configuration bit for bit:
+//! that fleet is [`ServiceHarness`](super::ServiceHarness), which
+//! `service_harness_matches_the_reference_tick` compares with the
+//! reference tick over crash-storm shapes.
 //!
 //! # Ticket namespacing
 //!
@@ -390,7 +393,7 @@ impl EventHeap {
 /// register file exists for.
 pub struct MegaServiceHarness<'w, B: RegisterBank = SlabBank> {
     cfg: MegaServiceConfig,
-    shards: Vec<ShardState<'w, B>>,
+    pub(super) shards: Vec<ShardState<'w, B>>,
     tel: Telemetry,
     now: u64,
     /// One bit per shard, set exactly when the shard has an active
@@ -406,21 +409,14 @@ pub struct MegaServiceHarness<'w, B: RegisterBank = SlabBank> {
     /// more; [`ShardState::bound_completions`]). The next epoch's
     /// length is read from it.
     bounds: Vec<u64>,
+    /// Whether the last epoch gathered `bounds`.
+    gathered: bool,
     /// The same histogram for the next epoch, gathered at the end of
     /// each shard's visit and swapped with `bounds` when the epoch ends.
     next_bounds: Vec<u64>,
     /// Per-column scratch for [`ShardState::bound_completions`], one
     /// entry per slot, `u64::MAX` between visits.
     gate: Vec<u64>,
-    /// The `(tick, shard, ticket)` of every session completed in the
-    /// current epoch, re-sorted by `(tick, shard)` into the audit when
-    /// the epoch ends. Sized for the most an epoch can complete: its
-    /// bound before the last tick, and one per shard at it.
-    finished: Vec<(u64, usize, u64)>,
-    /// With tickets recorded, the largest bound an epoch may rest on,
-    /// `max(shards, max_inflight)`, so its completions fit `finished`;
-    /// `u64::MAX` without.
-    max_bound: u64,
     /// `epochs[len]` counts the epochs of `len` ticks and the ticks they
     /// covered.
     epochs: Vec<(u64, u64)>,
@@ -466,32 +462,29 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
     /// (see [`super::ServiceHarness::with_bank`]).
     #[must_use]
     pub fn with_banks(world: &'w MegaServiceWorld, cfg: &MegaServiceConfig, banks: Vec<B>) -> Self {
+        Self::over(&world.worlds, cfg, banks)
+    }
+
+    /// [`MegaServiceHarness::with_banks`] over the shards' worlds, one
+    /// per shard; [`ServiceHarness`](super::ServiceHarness) is a fleet of
+    /// one over its world.
+    pub(super) fn over(worlds: &'w [ServiceWorld], cfg: &MegaServiceConfig, banks: Vec<B>) -> Self {
         assert!(cfg.shards > 0, "need at least one shard");
         assert_eq!(
-            world.worlds.len(),
+            worlds.len(),
             cfg.shards,
             "world built for a different shard count"
         );
         assert_eq!(banks.len(), cfg.shards, "need one register bank per shard");
         let step = cfg.shards as u64;
-        let shards: Vec<ShardState<'w, B>> = world
-            .worlds
+        let shards: Vec<ShardState<'w, B>> = worlds
             .iter()
             .zip(banks)
             .enumerate()
             .map(|(s, (w, bank))| ShardState::new(w, &cfg.shard_cfg(s), bank, s as u64, step))
             .collect();
         let events = EventHeap::new(shards.iter().map(ShardState::next_event).collect());
-        let min_session_ops = world.worlds[0].min_session_ops();
-        // The cap lets a 1-shard fleet count all `max_inflight`
-        // sessions; a larger fleet shortens epochs only while more
-        // sessions than shards are in flight.
-        let (max_bound, finished) = if cfg.base.record_names {
-            let max_bound = cfg.shards.max(cfg.base.admission.max_inflight);
-            (max_bound as u64, cfg.shards + max_bound)
-        } else {
-            (u64::MAX, 0)
-        };
+        let min_session_ops = worlds[0].min_session_ops();
         MegaServiceHarness {
             cfg: *cfg,
             shards,
@@ -501,10 +494,9 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
             events,
             min_session_ops,
             bounds: vec![0; min_session_ops as usize + 1],
+            gathered: false,
             next_bounds: vec![0; min_session_ops as usize + 1],
             gate: vec![u64::MAX; cfg.base.slots],
-            finished: Vec::with_capacity(finished),
-            max_bound,
             epochs: vec![(0, 0); min_session_ops as usize + 1],
         }
     }
@@ -617,19 +609,14 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
     /// Runs one epoch shard by shard, or fast-forwards an idle fleet to
     /// its next event, window boundary or horizon. Stops short of
     /// `target` completions until the epoch's last tick. Returns `false`
-    /// when the run cannot continue.
-    ///
-    /// The epoch's length is the largest `len ≤ min(S_min, ticks to the
-    /// window end, ticks to the horizon)` for which the sessions that
-    /// can complete before its last tick — those whose completion bound
-    /// in `bounds` is below `len` — stay below the sessions still
-    /// needed. A session bound inside the epoch needs `S_min ≥ len`
-    /// ticks, so it cannot complete before the last one.
+    /// when the run cannot continue. The module docs give the epoch's
+    /// length and when the shards gather the completion bounds.
     ///
     /// # Panics
     ///
     /// Panics if the epoch completes more sessions before its last tick
-    /// than its bound allows.
+    /// than its bound allows, or would read a histogram the last epoch
+    /// did not gather.
     fn epoch(&mut self, target: u64) -> bool {
         let now = self.now;
         let horizon = self.cfg.base.horizon;
@@ -650,19 +637,25 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
             self.now = next.min(self.tel.window_end).min(horizon);
             return true;
         }
-        let needed = (target - self.tel.totals.completed).min(self.max_bound.saturating_add(1));
+        let needed = target - self.tel.totals.completed;
         let cap = self
             .min_session_ops
             .min(self.tel.window_end - now)
             .min(horizon - now);
-        let (mut len, mut bound) = (cap, 0);
-        for (b, &sessions) in self.bounds.iter().enumerate().take(cap as usize).skip(1) {
-            if bound + sessions >= needed {
-                len = b as u64;
-                break;
+        let (mut len, mut bound) = (cap, self.tel.inflight);
+        if needed <= self.tel.inflight {
+            assert!(self.gathered, "an epoch read ungathered completion bounds");
+            bound = 0;
+            for (b, &sessions) in self.bounds.iter().enumerate().take(cap as usize).skip(1) {
+                if bound + sessions >= needed {
+                    len = b as u64;
+                    break;
+                }
+                bound += sessions;
             }
-            bound += sessions;
         }
+        let max_inflight = self.cfg.shards as u64 * self.cfg.base.admission.max_inflight as u64;
+        let gather = needed <= 2 * max_inflight;
         let end = now + len;
         // Visit the shards with an event due inside the epoch too.
         loop {
@@ -698,17 +691,11 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
                         continue;
                     }
                     match shard.step(t, &mut self.tel) {
-                        Stepped::Completed => {
-                            early += u64::from(t + 1 < end);
-                            if self.tel.record_names {
-                                let ticket = self.tel.names[self.tel.names.len() - 1];
-                                self.finished.push((t, s, ticket));
-                            }
-                        }
+                        Stepped::Completed => early += u64::from(t + 1 < end),
                         // A crash's backoff timer can only pull the
                         // next event earlier.
                         Stepped::Crashed => next = shard.next_event(),
-                        Stepped::Granted | Stepped::Idle => {}
+                        Stepped::Granted => {}
                     }
                     last_grant = last_grant.max(t);
                     t += 1;
@@ -718,7 +705,7 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
                 }
                 if shard.active.is_empty() {
                     self.busy[w] &= !bit;
-                } else {
+                } else if gather {
                     // The shard's machines are still in cache.
                     shard.bound_completions(&mut self.gate, &mut self.next_bounds);
                 }
@@ -731,20 +718,13 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
             early <= bound,
             "{early} sessions completed before the last of {len} ticks, above the bound {bound}"
         );
-        // Every shard with a session in flight was visited.
-        std::mem::swap(&mut self.bounds, &mut self.next_bounds);
-        self.next_bounds.fill(0);
-        debug_assert_eq!(self.bounds.iter().sum::<u64>(), self.tel.inflight);
-        // Shard by shard, tickets reach the audit in (shard, tick)
-        // order; the reference tick records them in (tick, shard) order.
-        if len > 1 {
-            self.finished.sort_unstable_by_key(|&(t, s, _)| (t, s));
-            let from = self.tel.names.len() - self.finished.len();
-            for (name, &(_, _, ticket)) in self.tel.names[from..].iter_mut().zip(&self.finished) {
-                *name = ticket;
-            }
+        if gather {
+            // Every shard with a session in flight was visited.
+            std::mem::swap(&mut self.bounds, &mut self.next_bounds);
+            self.next_bounds.fill(0);
+            debug_assert_eq!(self.bounds.iter().sum::<u64>(), self.tel.inflight);
         }
-        self.finished.clear();
+        self.gathered = gather;
         // A drained fleet's clock stops one tick past its last grant.
         self.now = if self.idle() && self.events.min().0 == u64::MAX {
             last_grant + 1
@@ -757,10 +737,13 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
         true
     }
 
-    /// Emits the final partial window and assembles the report.
-    pub fn finish(self) -> MegaServiceReport {
+    /// Emits the final partial window and assembles the report, with
+    /// the tickets in ascending order unless the fleet has one shard.
+    pub fn finish(mut self) -> MegaServiceReport {
+        if self.cfg.shards > 1 {
+            self.tel.names.sort_unstable();
+        }
         let gauges = self.gauges();
-        let in_system = self.shards.iter().map(ShardState::in_system).sum();
         let now = self.now;
         let shard_totals = self
             .shards
@@ -772,7 +755,7 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
             })
             .collect();
         MegaServiceReport {
-            report: self.tel.finish(now, gauges, in_system),
+            report: self.tel.finish(now, gauges),
             shard_totals,
         }
     }
@@ -780,47 +763,62 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Admission, ServiceHarness};
+    use super::super::{Admission, Phase, ServiceHarness, NOT_ACTIVE};
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
-    /// The reference tick: every tick it rolls the gauges and fires,
-    /// generates and steps every shard in ascending order, and an idle
-    /// tick scans every shard for `drained` and folds every shard's
-    /// `next_event`. It drives the harness's own shards and sink, and
-    /// ignores the busy set, the event calendar and the epochs. Runs
-    /// until `sessions` have completed; returns `false` when the run
-    /// ends first.
-    fn reference_until<B: RegisterBank>(h: &mut MegaServiceHarness<'_, B>, sessions: u64) -> bool {
+    /// One reference tick: it rolls the gauges and fires, generates and
+    /// steps every shard in ascending order, and an idle tick checks
+    /// whether every shard is drained (arrivals exhausted, nothing queued
+    /// or backing off) and folds every shard's `next_event`. It drives
+    /// the harness's own shards and sink, and ignores the busy set, the
+    /// event calendar and the epochs. Returns `false` when the run
+    /// cannot continue.
+    fn reference_tick<B: RegisterBank>(h: &mut MegaServiceHarness<'_, B>) -> bool {
         let base = h.cfg.base;
+        if h.now >= base.horizon {
+            return false;
+        }
+        let gauges = h.gauges();
+        h.tel.roll(h.now, gauges);
+        for shard in &mut h.shards {
+            shard.fire_due_timers(h.now, &mut h.tel);
+            shard.generate_arrivals(h.now, &mut h.tel);
+        }
+        let mut granted = false;
+        for shard in &mut h.shards {
+            if !shard.active.is_empty() {
+                shard.step(h.now, &mut h.tel);
+                granted = true;
+            }
+        }
+        if granted {
+            h.now += 1;
+            return true;
+        }
+        if h.shards
+            .iter()
+            .all(|s| s.arrivals_exhausted() && s.queue.is_empty() && s.timers.is_empty())
+        {
+            return false;
+        }
+        let next = h
+            .shards
+            .iter()
+            .map(ShardState::next_event)
+            .fold(base.horizon.min(h.tel.window_end), u64::min);
+        h.now = next.max(h.now + 1);
+        true
+    }
+
+    /// [`reference_tick`] until `sessions` have completed; returns
+    /// `false` when the run ends first.
+    fn reference_until<B: RegisterBank>(h: &mut MegaServiceHarness<'_, B>, sessions: u64) -> bool {
         while h.tel.totals.completed < sessions {
-            if h.now >= base.horizon {
+            if !reference_tick(h) {
                 return false;
             }
-            let gauges = h.gauges();
-            h.tel.roll(h.now, gauges);
-            for shard in &mut h.shards {
-                shard.fire_due_timers(h.now, &mut h.tel);
-                shard.generate_arrivals(h.now, &mut h.tel);
-            }
-            let mut granted = false;
-            for shard in &mut h.shards {
-                granted |= shard.step(h.now, &mut h.tel) != Stepped::Idle;
-            }
-            if granted {
-                h.now += 1;
-                continue;
-            }
-            if h.shards.iter().all(ShardState::drained) {
-                return false;
-            }
-            let next = h
-                .shards
-                .iter()
-                .map(ShardState::next_event)
-                .fold(base.horizon.min(h.tel.window_end), u64::min);
-            h.now = next.max(h.now + 1);
         }
         true
     }
@@ -861,10 +859,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The event-driven tick reproduces the reference tick's whole
-        /// report: totals, windows, cumulative histograms, tickets in
-        /// completion order, `in_system` and every shard's totals. Runs
-        /// end by draining a client budget, by a session target, or at
-        /// a small horizon.
+        /// report: totals, windows, cumulative histograms, the ticket
+        /// audit, `in_system` and every shard's totals. Runs end by
+        /// draining a client budget, by a session target, or at a small
+        /// horizon.
         #[test]
         fn event_driven_tick_matches_the_reference_tick(
             seed in 0u64..10_000,
@@ -967,7 +965,6 @@ mod tests {
                 fast.prime();
                 slow.prime();
             }
-            let scratch = fast.finished.capacity();
             for &target in &targets {
                 prop_assert_eq!(fast.run_until(target), reference_until(&mut slow, target));
                 prop_assert_eq!(fast.ops(), slow.ops(), "target {}", target);
@@ -981,7 +978,6 @@ mod tests {
                 fast.epoch_lengths()[2..].iter().any(|&(epochs, _)| epochs > 0),
                 "only one-tick epochs ran"
             );
-            prop_assert_eq!(fast.finished.capacity(), scratch, "the epoch scratch grew");
             let (fast, slow) = (fast.finish(), slow.finish());
             prop_assert_eq!(fast.report.totals, slow.report.totals);
             prop_assert_eq!(&fast.shard_totals, &slow.shard_totals);
@@ -990,6 +986,123 @@ mod tests {
             prop_assert_eq!(fast.report.in_system, slow.report.in_system);
             prop_assert!(fast == slow, "cumulative histograms diverge");
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// [`ServiceHarness`], a fleet of one shard, reproduces the
+        /// reference tick's whole report over crash-storm service
+        /// shapes: bounded arrivals that drain, slot counts, arrival
+        /// pressure down to overload, hazards up to 1% per granted step,
+        /// and tight admission bounds.
+        #[test]
+        fn service_harness_matches_the_reference_tick(
+            seed in 0u64..10_000,
+            slots in 2usize..6,
+            clients in 40u64..160,
+            mean_gap in 2.0f64..400.0,
+            hazard in 0.0f64..0.01,
+            max_inflight in 1usize..6,
+            queue_capacity in 0usize..6,
+            waiting_capacity in 1usize..32,
+        ) {
+            let mut cfg = base_cfg(seed, clients, hazard);
+            cfg.slots = slots;
+            cfg.window = 1 << 12;
+            cfg.arrivals = Arrivals::Poisson { mean_gap };
+            cfg.admission.max_inflight = max_inflight.min(slots);
+            cfg.admission.queue_capacity = queue_capacity;
+            cfg.admission.waiting_capacity = waiting_capacity;
+            let world_a = ServiceWorld::new(&cfg);
+            let fast = ServiceHarness::new(&world_a, &cfg).run();
+            let world_b = ServiceWorld::new(&cfg);
+            let slow = reference_run(ServiceHarness::new(&world_b, &cfg).0);
+            prop_assert_eq!(&slow.shard_totals, &vec![fast.totals]);
+            prop_assert!(fast == slow.report, "reports diverge");
+        }
+    }
+
+    /// Drives a one-shard fleet and the reference tick through stops
+    /// mostly 100–190 sessions apart and a few 1–3 apart, comparing ops
+    /// and completions at every stop and the whole reports at the end.
+    /// Far from a stop an epoch skips the gather of completion bounds,
+    /// and within `2 · max_inflight` sessions of it the gather resumes.
+    /// The fleet runs epoch by epoch, so that the drive can assert that
+    /// both happen.
+    fn one_shard_drive_matches_the_reference(cfg: &ServiceConfig) {
+        let world_a = ServiceWorld::new(cfg);
+        let mut fast = ServiceHarness::with_bank(&world_a, cfg, SlabBank::new()).0;
+        let world_b = ServiceWorld::new(cfg);
+        let mut slow = ServiceHarness::with_bank(&world_b, cfg, SlabBank::new()).0;
+        let (mut skipped, mut resumed, mut target) = (0, 0, 200);
+        for gap in [150, 1, 100, 190, 2, 120, 160, 3, 100, 130, 1, 110].repeat(2) {
+            target += gap;
+            while fast.completed() < target {
+                let skipping = !fast.gathered;
+                assert!(fast.epoch(target), "{cfg:?}");
+                skipped += u64::from(!fast.gathered);
+                resumed += u64::from(skipping && fast.gathered);
+            }
+            assert!(reference_until(&mut slow, target));
+            assert_eq!(
+                (fast.ops(), fast.completed()),
+                (slow.ops(), slow.completed()),
+                "target {target}"
+            );
+        }
+        assert!(
+            skipped > 0 && resumed > 0,
+            "{skipped} skips, {resumed} resumes"
+        );
+        let (fast, slow) = (fast.finish(), slow.finish());
+        assert!(fast == slow, "reports diverge");
+    }
+
+    /// perfbench `steady`'s shape: one shard of 8 slots, Poisson gap
+    /// 2800, crashless.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "release-mode differential: cargo test --release"
+    )]
+    fn steady_shaped_epochs_match_the_reference_tick() {
+        let cfg = ServiceConfig {
+            seed: 31,
+            arrivals: Arrivals::Poisson { mean_gap: 2800.0 },
+            window: 1 << 20,
+            ..ServiceConfig::default()
+        };
+        one_shard_drive_matches_the_reference(&cfg);
+    }
+
+    /// perfbench `storm`'s shape: bursty overload, hazard 2·10⁻³, a
+    /// queue of 8 and a waiting room of 64.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "release-mode differential: cargo test --release"
+    )]
+    fn storm_shaped_epochs_match_the_reference_tick() {
+        let cfg = ServiceConfig {
+            seed: 37,
+            window: 1 << 16,
+            arrivals: Arrivals::Bursty {
+                mean_gap: 700.0,
+                burst: 1 << 15,
+                lull: 1 << 14,
+            },
+            crash_hazard: 2e-3,
+            admission: Admission {
+                queue_capacity: 8,
+                backoff_base: 256,
+                max_retries: 6,
+                waiting_capacity: 64,
+                ..ServiceConfig::default().admission
+            },
+            ..ServiceConfig::default()
+        };
+        one_shard_drive_matches_the_reference(&cfg);
     }
 
     /// A primed 250-shard × 8-slot fleet at the benchmark's per-shard
@@ -1141,10 +1254,182 @@ mod tests {
             for target in (1..=60).map(|segment| 4 * segment) {
                 assert!(harness.run_until(target), "{cfg:?}");
                 for (shard, w) in harness.shards.iter().zip(&world.worlds) {
-                    super::super::tests::assert_parked_matches_help(shard, w);
+                    assert_parked_matches_help(shard, w);
                 }
             }
             assert!(harness.tel.totals.crashes > 0, "{cfg:?}");
+        }
+    }
+
+    /// Asserts that `shard`'s parked-name count for every column equals
+    /// the non-null `Help` cells of that column, read from its bank.
+    fn assert_parked_matches_help<B: RegisterBank>(
+        shard: &ShardState<'_, B>,
+        world: &ServiceWorld,
+    ) {
+        let n = shard.cfg.slots;
+        let cells = world.repo.help_occupancy_in_bank(&shard.bank);
+        for column in 0..n {
+            let names = (0..n)
+                .filter(|&row| cells[row * n + column].is_some())
+                .count();
+            assert_eq!(
+                usize::from(shard.slots[column].parked),
+                names,
+                "column {column} of {cells:?}"
+            );
+        }
+    }
+
+    /// The parked counts the lookahead reads equal the `Help` matrix
+    /// after every segment of crashy one-shard runs (hazard up to
+    /// 10⁻²).
+    #[test]
+    fn parked_counts_match_the_help_matrix() {
+        let mut parked = 0;
+        for (seed, slots, crash_hazard) in [
+            (1, 1, 1e-2),
+            (2, 2, 0.0),
+            (3, 3, 2e-3),
+            (4, 4, 1e-2),
+            (5, 8, 1e-2),
+        ] {
+            let cfg = ServiceConfig {
+                seed,
+                slots,
+                arrivals: Arrivals::Poisson { mean_gap: 2.0 },
+                crash_hazard,
+                admission: Admission {
+                    max_inflight: slots,
+                    ..ServiceConfig::default().admission
+                },
+                ..ServiceConfig::default()
+            };
+            let world = ServiceWorld::new(&cfg);
+            let mut harness = ServiceHarness::new(&world, &cfg).0;
+            for target in 1..=300 {
+                assert!(harness.run_until(target), "{cfg:?}");
+                let shard = &harness.shards[0];
+                assert_parked_matches_help(shard, &world);
+                parked += shard.slots.iter().map(|s| u64::from(s.parked)).sum::<u64>();
+            }
+            assert_eq!(
+                harness.tel.totals.crashes > 0,
+                crash_hazard > 0.0,
+                "{cfg:?}"
+            );
+        }
+        assert!(parked > 0, "no audit saw a parked name");
+    }
+
+    /// Before every grant of a lone session, its floor is at most the
+    /// operations it still takes. At each phase's last operation the
+    /// floor is that phase's minimum — 7 in the acquire, 6 in the store,
+    /// 5 in the collect — and the deposit's operations read 4 (row
+    /// event), 3 (column read), 2 (arena write) and 1 (`Help` clear).
+    #[test]
+    fn session_floors_bound_the_ops_left_and_pin_the_phase_minima() {
+        let cfg = ServiceConfig {
+            seed: 9,
+            slots: 1,
+            arrivals: Arrivals::Poisson { mean_gap: 400.0 },
+            admission: Admission {
+                max_inflight: 1,
+                ..ServiceConfig::default().admission
+            },
+            ..ServiceConfig::default()
+        };
+        let world = ServiceWorld::new(&cfg);
+        let mut h = ServiceHarness::new(&world, &cfg).0;
+        let mut floors = Vec::new();
+        let mut last = BTreeSet::new();
+        while h.completed() < 50 {
+            let Some(&slot) = h.shards[0].active.first() else {
+                assert!(reference_tick(&mut h));
+                continue;
+            };
+            let s = &h.shards[0].slots[slot];
+            let (phase, floor) = (s.phase, s.floor());
+            let done = h.completed();
+            assert!(reference_tick(&mut h));
+            floors.push(floor);
+            let s = &h.shards[0].slots[slot];
+            if h.completed() > done {
+                for (i, &floor) in floors.iter().rev().enumerate() {
+                    assert!(floor <= i as u64 + 1, "{floors:?}");
+                }
+                floors.clear();
+            }
+            if s.phase != phase || phase == Phase::Deposit {
+                last.insert((format!("{phase:?}"), floor));
+            }
+        }
+        let pinned: BTreeSet<(String, u64)> = [
+            ("Acquire", 7),
+            ("Store", 6),
+            ("Collect", 5),
+            ("Deposit", 4),
+            ("Deposit", 3),
+            ("Deposit", 2),
+            ("Deposit", 1),
+        ]
+        .into_iter()
+        .map(|(phase, floor)| (phase.to_string(), floor))
+        .collect();
+        assert_eq!(last, pinned);
+    }
+
+    /// `begin_round` keeps the row state, so a slot whose previous
+    /// session left its row service acquiring or parking for column `p`
+    /// is a server for `p` while its new session is back in the
+    /// acquire, store or collect phase: its park counts the operations
+    /// before its next round, then alternating row events, and it gates
+    /// the completion bound of `p`'s session.
+    #[test]
+    fn a_carried_over_row_service_is_a_server() {
+        let cfg = ServiceConfig {
+            seed: 4,
+            slots: 3,
+            arrivals: Arrivals::Poisson { mean_gap: 1.0 },
+            admission: Admission {
+                max_inflight: 3,
+                ..ServiceConfig::default().admission
+            },
+            ..ServiceConfig::default()
+        };
+        let world = ServiceWorld::new(&cfg);
+        let s_min = world.min_session_ops();
+        let mut h = ServiceHarness::new(&world, &cfg).0;
+        let mut seen = BTreeSet::new();
+        while seen.len() < 3 {
+            assert!(reference_tick(&mut h) && h.completed() < 20_000);
+            let shard = &h.shards[0];
+            let mut gate = vec![u64::MAX; cfg.slots];
+            for &slot in &shard.active {
+                if let Some((column, ops)) = shard.slots[slot].park() {
+                    gate[column] = gate[column].min(ops);
+                }
+            }
+            for &slot in &shard.active {
+                let s = &shard.slots[slot];
+                let Some((column, rows)) = s.machines.deposit.pending_park() else {
+                    continue;
+                };
+                let Some(to_deposit) = s.ops_to_deposit() else {
+                    continue;
+                };
+                let ops = to_deposit + 2 * rows - 1;
+                assert_eq!(s.park(), Some((column, ops)));
+                if shard.active_pos[column] == NOT_ACTIVE || shard.slots[column].parked > 0 {
+                    continue;
+                }
+                let bound = shard.completion_bound(column, &gate);
+                assert!(bound <= shard.slots[column].floor().max(ops + 3));
+                if ops + 3 < s_min {
+                    assert!(bound < s_min, "slot {slot} does not gate column {column}");
+                    seen.insert(format!("{:?}", s.phase));
+                }
+            }
         }
     }
 
@@ -1212,21 +1497,6 @@ mod tests {
             },
             ..ServiceConfig::default()
         }
-    }
-
-    #[test]
-    fn single_shard_matches_unsharded_bit_for_bit() {
-        let base = base_cfg(17, 400, 0.004);
-        let cfg = MegaServiceConfig { base, shards: 1 };
-        let mega_world = MegaServiceWorld::new(&cfg);
-        let mega = MegaServiceHarness::new(&mega_world, &cfg).run();
-        let world = ServiceWorld::new(&base);
-        let flat = ServiceHarness::new(&world, &base).run();
-        assert_eq!(mega.report.totals, flat.totals);
-        assert_eq!(mega.report.windows, flat.windows);
-        assert_eq!(mega.report.names, flat.names);
-        assert_eq!(mega.report.in_system, flat.in_system);
-        assert_eq!(mega.shard_totals, vec![flat.totals]);
     }
 
     #[test]

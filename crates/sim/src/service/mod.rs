@@ -16,13 +16,14 @@
 //! The harness is built from the same parts as the engine — pooled
 //! [`StepMachine`]s over a [`RegisterBank`], one shared-memory operation
 //! per granted step, every random choice drawn from seeded [`SmallRng`]
-//! streams (the policy RNG discipline) — but owns its own grant loop,
-//! because open-loop membership (slots bind, free, and re-bind clients
-//! mid-run) is exactly what the engine's closed trial cannot express.
-//! All machines are built once per slot and re-armed in place, so the
-//! steady state performs **zero heap allocations**; telemetry is plain
-//! `u64` rows ([`WindowRow`]) pushed into a pre-sized buffer, so a run
-//! is bit-identical per seed.
+//! streams (the policy RNG discipline) — but runs the sharded fleet's
+//! grant loop ([`mega`]) as a fleet of one shard, because open-loop
+//! membership (slots bind, free, and re-bind clients mid-run) is exactly
+//! what the engine's closed trial cannot express. All machines are
+//! built once per slot and re-armed in place, so the steady state
+//! performs **zero heap allocations**; telemetry is plain `u64` rows
+//! ([`WindowRow`]) pushed into a pre-sized buffer, so a run is
+//! bit-identical per seed.
 //!
 //! # Crash–re-entry semantics
 //!
@@ -395,8 +396,6 @@ enum Phase {
 /// What one [`ShardState::step`] did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Stepped {
-    /// No session was in flight.
-    Idle,
     /// One operation was granted, and its session goes on.
     Granted,
     /// The picked session crashed; its client may hold a new timer.
@@ -602,7 +601,8 @@ pub struct ServiceReport {
     /// order as the window quantiles: acquire, store, collect, deposit,
     /// session, sojourn.
     pub cumulative: Vec<StepHistogram>,
-    /// Tickets of completed sessions, in completion order (empty unless
+    /// Tickets of completed sessions: in completion order from one
+    /// shard, in ascending order from a fleet of more (empty unless
     /// [`ServiceConfig::record_names`]).
     pub names: Vec<u64>,
     /// Clients still in the system at the end (in flight + queued +
@@ -702,10 +702,10 @@ impl Slot<'_> {
 
 /// The telemetry sink of a service run: global counter totals, the
 /// current window's histograms and counter deltas, the emitted window
-/// rows, the whole-run histograms and the ticket audit. The unsharded
-/// harness owns exactly one; a sharded run ([`mega`]) aggregates every
-/// shard into one shared sink, which is what makes its windows and
-/// totals a *global roll-up* rather than per-shard fragments.
+/// rows, the whole-run histograms and the ticket audit. A fleet
+/// ([`mega`]) aggregates every shard into one shared sink, which is
+/// what makes its windows and totals a *global roll-up* rather than
+/// per-shard fragments.
 struct Telemetry {
     /// Window length in steps ([`ServiceConfig::window`]).
     window: u64,
@@ -812,8 +812,9 @@ impl Telemetry {
 
     /// The final flush: emits boundaries crossed by the last
     /// fast-forward plus the partial window if it holds anything, stamps
-    /// the clock, and assembles the report.
-    fn finish(mut self, now: u64, gauges: (u64, u64, u64), in_system: u64) -> ServiceReport {
+    /// the clock, and assembles the report. Every client in the system
+    /// counts in one of the three gauges.
+    fn finish(mut self, now: u64, gauges: (u64, u64, u64)) -> ServiceReport {
         self.roll(now, gauges);
         if self.pending() {
             self.emit(gauges);
@@ -824,19 +825,19 @@ impl Telemetry {
             windows: self.windows,
             cumulative: self.cumulative,
             names: self.names,
-            in_system,
+            in_system: gauges.0 + gauges.1 + gauges.2,
         }
     }
 }
 
 /// The per-shard control plane of a service run: the slot slab, the
 /// free/active lists, the admission queue, the backoff timer heap, the
-/// four seeded RNG streams and the shard's own counter totals. The
-/// unsharded [`ServiceHarness`] is exactly one of these driven by its
-/// own clock; [`mega::MegaServiceHarness`] drives a vector of them in
-/// lock-step against one shared [`Telemetry`] sink and one global
-/// clock. Every counter increments both the shard's [`Totals`] and the
-/// sink's, so per-shard accounting provably sums to the roll-up.
+/// four seeded RNG streams and the shard's own counter totals.
+/// [`mega::MegaServiceHarness`] drives a vector of them in lock-step
+/// against one shared [`Telemetry`] sink and one global clock;
+/// [`ServiceHarness`] is a fleet of one. Every counter increments both
+/// the shard's [`Totals`] and the sink's, so per-shard accounting
+/// provably sums to the roll-up.
 struct ShardState<'w, B: RegisterBank> {
     cfg: ServiceConfig,
     bank: B,
@@ -858,9 +859,9 @@ struct ShardState<'w, B: RegisterBank> {
     waiting: usize,
     totals: Totals,
     /// Completed tickets are published to the audit as
-    /// `ticket * ticket_step + ticket_base` — the identity map for the
-    /// unsharded harness (step 1, base 0), shard-namespaced for mega
-    /// runs so tickets stay globally exclusive across the shards'
+    /// `ticket * ticket_step + ticket_base` — the identity map for a
+    /// one-shard fleet (step 1, base 0), shard-namespaced for larger
+    /// fleets so tickets stay globally exclusive across the shards'
     /// independent naming objects.
     ticket_step: u64,
     ticket_base: u64,
@@ -875,15 +876,11 @@ struct ShardState<'w, B: RegisterBank> {
     checker: Option<exsel_analysis::AccessChecker>,
 }
 
-/// The open-loop service harness; see the module docs. Borrows the
-/// world (machines hold references into the shared objects) and owns
+/// The open-loop service harness; see the module docs. It is a fleet of
+/// one shard ([`mega::MegaServiceHarness`]) over `world`, which it
+/// borrows (machines hold references into the shared objects); it owns
 /// the register bank, the clock, and every waiting-room structure.
-pub struct ServiceHarness<'w, B: RegisterBank = ArcBank> {
-    cfg: ServiceConfig,
-    shard: ShardState<'w, B>,
-    tel: Telemetry,
-    now: u64,
-}
+pub struct ServiceHarness<'w, B: RegisterBank = ArcBank>(mega::MegaServiceHarness<'w, B>);
 
 /// A [`Client`] packed into plain integers so the timer heap's ordering
 /// is a pure `(due, seq)` comparison.
@@ -1015,12 +1012,6 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
             self.queue.len() as u64,
             self.waiting as u64,
         )
-    }
-
-    /// Clients currently in the shard (in flight + queued + backing
-    /// off).
-    fn in_system(&self) -> u64 {
-        self.inflight() as u64 + self.queue.len() as u64 + self.waiting as u64
     }
 
     /// Fires every backoff/re-entry timer due at or before `now`.
@@ -1332,13 +1323,11 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
         }
     }
 
-    /// One scheduling step of this shard: picks an active slot under the
-    /// shard's scheduler stream, draws the crash hazard, and grants (or
-    /// crashes) one shared-memory operation.
+    /// One scheduling step of this shard, which must have a session in
+    /// flight: picks an active slot under the shard's scheduler stream,
+    /// draws the crash hazard, and grants (or crashes) one shared-memory
+    /// operation.
     fn step(&mut self, now: u64, tel: &mut Telemetry) -> Stepped {
-        if self.active.is_empty() {
-            return Stepped::Idle;
-        }
         let pick = self.sched_rng.gen_range(0..self.active.len());
         let slot = self.active[pick];
         let crash = self.cfg.crash_hazard > 0.0 && self.hazard_rng.gen_bool(self.cfg.crash_hazard);
@@ -1403,13 +1392,6 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
         }
     }
 
-    /// Whether this shard can never produce another event: arrivals
-    /// exhausted, nothing queued, nothing backing off. (Active
-    /// emptiness is the caller's check.)
-    fn drained(&self) -> bool {
-        self.arrivals_exhausted() && self.queue.is_empty() && self.timers.is_empty()
-    }
-
     /// The shard's next scheduled event (arrival or timer);
     /// `u64::MAX` when it has none.
     fn next_event(&self) -> u64 {
@@ -1442,12 +1424,15 @@ impl<'w, B: RegisterBank> ServiceHarness<'w, B> {
     /// window, or an in-flight bound of 0 or above the slot count).
     #[must_use]
     pub fn with_bank(world: &'w ServiceWorld, cfg: &ServiceConfig, bank: B) -> Self {
-        ServiceHarness {
-            cfg: *cfg,
-            shard: ShardState::new(world, cfg, bank, 0, 1),
-            tel: Telemetry::new(cfg),
-            now: 0,
-        }
+        let cfg = mega::MegaServiceConfig {
+            base: *cfg,
+            shards: 1,
+        };
+        ServiceHarness(mega::MegaServiceHarness::over(
+            std::slice::from_ref(world),
+            &cfg,
+            vec![bank],
+        ))
     }
 
     /// Pre-registers every slot's store&collect infrastructure (slot
@@ -1459,7 +1444,7 @@ impl<'w, B: RegisterBank> ServiceHarness<'w, B> {
     /// unprimed one; it is infrastructure only — no arrivals, ops,
     /// telemetry or ticket state.
     pub fn prime(&mut self) {
-        self.shard.prime();
+        self.0.prime();
     }
 
     /// Installs a dynamic footprint checker over this harness's shard:
@@ -1468,9 +1453,8 @@ impl<'w, B: RegisterBank> ServiceHarness<'w, B> {
     /// the same world with [`exsel_analysis::AccessChecker::for_instance`]
     /// (`n` = slot count, `num_registers` = the world's register count).
     #[cfg(feature = "check")]
-    pub fn install_checker(&mut self, mut checker: exsel_analysis::AccessChecker) {
-        checker.begin_trial();
-        self.shard.checker = Some(checker);
+    pub fn install_checker(&mut self, checker: exsel_analysis::AccessChecker) {
+        self.0.install_checkers(vec![checker]);
     }
 
     /// Shared access to the installed checker (violation reports,
@@ -1478,7 +1462,7 @@ impl<'w, B: RegisterBank> ServiceHarness<'w, B> {
     #[cfg(feature = "check")]
     #[must_use]
     pub fn checker(&self) -> Option<&exsel_analysis::AccessChecker> {
-        self.shard.checker.as_ref()
+        self.0.shards[0].checker.as_ref()
     }
 
     /// Total footprint violations observed since the checker was
@@ -1486,26 +1470,14 @@ impl<'w, B: RegisterBank> ServiceHarness<'w, B> {
     #[cfg(feature = "check")]
     #[must_use]
     pub fn checker_violations(&self) -> u64 {
-        self.shard
-            .checker
-            .as_ref()
-            .map_or(0, exsel_analysis::AccessChecker::trial_violations)
+        self.0.checker_violations()
     }
 
     /// Runs the configured service to its stopping condition (session
     /// target reached, arrivals exhausted and system drained, or
     /// horizon) and returns the report.
-    pub fn run(mut self) -> ServiceReport {
-        loop {
-            if self.cfg.target_sessions > 0 && self.tel.totals.completed >= self.cfg.target_sessions
-            {
-                break;
-            }
-            if !self.advance() {
-                break;
-            }
-        }
-        self.finish()
+    pub fn run(self) -> ServiceReport {
+        self.0.run().report
     }
 
     /// Drives the service until `sessions` sessions have completed (an
@@ -1515,64 +1487,24 @@ impl<'w, B: RegisterBank> ServiceHarness<'w, B> {
     /// a measured steady-state segment before calling
     /// [`ServiceHarness::finish`].
     pub fn run_until(&mut self, sessions: u64) -> bool {
-        while self.tel.totals.completed < sessions {
-            if !self.advance() {
-                return false;
-            }
-        }
-        true
+        self.0.run_until(sessions)
     }
 
     /// Sessions completed so far.
     #[must_use]
     pub fn completed(&self) -> u64 {
-        self.tel.totals.completed
+        self.0.completed()
     }
 
     /// Granted shared-memory operations so far.
     #[must_use]
     pub fn ops(&self) -> u64 {
-        self.tel.totals.ops
-    }
-
-    /// One iteration of the open-loop grant cycle: roll telemetry
-    /// windows, fire due timers, generate due arrivals, then grant one
-    /// shared-memory operation (or crash the picked session, or
-    /// fast-forward an idle gap). Returns `false` when the run cannot
-    /// continue.
-    fn advance(&mut self) -> bool {
-        if self.now >= self.cfg.horizon {
-            return false;
-        }
-        self.tel.roll(self.now, self.shard.gauges());
-        self.shard.fire_due_timers(self.now, &mut self.tel);
-        self.shard.generate_arrivals(self.now, &mut self.tel);
-        if self.shard.step(self.now, &mut self.tel) == Stepped::Idle {
-            if self.shard.drained() {
-                return false; // drained
-            }
-            self.fast_forward();
-            return true;
-        }
-        self.now += 1;
-        true
-    }
-
-    /// Advances the clock over an idle gap to the next event (arrival,
-    /// timer, window boundary or horizon).
-    fn fast_forward(&mut self) {
-        let next = self
-            .cfg
-            .horizon
-            .min(self.tel.window_end)
-            .min(self.shard.next_event());
-        self.now = next.max(self.now + 1);
+        self.0.ops()
     }
 
     /// Emits the final partial window and assembles the report.
     pub fn finish(self) -> ServiceReport {
-        let gauges = self.shard.gauges();
-        self.tel.finish(self.now, gauges, self.shard.in_system())
+        self.0.finish().report
     }
 }
 
@@ -1849,181 +1781,6 @@ mod tests {
             assert_eq!(w.window, i as u64);
             if i > 0 {
                 assert_eq!(w.start, report.windows[i - 1].end);
-            }
-        }
-    }
-
-    /// Asserts that `shard`'s parked-name count for every column equals
-    /// the non-null `Help` cells of that column, read from its bank.
-    pub(super) fn assert_parked_matches_help<B: RegisterBank>(
-        shard: &ShardState<'_, B>,
-        world: &ServiceWorld,
-    ) {
-        let n = shard.cfg.slots;
-        let cells = world.repo.help_occupancy_in_bank(&shard.bank);
-        for column in 0..n {
-            let names = (0..n)
-                .filter(|&row| cells[row * n + column].is_some())
-                .count();
-            assert_eq!(
-                usize::from(shard.slots[column].parked),
-                names,
-                "column {column} of {cells:?}"
-            );
-        }
-    }
-
-    /// The parked counts the fleet's lookahead reads equal the `Help`
-    /// matrix after every segment of crashy runs (hazard up to 10⁻²).
-    #[test]
-    fn parked_counts_match_the_help_matrix() {
-        let mut parked = 0;
-        for (seed, slots, crash_hazard) in [
-            (1, 1, 1e-2),
-            (2, 2, 0.0),
-            (3, 3, 2e-3),
-            (4, 4, 1e-2),
-            (5, 8, 1e-2),
-        ] {
-            let cfg = ServiceConfig {
-                seed,
-                slots,
-                arrivals: Arrivals::Poisson { mean_gap: 2.0 },
-                crash_hazard,
-                admission: Admission {
-                    max_inflight: slots,
-                    ..ServiceConfig::default().admission
-                },
-                ..ServiceConfig::default()
-            };
-            let world = ServiceWorld::new(&cfg);
-            let mut harness = ServiceHarness::new(&world, &cfg);
-            for target in 1..=300 {
-                assert!(harness.run_until(target), "{cfg:?}");
-                assert_parked_matches_help(&harness.shard, &world);
-                parked += harness
-                    .shard
-                    .slots
-                    .iter()
-                    .map(|s| u64::from(s.parked))
-                    .sum::<u64>();
-            }
-            assert_eq!(
-                harness.tel.totals.crashes > 0,
-                crash_hazard > 0.0,
-                "{cfg:?}"
-            );
-        }
-        assert!(parked > 0, "no audit saw a parked name");
-    }
-
-    /// Before every grant of a lone session, its floor is at most the
-    /// operations it still takes. At each phase's last operation the
-    /// floor is that phase's minimum — 7 in the acquire, 6 in the store,
-    /// 5 in the collect — and the deposit's operations read 4 (row
-    /// event), 3 (column read), 2 (arena write) and 1 (`Help` clear).
-    #[test]
-    fn session_floors_bound_the_ops_left_and_pin_the_phase_minima() {
-        let cfg = ServiceConfig {
-            seed: 9,
-            slots: 1,
-            arrivals: Arrivals::Poisson { mean_gap: 400.0 },
-            admission: Admission {
-                max_inflight: 1,
-                ..ServiceConfig::default().admission
-            },
-            ..ServiceConfig::default()
-        };
-        let world = ServiceWorld::new(&cfg);
-        let mut harness = ServiceHarness::new(&world, &cfg);
-        let mut floors = Vec::new();
-        let mut last = BTreeSet::new();
-        while harness.tel.totals.completed < 50 {
-            let Some(&slot) = harness.shard.active.first() else {
-                assert!(harness.advance());
-                continue;
-            };
-            let s = &harness.shard.slots[slot];
-            let (phase, floor) = (s.phase, s.floor());
-            let done = harness.tel.totals.completed;
-            assert!(harness.advance());
-            floors.push(floor);
-            let s = &harness.shard.slots[slot];
-            if harness.tel.totals.completed > done {
-                for (i, &floor) in floors.iter().rev().enumerate() {
-                    assert!(floor <= i as u64 + 1, "{floors:?}");
-                }
-                floors.clear();
-            }
-            if s.phase != phase || phase == Phase::Deposit {
-                last.insert((format!("{phase:?}"), floor));
-            }
-        }
-        let pinned: BTreeSet<(String, u64)> = [
-            ("Acquire", 7),
-            ("Store", 6),
-            ("Collect", 5),
-            ("Deposit", 4),
-            ("Deposit", 3),
-            ("Deposit", 2),
-            ("Deposit", 1),
-        ]
-        .into_iter()
-        .map(|(phase, floor)| (phase.to_string(), floor))
-        .collect();
-        assert_eq!(last, pinned);
-    }
-
-    /// `begin_round` keeps the row state, so a slot whose previous
-    /// session left its row service acquiring or parking for column `p`
-    /// is a server for `p` while its new session is back in the
-    /// acquire, store or collect phase: its park counts the operations
-    /// before its next round, then alternating row events, and it gates
-    /// the completion bound of `p`'s session.
-    #[test]
-    fn a_carried_over_row_service_is_a_server() {
-        let cfg = ServiceConfig {
-            seed: 4,
-            slots: 3,
-            arrivals: Arrivals::Poisson { mean_gap: 1.0 },
-            admission: Admission {
-                max_inflight: 3,
-                ..ServiceConfig::default().admission
-            },
-            ..ServiceConfig::default()
-        };
-        let world = ServiceWorld::new(&cfg);
-        let s_min = world.min_session_ops();
-        let mut harness = ServiceHarness::new(&world, &cfg);
-        let mut seen = BTreeSet::new();
-        while seen.len() < 3 {
-            assert!(harness.advance() && harness.tel.totals.completed < 20_000);
-            let shard = &harness.shard;
-            let mut gate = vec![u64::MAX; cfg.slots];
-            for &slot in &shard.active {
-                if let Some((column, ops)) = shard.slots[slot].park() {
-                    gate[column] = gate[column].min(ops);
-                }
-            }
-            for &slot in &shard.active {
-                let s = &shard.slots[slot];
-                let Some((column, rows)) = s.machines.deposit.pending_park() else {
-                    continue;
-                };
-                let Some(to_deposit) = s.ops_to_deposit() else {
-                    continue;
-                };
-                let ops = to_deposit + 2 * rows - 1;
-                assert_eq!(s.park(), Some((column, ops)));
-                if shard.active_pos[column] == NOT_ACTIVE || shard.slots[column].parked > 0 {
-                    continue;
-                }
-                let bound = shard.completion_bound(column, &gate);
-                assert!(bound <= shard.slots[column].floor().max(ops + 3));
-                if ops + 3 < s_min {
-                    assert!(bound < s_min, "slot {slot} does not gate column {column}");
-                    seen.insert(format!("{:?}", s.phase));
-                }
             }
         }
     }

@@ -298,40 +298,6 @@ mod service_semantics {
             prop_assert_eq!(a.names, b.names);
         }
 
-        /// Differential determinism of the sharded harness: with
-        /// `shards = 1` the mega path must reproduce the unsharded
-        /// harness **bit for bit** — totals, every window row, every
-        /// ticket, the drain state — across random service shapes,
-        /// hazards and admission bounds. This is the refactor's safety
-        /// net: the sharded control plane is the only code path left,
-        /// so any divergence here is a behavior change.
-        #[test]
-        fn mega_single_shard_is_bit_identical_to_unsharded(
-            seed in 0u64..10_000,
-            slots in 2usize..6,
-            clients in 40u64..160,
-            mean_gap in 2.0f64..400.0,
-            hazard in 0.0f64..0.01,
-            max_inflight in 1usize..6,
-            queue_capacity in 0usize..6,
-            waiting_capacity in 1usize..32,
-        ) {
-            let cfg = storm_cfg(
-                seed, slots, clients, mean_gap, hazard,
-                max_inflight, queue_capacity, waiting_capacity,
-            );
-            let world = ServiceWorld::new(&cfg);
-            let flat = ServiceHarness::new(&world, &cfg).run();
-            let mcfg = MegaServiceConfig { base: cfg, shards: 1 };
-            let mega_world = MegaServiceWorld::new(&mcfg);
-            let mega = MegaServiceHarness::new(&mega_world, &mcfg).run();
-            prop_assert_eq!(&mega.report.totals, &flat.totals);
-            prop_assert_eq!(&mega.report.windows, &flat.windows);
-            prop_assert_eq!(&mega.report.names, &flat.names);
-            prop_assert_eq!(mega.report.in_system, flat.in_system);
-            prop_assert_eq!(mega.shard_totals, vec![flat.totals]);
-        }
-
         /// Checker-on crash storms (`--features check`): the dynamic
         /// footprint checker rides along the full service battery —
         /// naming, store&collect and deposit machines under crashes,

@@ -29,13 +29,10 @@
 
 use std::time::Instant;
 
-use exsel_shm::SlabBank;
 use exsel_sim::service::mega::{
     MegaServiceConfig, MegaServiceHarness, MegaServiceReport, MegaServiceWorld,
 };
-use exsel_sim::service::{
-    Admission, Arrivals, ServiceConfig, ServiceHarness, ServiceReport, ServiceWorld, WindowRow,
-};
+use exsel_sim::service::{Admission, Arrivals, ServiceConfig, ServiceReport, WindowRow};
 
 use crate::alloc_probe;
 use crate::gate::Measurement as Row;
@@ -45,8 +42,11 @@ use crate::Table;
 /// A registry entry's service configuration plus its acceptance
 /// assertions and artifact wiring.
 pub struct ServiceSpec {
-    /// The full-scale run configuration.
+    /// The full-scale configuration: per shard for slots and admission,
+    /// fleet-wide for arrivals and budgets (see [`MegaServiceConfig`]).
     pub cfg: ServiceConfig,
+    /// Admission shards; `--shards` resizes a sharded fleet.
+    pub shards: usize,
     /// Human label for the workload mix (arrivals + admission), carried
     /// into every JSON row as `policy`.
     pub policy: &'static str,
@@ -90,6 +90,7 @@ pub fn steady_spec() -> ServiceSpec {
             },
             ..ServiceConfig::default()
         },
+        shards: 1,
         policy: "poisson(2800)/inflight<=8/backoff(256..32768)x10",
         quick_sessions: 20_000,
         p999_bound: 0,
@@ -126,6 +127,7 @@ pub fn storm_spec() -> ServiceSpec {
             },
             ..ServiceConfig::default()
         },
+        shards: 1,
         policy: "bursty(700,on32k/off16k)+hazard(2e-3)/inflight<=8",
         quick_sessions: 10_000,
         // Graceful degradation: no window's session p999 may blow past
@@ -165,6 +167,7 @@ pub fn smoke_spec() -> ServiceSpec {
             },
             ..ServiceConfig::default()
         },
+        shards: 1,
         policy: "diurnal(150..900,64k)+hazard(1e-3)/inflight<=4",
         quick_sessions: 1_000,
         p999_bound: 0,
@@ -172,21 +175,6 @@ pub fn smoke_spec() -> ServiceSpec {
         expect_crashes: true,
         bench_workload: None,
     }
-}
-
-/// A `service-mega` registry entry: the sharded fleet configuration
-/// plus its session target under `--quick` and its artifact wiring.
-pub struct MegaServiceSpec {
-    /// The full-scale fleet configuration (`base` is per shard for
-    /// slots/admission, fleet-wide for arrivals and budgets).
-    pub cfg: MegaServiceConfig,
-    /// Human label carried into every JSON row as `policy`.
-    pub policy: &'static str,
-    /// Fleet-wide session target under `--quick`.
-    pub quick_sessions: u64,
-    /// Merge a summary row under this workload key into
-    /// `BENCH_engine.json` after a full-scale run.
-    pub bench_workload: Option<&'static str>,
 }
 
 /// The per-shard Poisson mean gap every `service-mega` axis point runs
@@ -204,61 +192,44 @@ pub const MEGA_SHARD_AXIS: [usize; 3] = [1, 16, 1250];
 /// sessions per run, every shard at the steady operating point (the
 /// fleet-wide gap is the per-shard gap thinned by the shard count).
 #[must_use]
-pub fn mega_spec() -> MegaServiceSpec {
+pub fn mega_spec() -> ServiceSpec {
     let shards = 1250;
     #[allow(clippy::cast_precision_loss)]
     let fleet_gap = MEGA_PER_SHARD_GAP / shards as f64;
-    MegaServiceSpec {
-        cfg: MegaServiceConfig {
-            base: ServiceConfig {
-                seed: 4,
-                slots: 8,
-                target_sessions: 1_000_000,
-                window: 1 << 16,
-                arrivals: Arrivals::Poisson {
-                    mean_gap: fleet_gap,
-                },
-                crash_hazard: 0.0,
-                admission: Admission {
-                    max_inflight: 8,
-                    queue_capacity: 16,
-                    backoff_base: 256,
-                    backoff_cap: 1 << 15,
-                    max_retries: 10,
-                    waiting_capacity: 512,
-                },
-                ..ServiceConfig::default()
+    ServiceSpec {
+        cfg: ServiceConfig {
+            seed: 4,
+            slots: 8,
+            target_sessions: 1_000_000,
+            window: 1 << 16,
+            arrivals: Arrivals::Poisson {
+                mean_gap: fleet_gap,
             },
-            shards,
+            crash_hazard: 0.0,
+            admission: Admission {
+                max_inflight: 8,
+                queue_capacity: 16,
+                backoff_base: 256,
+                backoff_cap: 1 << 15,
+                max_retries: 10,
+                waiting_capacity: 512,
+            },
+            ..ServiceConfig::default()
         },
+        shards,
         policy: "poisson(2800/shard)x1250shards/inflight<=8",
         quick_sessions: 20_000,
+        p999_bound: 0,
+        expect_shed: false,
+        expect_crashes: false,
         bench_workload: Some("service/mega/open_loop"),
     }
 }
 
-/// Asserts a report's service-level invariants for `name` and panics
-/// with context on violation: ticket exclusivity across every completed
-/// session, the arrival accounting identity, and the spec's shed/crash/
-/// tail expectations.
-fn assert_report(name: &str, spec: &ServiceSpec, cfg: &ServiceConfig, report: &ServiceReport) {
-    assert!(
-        report.accounted(),
-        "{name}: accounting identity broken: {:?} in_system={}",
-        report.totals,
-        report.in_system
-    );
-    if cfg.record_names {
-        let mut names = report.names.clone();
-        names.sort_unstable();
-        let before = names.len();
-        names.dedup();
-        assert_eq!(
-            names.len(),
-            before,
-            "{name}: completed sessions share a naming ticket"
-        );
-    }
+/// Asserts a service scenario's expectations for `name`: the spec's
+/// shed, crash and tail expectations (the fleet invariants are
+/// `assert_mega_report`'s).
+fn assert_expectations(name: &str, spec: &ServiceSpec, report: &ServiceReport) {
     if spec.expect_shed {
         assert!(report.totals.shed > 0, "{name}: storm never shed load");
     }
@@ -389,13 +360,15 @@ fn full_epoch_ticks(epochs: &[(u64, u64)]) -> String {
     format!("{full} ({share:.1}%)")
 }
 
-/// The per-seed summary line closing a seed's window series.
+/// The per-seed summary line closing a seed's window series, with the
+/// run's epochs by length.
 fn summary_json(
     name: &str,
     seed: u64,
     shards: u64,
     policy: &str,
     report: &ServiceReport,
+    epochs: &[(u64, u64)],
 ) -> serde_json::Value {
     let mut obj = serde_json::Map::new();
     obj.insert("kind".into(), serde_json::Value::String("summary".into()));
@@ -424,49 +397,21 @@ fn summary_json(
     ] {
         obj.insert(key.into(), serde_json::Value::from(value));
     }
+    obj.insert("epochs".into(), epochs_json(epochs));
+    for (key, value) in epoch_extras(epochs) {
+        obj.insert(key.into(), serde_json::Value::from(value));
+    }
     serde_json::Value::Object(obj)
 }
 
-/// Drives a scenario harness to completion — equivalent to
-/// [`ServiceHarness::run`]. Compiled with `--features check`, a
-/// footprint checker is installed first and the run must end with zero
-/// violations, so every service scenario doubles as a checked battery.
-fn run_service_harness(
-    world: &ServiceWorld,
-    cfg: &ServiceConfig,
-    mut harness: ServiceHarness<SlabBank>,
-) -> ServiceReport {
-    #[cfg(feature = "check")]
-    harness.install_checker(
-        exsel_sim::AccessChecker::for_instance(world, cfg.slots, world.num_registers())
-            .expect("scenario world failed the static non-interference pass"),
-    );
-    #[cfg(not(feature = "check"))]
-    let _ = world;
-    let target = match cfg.target_sessions {
-        0 => u64::MAX,
-        t => t,
-    };
-    let _ = harness.run_until(target);
-    #[cfg(feature = "check")]
-    {
-        assert!(
-            harness.checker().is_some_and(|c| c.trial_ops() > 0),
-            "checked scenario run observed no operations"
-        );
-        assert_eq!(
-            harness.checker_violations(),
-            0,
-            "service scenario stepped outside its declared footprints"
-        );
-    }
-    harness.finish()
-}
-
-/// Mega-fleet counterpart of [`run_service_harness`]: one checker per
-/// admission shard under `--features check`, zero violations required.
-/// Returns the report and the run's epochs by length.
-fn run_mega_harness(
+/// Drives a scenario fleet to completion — equivalent to
+/// [`MegaServiceHarness::run`]; a service scenario runs a fleet of one
+/// shard, which is what [`exsel_sim::ServiceHarness`] is. Compiled with
+/// `--features check`, one footprint checker per shard is installed
+/// first and the run must end with zero violations, so every service
+/// scenario doubles as a checked battery. Returns the report and the
+/// run's epochs by length.
+fn run_fleet(
     world: &MegaServiceWorld,
     cfg: &MegaServiceConfig,
     mut harness: MegaServiceHarness,
@@ -493,34 +438,52 @@ fn run_mega_harness(
     assert_eq!(
         harness.checker_violations(),
         0,
-        "mega scenario stepped outside its declared footprints"
+        "service scenario stepped outside its declared footprints"
     );
     let epochs = harness.epoch_lengths().to_vec();
     (harness.finish(), epochs)
 }
 
-/// Runs a service scenario: one full open-loop run per seed (the
-/// registry seed, or `0..N` under `--seeds N`; `--quick` shrinks the
-/// session target), asserting the report invariants, printing a
-/// per-seed summary table, and returning the JSON Lines rows. Full-scale
-/// runs with a `bench_workload` also merge their throughput row into
+/// Runs a service scenario: one fleet run per seed (the registry seed,
+/// or `0..N` under `--seeds N`; `--quick` shrinks the session target,
+/// and `--shards` resizes a sharded fleet while keeping each shard at
+/// the spec's per-shard arrival rate), asserting the fleet invariants
+/// and the spec's expectations, printing a per-seed summary table, and
+/// returning the JSON Lines rows. Full-scale runs with a
+/// `bench_workload` also merge their throughput row into
 /// `BENCH_engine.json`.
 ///
 /// # Panics
 ///
-/// Panics when any report invariant fails — see `assert_report`.
+/// Panics when any report invariant fails — see `assert_mega_report`
+/// and `assert_expectations`.
 pub fn run(name: &str, spec: &ServiceSpec, overrides: &RunOverrides) -> Vec<serde_json::Value> {
-    let mut cfg = spec.cfg;
-    if overrides.quick {
-        cfg.target_sessions = spec.quick_sessions;
-        // Auto-sized arenas follow the shrunk target automatically.
+    let mut cfg = MegaServiceConfig {
+        base: spec.cfg,
+        shards: spec.shards,
+    };
+    if let Some(shards) = overrides.shards {
+        // Resize the fleet, holding per-shard load: the fleet-wide gap
+        // scales inversely with the shard count.
+        #[allow(clippy::cast_precision_loss)]
+        let factor = cfg.shards as f64 / shards as f64;
+        cfg.base.arrivals = cfg.base.arrivals.scale_gaps(factor);
+        cfg.shards = shards;
     }
+    if overrides.quick {
+        // Auto-sized arenas follow the shrunk target automatically.
+        cfg.base.target_sessions = spec.quick_sessions;
+    }
+    let policy = spec.policy;
     let seeds: Vec<u64> = match overrides.seeds {
         Some(n) => (0..n).collect(),
-        None => vec![cfg.seed],
+        None => vec![cfg.base.seed],
     };
     let mut table = Table::new(
-        format!("scenario {name} — open-loop service ({})", spec.policy),
+        format!(
+            "scenario {name} — open-loop service, {} shards x {} slots ({policy})",
+            cfg.shards, cfg.base.slots
+        ),
         &[
             "seed",
             "completed",
@@ -533,62 +496,69 @@ pub fn run(name: &str, spec: &ServiceSpec, overrides: &RunOverrides) -> Vec<serd
             "p50",
             "p99",
             "p999",
+            "full epochs",
+            "ticks in full epochs",
         ],
     );
     let mut rows = Vec::new();
+    let shards = cfg.shards as u64;
     for seed in seeds {
-        cfg.seed = seed;
-        let world = ServiceWorld::new(&cfg);
-        let harness = ServiceHarness::with_bank(&world, &cfg, SlabBank::new());
+        cfg.base.seed = seed;
+        let world = MegaServiceWorld::new(&cfg);
+        let harness = MegaServiceHarness::new(&world, &cfg);
         let start = Instant::now();
-        let report = run_service_harness(&world, &cfg, harness);
+        let (mega, epochs) = run_fleet(&world, &cfg, harness);
         let secs = start.elapsed().as_secs_f64();
-        assert_report(name, spec, &cfg, &report);
-        #[allow(
-            clippy::cast_precision_loss,
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss
-        )]
-        let sessions_per_sec = (report.totals.completed as f64 / secs.max(1e-9)) as u64;
-        let steps_per_session = report
-            .totals
-            .ops
-            .checked_div(report.totals.completed)
-            .unwrap_or(0);
-        table.row(&[
-            seed.to_string(),
-            report.totals.completed.to_string(),
-            steps_per_session.to_string(),
-            sessions_per_sec.to_string(),
-            report.totals.crashes.to_string(),
-            report.totals.reentries.to_string(),
-            report.totals.shed.to_string(),
-            report.totals.rejected.to_string(),
-            report.cumulative[4].quantile(1, 2).to_string(),
-            report.cumulative[4].quantile(99, 100).to_string(),
-            report.cumulative[4].quantile(999, 1000).to_string(),
-        ]);
+        assert_mega_report(name, &cfg, &mega);
+        let report = &mega.report;
+        assert_expectations(name, spec, report);
+        let t = &report.totals;
+        let sessions_per_sec = per_sec(t.completed, secs);
+        let session = |num, den| report.cumulative[4].quantile(num, den);
+        let mut cells: Vec<String> = [
+            seed,
+            t.completed,
+            t.ops.checked_div(t.completed).unwrap_or(0),
+            sessions_per_sec,
+            t.crashes,
+            t.reentries,
+            t.shed,
+            t.rejected,
+            session(1, 2),
+            session(99, 100),
+            session(999, 1000),
+            epochs[epochs.len() - 1].0,
+        ]
+        .iter()
+        .map(u64::to_string)
+        .collect();
+        cells.push(full_epoch_ticks(&epochs));
+        table.row(&cells);
         for w in &report.windows {
-            rows.push(window_json(name, seed, 1, spec.policy, w));
+            rows.push(window_json(name, seed, shards, policy, w));
         }
-        rows.push(summary_json(name, seed, 1, spec.policy, &report));
+        rows.push(summary_json(name, seed, shards, policy, report, &epochs));
         if let (Some(workload), false) = (spec.bench_workload, overrides.quick) {
+            let mut extras = vec![
+                ("sessions", t.completed),
+                ("sessions_per_sec", sessions_per_sec),
+                ("total_ops", t.ops),
+                ("shards", shards),
+                ("slots", cfg.total_slots() as u64),
+                ("crashes", t.crashes),
+                ("shed", t.shed),
+                ("rejected", t.rejected),
+                ("session_p999", session(999, 1000)),
+                ("arena_fresh", fleet_arena_fresh(&world)),
+            ];
+            extras.extend(epoch_extras(&epochs));
             let bench = Row {
                 workload: workload.into(),
                 baseline: "sessions_floor",
                 contender: "open_loop",
                 baseline_s: secs,
                 contender_s: secs,
-                extras: vec![
-                    ("sessions", report.totals.completed),
-                    ("sessions_per_sec", sessions_per_sec),
-                    ("total_ops", report.totals.ops),
-                    ("crashes", report.totals.crashes),
-                    ("shed", report.totals.shed),
-                    ("rejected", report.totals.rejected),
-                    ("session_p999", report.cumulative[4].quantile(999, 1000)),
-                    ("arena_fresh", world.arena_stats().fresh_allocations()),
-                ],
+                extras,
             };
             if let Err(e) =
                 crate::gate::merge_into_artifact("BENCH_engine.json", std::slice::from_ref(&bench))
@@ -601,6 +571,16 @@ pub fn run(name: &str, spec: &ServiceSpec, overrides: &RunOverrides) -> Vec<serd
     }
     table.emit();
     rows
+}
+
+/// A count per second of wall-clock time.
+#[allow(
+    clippy::cast_precision_loss,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss
+)]
+fn per_sec(count: u64, secs: f64) -> u64 {
+    (count as f64 / secs.max(1e-9)) as u64
 }
 
 /// Snapshot-arena misses summed over every shard's world since it was
@@ -641,290 +621,47 @@ fn assert_mega_report(name: &str, cfg: &MegaServiceConfig, mega: &MegaServiceRep
     }
 }
 
-/// Multiplies every inter-arrival gap of an arrival process by
-/// `factor`, preserving burst/lull and diurnal phase structure — how
-/// `--shards` overrides resize the fleet while holding each shard's
-/// load fixed.
-fn scale_gaps(arrivals: Arrivals, factor: f64) -> Arrivals {
-    match arrivals {
-        Arrivals::Poisson { mean_gap } => Arrivals::Poisson {
-            mean_gap: mean_gap * factor,
-        },
-        Arrivals::Bursty {
-            mean_gap,
-            burst,
-            lull,
-        } => Arrivals::Bursty {
-            mean_gap: mean_gap * factor,
-            burst,
-            lull,
-        },
-        Arrivals::Diurnal {
-            peak_gap,
-            trough_gap,
-            period,
-        } => Arrivals::Diurnal {
-            peak_gap: peak_gap * factor,
-            trough_gap: trough_gap * factor,
-            period,
-        },
-    }
-}
-
-/// Runs the `service-mega` scenario: one sharded fleet run per seed
-/// (`--quick` shrinks the session target, `--shards` resizes the fleet
-/// while keeping each shard at the spec's per-shard arrival rate),
-/// asserting the fleet invariants, printing a per-seed summary table
-/// and returning the JSON Lines rows. Full-scale runs merge the
-/// `service/mega/open_loop` throughput row into `BENCH_engine.json`.
+/// A bench-gate measurement of the fleet `cfg`: built (and primed if
+/// `prime`), warmed for a tenth of its session target, then timed to
+/// the target under the allocation probe. The gate holds the row to its
+/// sessions/sec floor and, when the counting allocator is installed, to
+/// **zero** steady-state allocations.
 ///
 /// # Panics
 ///
-/// Panics when any fleet invariant fails — see `assert_mega_report`.
-pub fn run_mega(
-    name: &str,
-    spec: &MegaServiceSpec,
-    overrides: &RunOverrides,
-) -> Vec<serde_json::Value> {
-    let mut cfg = spec.cfg;
-    if let Some(shards) = overrides.shards {
-        // Resize the fleet, holding per-shard load: the fleet-wide gap
-        // scales inversely with the shard count.
-        #[allow(clippy::cast_precision_loss)]
-        let factor = cfg.shards as f64 / shards as f64;
-        cfg.base.arrivals = scale_gaps(cfg.base.arrivals, factor);
-        cfg.shards = shards;
-    }
-    if overrides.quick {
-        cfg.base.target_sessions = spec.quick_sessions;
-        // Auto-sized arenas follow the shrunk target automatically.
-    }
-    let seeds: Vec<u64> = match overrides.seeds {
-        Some(n) => (0..n).collect(),
-        None => vec![cfg.base.seed],
-    };
-    let mut table = Table::new(
-        format!(
-            "scenario {name} — sharded open-loop fleet, {} shards x {} slots ({})",
-            cfg.shards, cfg.base.slots, spec.policy
-        ),
-        &[
-            "seed",
-            "shards",
-            "completed",
-            "steps/session",
-            "sessions/sec",
-            "shed",
-            "rejected",
-            "p50",
-            "p99",
-            "p999",
-            "full epochs",
-            "ticks in full epochs",
-        ],
-    );
-    let mut rows = Vec::new();
-    for seed in seeds {
-        cfg.base.seed = seed;
-        let world = MegaServiceWorld::new(&cfg);
-        let harness = MegaServiceHarness::new(&world, &cfg);
-        let start = Instant::now();
-        let (mega, epochs) = run_mega_harness(&world, &cfg, harness);
-        let secs = start.elapsed().as_secs_f64();
-        assert_mega_report(name, &cfg, &mega);
-        let report = &mega.report;
-        #[allow(
-            clippy::cast_precision_loss,
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss
-        )]
-        let sessions_per_sec = (report.totals.completed as f64 / secs.max(1e-9)) as u64;
-        let steps_per_session = report
-            .totals
-            .ops
-            .checked_div(report.totals.completed)
-            .unwrap_or(0);
-        table.row(&[
-            seed.to_string(),
-            cfg.shards.to_string(),
-            report.totals.completed.to_string(),
-            steps_per_session.to_string(),
-            sessions_per_sec.to_string(),
-            report.totals.shed.to_string(),
-            report.totals.rejected.to_string(),
-            report.cumulative[4].quantile(1, 2).to_string(),
-            report.cumulative[4].quantile(99, 100).to_string(),
-            report.cumulative[4].quantile(999, 1000).to_string(),
-            epochs[epochs.len() - 1].0.to_string(),
-            full_epoch_ticks(&epochs),
-        ]);
-        let shards = cfg.shards as u64;
-        for w in &report.windows {
-            rows.push(window_json(name, seed, shards, spec.policy, w));
-        }
-        let mut summary = summary_json(name, seed, shards, spec.policy, report);
-        if let serde_json::Value::Object(obj) = &mut summary {
-            obj.insert("epochs".into(), epochs_json(&epochs));
-            for (key, value) in epoch_extras(&epochs) {
-                obj.insert(key.into(), serde_json::Value::from(value));
-            }
-        }
-        rows.push(summary);
-        if let (Some(workload), false) = (spec.bench_workload, overrides.quick) {
-            let mut extras = vec![
-                ("sessions", report.totals.completed),
-                ("sessions_per_sec", sessions_per_sec),
-                ("total_ops", report.totals.ops),
-                ("shards", shards),
-                ("slots", cfg.total_slots() as u64),
-                ("shed", report.totals.shed),
-                ("rejected", report.totals.rejected),
-                ("session_p999", report.cumulative[4].quantile(999, 1000)),
-                ("arena_fresh", fleet_arena_fresh(&world)),
-            ];
-            extras.extend(epoch_extras(&epochs));
-            let bench = Row {
-                workload: workload.into(),
-                baseline: "sessions_floor",
-                contender: "open_loop",
-                baseline_s: secs,
-                contender_s: secs,
-                extras,
-            };
-            if let Err(e) =
-                crate::gate::merge_into_artifact("BENCH_engine.json", std::slice::from_ref(&bench))
-            {
-                eprintln!("(could not write BENCH_engine.json: {e})");
-            } else {
-                println!("merged {workload} into BENCH_engine.json");
-            }
-        }
-    }
-    table.emit();
-    rows
-}
-
-/// The bench-gate measurement: the steady workload (quick: 20k
-/// sessions) with a warm-up segment, the steady segment timed under the
-/// allocation probe — the gate holds the row to its sessions/sec floor
-/// and, when the counting allocator is installed, to **zero**
-/// steady-state allocations.
-///
-/// # Panics
-///
-/// Panics if the run ends before reaching its session target.
-#[must_use]
-pub fn measure(quick: bool) -> Row {
-    let mut cfg = steady_spec().cfg;
-    if quick {
-        cfg.target_sessions = 20_000;
-    }
+/// Panics if the fleet drains before its target or a fleet invariant
+/// breaks.
+fn measure_fleet(cfg: &MegaServiceConfig, prime: bool, workload: String) -> Row {
+    let target = cfg.base.target_sessions;
     // The audit vector is pre-sized off the target, so recording names
     // stays in the measured window's zero-allocation budget.
-    let warm = cfg.target_sessions / 10;
-    let world = ServiceWorld::new(&cfg);
-    let mut harness = ServiceHarness::with_bank(&world, &cfg, SlabBank::new());
-    assert!(harness.run_until(warm), "service drained during warm-up");
-    let ops_before = harness.ops();
-    let before = alloc_probe::counts();
-    let start = Instant::now();
-    assert!(
-        harness.run_until(cfg.target_sessions),
-        "service drained mid-measurement"
-    );
-    let secs = start.elapsed().as_secs_f64();
-    let window = alloc_probe::counts().since(&before);
-    let steady_ops = harness.ops() - ops_before;
-    let report = harness.finish();
-    let measured = cfg.target_sessions - warm;
-    #[allow(
-        clippy::cast_precision_loss,
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss
-    )]
-    let sessions_per_sec = (measured as f64 / secs.max(1e-9)) as u64;
-    Row {
-        workload: "service/steady/open_loop".into(),
-        baseline: "sessions_floor",
-        contender: "open_loop",
-        baseline_s: secs,
-        contender_s: secs,
-        extras: vec![
-            ("sessions", measured),
-            ("sessions_per_sec", sessions_per_sec),
-            ("total_ops", steady_ops),
-            ("crashes", report.totals.crashes),
-            ("shed", report.totals.shed),
-            ("rejected", report.totals.rejected),
-            ("session_p999", report.cumulative[4].quantile(999, 1000)),
-            ("arena_fresh", world.arena_stats().fresh_allocations()),
-            ("steady_allocs", window.allocs),
-            ("steady_frees", window.deallocs),
-            ("alloc_probe", u64::from(alloc_probe::active())),
-        ],
-    }
-}
-
-/// One shard-axis point of the mega bench-gate measurement: a fleet of
-/// `shards` admission shards (each at the steady per-shard arrival
-/// rate), primed, warmed for 10% of the target, then the steady segment
-/// timed under the allocation probe. The full-scale axis point
-/// (`MEGA_SHARD_AXIS` last) keys the committed `service/mega/open_loop`
-/// row; the others gate on the hard floors alone.
-///
-/// # Panics
-///
-/// Panics if the fleet drains before its session target or a fleet
-/// invariant breaks.
-#[must_use]
-fn measure_mega_at(shards: usize, target: u64) -> Row {
-    let mut cfg = mega_spec().cfg;
-    cfg.shards = shards;
-    #[allow(clippy::cast_precision_loss)]
-    let fleet_gap = MEGA_PER_SHARD_GAP / shards as f64;
-    cfg.base.arrivals = Arrivals::Poisson {
-        mean_gap: fleet_gap,
-    };
-    cfg.base.target_sessions = target;
     let warm = target / 10;
-    let world = MegaServiceWorld::new(&cfg);
-    let mut harness = MegaServiceHarness::new(&world, &cfg);
-    // At 10^4 slots a slot can be first-touched arbitrarily deep into
-    // the run, so its one-time registration buffers would land inside
-    // the measured window; priming pays them all up front.
-    harness.prime();
-    assert!(harness.run_until(warm), "mega fleet drained during warm-up");
+    let world = MegaServiceWorld::new(cfg);
+    let mut harness = MegaServiceHarness::new(&world, cfg);
+    if prime {
+        harness.prime();
+    }
+    assert!(harness.run_until(warm), "fleet drained during warm-up");
     let ops_before = harness.ops();
     let before = alloc_probe::counts();
     let start = Instant::now();
-    assert!(
-        harness.run_until(target),
-        "mega fleet drained mid-measurement"
-    );
+    assert!(harness.run_until(target), "fleet drained mid-measurement");
     let secs = start.elapsed().as_secs_f64();
     let window = alloc_probe::counts().since(&before);
     let steady_ops = harness.ops() - ops_before;
     let epochs = epoch_extras(harness.epoch_lengths());
     let mega = harness.finish();
-    assert_mega_report("service-mega(gate)", &cfg, &mega);
-    let measured = target - warm;
-    #[allow(
-        clippy::cast_precision_loss,
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss
-    )]
-    let sessions_per_sec = (measured as f64 / secs.max(1e-9)) as u64;
-    let workload = if shards == MEGA_SHARD_AXIS[MEGA_SHARD_AXIS.len() - 1] {
-        "service/mega/open_loop".into()
-    } else {
-        format!("service/mega/open_loop/shards={shards}")
-    };
+    assert_mega_report(&workload, cfg, &mega);
+    let (t, measured) = (&mega.report.totals, target - warm);
     let mut extras = vec![
         ("sessions", measured),
-        ("sessions_per_sec", sessions_per_sec),
+        ("sessions_per_sec", per_sec(measured, secs)),
         ("total_ops", steady_ops),
-        ("shards", shards as u64),
+        ("shards", cfg.shards as u64),
         ("slots", cfg.total_slots() as u64),
+        ("crashes", t.crashes),
+        ("shed", t.shed),
+        ("rejected", t.rejected),
         (
             "session_p999",
             mega.report.cumulative[4].quantile(999, 1000),
@@ -945,6 +682,56 @@ fn measure_mega_at(shards: usize, target: u64) -> Row {
     }
 }
 
+/// The steady bench-gate measurement: the steady workload (quick: 20k
+/// sessions), unprimed, warmed for a tenth of its target, then timed
+/// under the allocation probe.
+///
+/// # Panics
+///
+/// Panics if the run ends before reaching its session target.
+#[must_use]
+pub fn measure(quick: bool) -> Row {
+    let mut base = steady_spec().cfg;
+    if quick {
+        base.target_sessions = 20_000;
+    }
+    let cfg = MegaServiceConfig { base, shards: 1 };
+    measure_fleet(&cfg, false, "service/steady/open_loop".into())
+}
+
+/// One shard-axis point of the mega bench-gate measurement
+/// ([`measure_fleet`]): a primed fleet of `shards` admission shards,
+/// each at the steady per-shard arrival rate. The full-scale axis point
+/// (`MEGA_SHARD_AXIS` last) keys the committed `service/mega/open_loop`
+/// row; the others gate on the hard floors alone.
+///
+/// # Panics
+///
+/// Panics if the fleet drains before its session target or a fleet
+/// invariant breaks.
+#[must_use]
+fn measure_mega_at(shards: usize, target: u64) -> Row {
+    let mut cfg = MegaServiceConfig {
+        base: mega_spec().cfg,
+        shards,
+    };
+    #[allow(clippy::cast_precision_loss)]
+    let fleet_gap = MEGA_PER_SHARD_GAP / shards as f64;
+    cfg.base.arrivals = Arrivals::Poisson {
+        mean_gap: fleet_gap,
+    };
+    cfg.base.target_sessions = target;
+    let workload = if shards == MEGA_SHARD_AXIS[MEGA_SHARD_AXIS.len() - 1] {
+        "service/mega/open_loop".into()
+    } else {
+        format!("service/mega/open_loop/shards={shards}")
+    };
+    // At 10^4 slots a slot can be first-touched arbitrarily deep into
+    // the run, so its one-time registration buffers would land inside
+    // the measured window; priming pays them all up front.
+    measure_fleet(&cfg, true, workload)
+}
+
 /// The mega bench-gate measurements: one row per committed shard-axis
 /// point ([`MEGA_SHARD_AXIS`]), each primed, warmed and alloc-probed —
 /// so a zero-alloc or throughput regression at *any* shard count fails
@@ -954,7 +741,7 @@ pub fn measure_mega(quick: bool) -> Vec<Row> {
     let target = if quick {
         20_000
     } else {
-        mega_spec().cfg.base.target_sessions
+        mega_spec().cfg.target_sessions
     };
     MEGA_SHARD_AXIS
         .iter()
@@ -1055,41 +842,42 @@ mod tests {
         assert!(2 * ticks[3] > ticks.iter().sum::<u64>(), "{ticks:?}");
         // The axis ends at the committed full-scale fleet, so that
         // point's row keys the committed BENCH_engine.json entry.
-        assert_eq!(MEGA_SHARD_AXIS.last(), Some(&mega_spec().cfg.shards));
+        assert_eq!(MEGA_SHARD_AXIS.last(), Some(&mega_spec().shards));
     }
 
     #[test]
     fn mega_scenario_emits_sharded_jsonl_rows() {
-        let spec = MegaServiceSpec {
-            cfg: MegaServiceConfig {
-                base: ServiceConfig {
-                    seed: 9,
-                    slots: 4,
-                    target_sessions: 600,
-                    window: 1 << 12,
-                    arrivals: Arrivals::Poisson { mean_gap: 2.0 },
-                    crash_hazard: 0.002,
-                    admission: Admission {
-                        max_inflight: 4,
-                        queue_capacity: 8,
-                        backoff_base: 32,
-                        backoff_cap: 1 << 10,
-                        max_retries: 4,
-                        waiting_capacity: 32,
-                    },
-                    ..ServiceConfig::default()
+        let spec = ServiceSpec {
+            cfg: ServiceConfig {
+                seed: 9,
+                slots: 4,
+                target_sessions: 600,
+                window: 1 << 12,
+                arrivals: Arrivals::Poisson { mean_gap: 2.0 },
+                crash_hazard: 0.002,
+                admission: Admission {
+                    max_inflight: 4,
+                    queue_capacity: 8,
+                    backoff_base: 32,
+                    backoff_cap: 1 << 10,
+                    max_retries: 4,
+                    waiting_capacity: 32,
                 },
-                shards: 4,
+                ..ServiceConfig::default()
             },
+            shards: 4,
             policy: "test",
             quick_sessions: 400,
+            p999_bound: 0,
+            expect_shed: false,
+            expect_crashes: false,
             bench_workload: None,
         };
         let overrides = RunOverrides {
             quick: true,
             ..RunOverrides::default()
         };
-        let rows = run_mega("service-mega", &spec, &overrides);
+        let rows = run("service-mega", &spec, &overrides);
         assert!(!rows.is_empty());
         let serde_json::Value::Object(last) = rows.last().unwrap() else {
             panic!("summary row is not an object");

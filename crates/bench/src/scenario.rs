@@ -55,12 +55,12 @@ pub enum Kind {
     /// Honors `--seeds`/`--quick`; `--json-out` writes the windowed
     /// telemetry as JSON Lines instead of a JSON array.
     Service(expts::service::ServiceSpec),
-    /// A sharded mega-fleet service run
-    /// ([`crate::expts::service::run_mega`]): per-shard admission
-    /// controllers over per-shard slab banks on one global clock. On
-    /// top of the service flags it honors `--shards`, which resizes the
-    /// fleet while holding each shard's arrival rate fixed.
-    Mega(expts::service::MegaServiceSpec),
+    /// A sharded mega-fleet service run ([`crate::expts::service::run`]
+    /// too): per-shard admission controllers over per-shard slab banks
+    /// on one global clock. On top of the service flags it honors
+    /// `--shards`, which resizes the fleet while holding each shard's
+    /// arrival rate fixed.
+    Mega(expts::service::ServiceSpec),
 }
 
 /// A data-driven scenario: which algorithm family, under which
@@ -731,8 +731,9 @@ pub fn run_scenario_with(
             None
         }
         Kind::Grid(spec) => Some(run_grid(scenario.name, spec)),
-        Kind::Service(spec) => Some(expts::service::run(scenario.name, spec, overrides)),
-        Kind::Mega(spec) => Some(expts::service::run_mega(scenario.name, spec, overrides)),
+        Kind::Service(spec) | Kind::Mega(spec) => {
+            Some(expts::service::run(scenario.name, spec, overrides))
+        }
     }
 }
 

@@ -10,9 +10,10 @@
 //!   peeks every pending operation per scheduling point; a machine
 //!   inheriting the defaults either panics mid-pool (`reset`) or
 //!   silently materializes full `ShmOp`s per inspection (`peek`).
-//! * **R2 `hot-path-alloc`** — the step engine's grant loops and the
-//!   service control plane (`engine.rs`, `service/mod.rs`,
-//!   `service/mega.rs`) must not call `Arc::new`, `.to_vec()` or
+//! * **R2 `hot-path-alloc`** — the step engine's grant loops, the
+//!   service control plane and the session machine every service grant
+//!   advances (`engine.rs`, `service/mod.rs`, `service/mega.rs`,
+//!   `machines.rs`) must not call `Arc::new`, `.to_vec()` or
 //!   `.clone()`: the zero-alloc steady state (tests/alloc_free.rs)
 //!   holds because those files stay churn-free by construction.
 //! * **R3 `unsafe-allowlist`** — `unsafe` appears only in explicitly
@@ -35,10 +36,11 @@ use std::process::ExitCode;
 /// Directories never scanned: vendored shims, build output, VCS state.
 const SKIP_DIRS: &[&str] = &["vendor", "target", ".git"];
 
-/// R2's hot files: the engine grant loops and the service control
-/// plane, workspace-relative.
+/// R2's hot files: the engine grant loops, the service control plane
+/// and the session machine, workspace-relative.
 const HOT_FILES: &[&str] = &[
     "crates/sim/src/engine.rs",
+    "crates/sim/src/machines.rs",
     "crates/sim/src/service/mod.rs",
     "crates/sim/src/service/mega.rs",
 ];

@@ -290,21 +290,6 @@ impl ScanOp {
         2 * n as u64
     }
 
-    /// The fewest reads this scan still needs to return: the rest of
-    /// the current collect, plus a whole further collect while the
-    /// current one has no predecessor. A fresh scan reports
-    /// [`ScanOp::min_ops`]; a returned one, 0.
-    #[must_use]
-    pub fn min_ops_left(&self) -> u64 {
-        let n = self.n() as u64;
-        let rest = n - self.idx as u64;
-        if self.have_prev {
-            rest
-        } else {
-            rest + n
-        }
-    }
-
     /// Restarts the scan from its first collect **within the same
     /// trial**, allocation-free: the collect buffers are reused as-is,
     /// and the generation-tag cache (`cur`) is kept — writer sequence
@@ -395,6 +380,19 @@ impl StepMachine for ScanOp {
         Poll::Pending
     }
 
+    /// The rest of the current collect, plus a whole further collect
+    /// while the current one has no predecessor. A fresh scan reports
+    /// [`ScanOp::min_ops`]; a returned one, 0.
+    fn min_ops_left(&self) -> u64 {
+        let n = self.n() as u64;
+        let rest = n - self.idx as u64;
+        if self.have_prev {
+            rest
+        } else {
+            rest + n
+        }
+    }
+
     fn reset(&mut self, _pid: Pid) {
         // Stale records must go: a fresh trial restarts every writer's
         // sequence numbers, so a leftover tag could falsely match. The
@@ -450,20 +448,6 @@ impl UpdateOp {
     #[must_use]
     pub const fn min_ops(n: usize) -> u64 {
         ScanOp::min_ops(n) + 2
-    }
-
-    /// The fewest operations this update still needs to install its
-    /// record: the embedded scan's [`ScanOp::min_ops_left`] plus the
-    /// own-register read and the write, then 2, then 1. A fresh update
-    /// reports [`UpdateOp::min_ops`]; an installed one, 0.
-    #[must_use]
-    pub fn min_ops_left(&self) -> u64 {
-        match self.state {
-            UpdateState::Scanning => self.scan.min_ops_left() + 2,
-            UpdateState::ReadOwn => 2,
-            UpdateState::Write => 1,
-            UpdateState::Done => 0,
-        }
     }
 
     /// Re-arms this operation in place as a fresh update of `slot` to
@@ -581,6 +565,18 @@ impl StepMachine for UpdateOp {
                 Poll::Ready(())
             }
             UpdateState::Done => panic!("update driven after completion"),
+        }
+    }
+
+    /// The embedded scan's minimum plus the own-register read and the
+    /// write, then 2, then 1. A fresh update reports
+    /// [`UpdateOp::min_ops`]; an installed one, 0.
+    fn min_ops_left(&self) -> u64 {
+        match self.state {
+            UpdateState::Scanning => self.scan.min_ops_left() + 2,
+            UpdateState::ReadOwn => 2,
+            UpdateState::Write => 1,
+            UpdateState::Done => 0,
         }
     }
 

@@ -33,6 +33,8 @@
 //!   unchanged since their last collect.
 //! * A machine performs **at least one** operation before completing, and
 //!   neither `op` nor `advance` may be called after `Ready`.
+//! * `min_ops_left()` (optional — default 1) never overstates the
+//!   operations left until `Ready`; see [`StepMachine::min_ops_left`].
 //! * `reset(pid)` (optional — default panics) re-initializes the machine
 //!   to its just-constructed state so pooled machines can be re-driven
 //!   across trials without reallocation; see [`StepMachine::reset`].
@@ -95,6 +97,14 @@ impl<T> Poll<T> {
             Poll::Pending => None,
         }
     }
+
+    /// Maps a ready result through `f`.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Poll<U> {
+        match self {
+            Poll::Ready(v) => Poll::Ready(f(v)),
+            Poll::Pending => Poll::Pending,
+        }
+    }
 }
 
 /// One shared-memory operation, described before it is performed.
@@ -152,6 +162,17 @@ pub trait StepMachine {
     /// nothing changed (snapshot scanners comparing sequence numbers)
     /// skip the clone.
     fn advance(&mut self, input: &Word) -> Poll<Self::Output>;
+
+    /// The fewest operations this machine still performs before it
+    /// completes, the pending one included: a pure function of its local
+    /// state that never overstates, whatever the schedule. The default,
+    /// 1, is sound for any machine not yet `Ready`; implementations
+    /// report 0 once `Ready`. The sharded service's epoch lookahead
+    /// rests on these values, and with `--features check` the
+    /// `exsel-sim` grant loops assert them on every run.
+    fn min_ops_left(&self) -> u64 {
+        1
+    }
 
     /// Re-initializes the machine to its just-constructed state so a
     /// pool can re-drive the same storage across trials. `pid` is the
@@ -236,6 +257,9 @@ impl<M: StepMachine + ?Sized> StepMachine for &mut M {
     fn advance(&mut self, input: &Word) -> Poll<M::Output> {
         (**self).advance(input)
     }
+    fn min_ops_left(&self) -> u64 {
+        (**self).min_ops_left()
+    }
     fn reset(&mut self, pid: Pid) {
         (**self).reset(pid);
     }
@@ -251,6 +275,9 @@ impl<M: StepMachine + ?Sized> StepMachine for Box<M> {
     }
     fn advance(&mut self, input: &Word) -> Poll<M::Output> {
         (**self).advance(input)
+    }
+    fn min_ops_left(&self) -> u64 {
+        (**self).min_ops_left()
     }
     fn reset(&mut self, pid: Pid) {
         (**self).reset(pid);
@@ -277,10 +304,10 @@ where
         self.inner.peek()
     }
     fn advance(&mut self, input: &Word) -> Poll<O> {
-        match self.inner.advance(input) {
-            Poll::Ready(out) => Poll::Ready((self.f)(out)),
-            Poll::Pending => Poll::Pending,
-        }
+        self.inner.advance(input).map(&mut self.f)
+    }
+    fn min_ops_left(&self) -> u64 {
+        self.inner.min_ops_left()
     }
     fn reset(&mut self, pid: Pid) {
         self.inner.reset(pid);

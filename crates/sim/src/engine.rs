@@ -84,6 +84,74 @@ use crate::runner::SimOutcome;
 /// The input handed to a machine consuming a granted write.
 const NULL_WORD: Word = Word::Null;
 
+/// The `--features check` state of a grant loop: the footprint checker,
+/// if installed, and per process the fewest operations its run may take,
+/// as its [`StepMachine::min_ops_left`] values promised. Empty without
+/// the feature.
+#[derive(Default)]
+pub(crate) struct GrantChecks {
+    #[cfg(feature = "check")]
+    pub(crate) checker: Option<exsel_analysis::AccessChecker>,
+    #[cfg(feature = "check")]
+    due: Vec<u64>,
+}
+
+impl GrantChecks {
+    /// Makes room for processes `0..processes`.
+    pub(crate) fn start(&mut self, processes: usize) {
+        #[cfg(feature = "check")]
+        self.due.resize(processes.max(self.due.len()), 0);
+        #[cfg(not(feature = "check"))]
+        let _ = processes;
+    }
+}
+
+/// One grant, shared by every grant loop: performs `op`, the pending
+/// operation of `machine`, against `bank` and advances the machine. The
+/// machine is process `pid`, `ops` operations into its run (a run starts
+/// at 0); `index` numbers the grant in its loop, the footprint checker's
+/// clock. With `--features check` it feeds the checker and, installed
+/// or not, asserts at `Ready` that each `min_ops_left` the machine
+/// reported before a grant was at most the operations that followed.
+// Forced: see `StepEngine::perform`.
+#[inline(always)]
+#[cfg_attr(not(feature = "check"), allow(unused_variables))]
+pub(crate) fn grant<B: RegisterBank, M: StepMachine>(
+    bank: &mut B,
+    checks: &mut GrantChecks,
+    machine: &mut M,
+    op: ShmOp,
+    pid: Pid,
+    ops: u64,
+    index: u64,
+) -> Poll<M::Output> {
+    #[cfg(feature = "check")]
+    {
+        if let Some(c) = &mut checks.checker {
+            c.observe(pid, op.kind(), op.reg(), index);
+        }
+        let (due, floor) = (&mut checks.due[pid.0], ops + machine.min_ops_left());
+        *due = if ops == 0 { floor } else { floor.max(*due) };
+    }
+    let poll = match op {
+        ShmOp::Read(reg) => machine.advance(bank.read(reg)),
+        ShmOp::Write(reg, word) => {
+            bank.write(reg, word);
+            machine.advance(&NULL_WORD)
+        }
+    };
+    #[cfg(feature = "check")]
+    if matches!(poll, Poll::Ready(_)) {
+        let due = checks.due[pid.0];
+        assert!(
+            ops + 1 >= due,
+            "process {pid} completed in {} operations, below the {due} its min_ops_left promised",
+            ops + 1
+        );
+    }
+    poll
+}
+
 /// Counters collected by [`StepEngine`] during one trial's grant loop,
 /// read back with [`StepEngine::metrics`] after the trial. Reset by
 /// [`StepEngine::reset`] (and therefore at the start of every trial);
@@ -265,12 +333,8 @@ pub struct StepEngine<B: RegisterBank = ArcBank> {
     crashed: Vec<CrashKind>,
     trace: Vec<PendingOp>,
     metrics: Metrics,
-    /// The installed dynamic footprint checker, if any; validated
-    /// against every granted operation in the grant loops. Behind the
-    /// `check` feature so unchecked builds carry neither the field nor
-    /// the per-grant branch.
-    #[cfg(feature = "check")]
-    checker: Option<exsel_analysis::AccessChecker>,
+    /// The footprint checker and `min_ops_left` checks ([`grant`]).
+    checks: GrantChecks,
 }
 
 /// Sentinel in `pending_pos` for completed/crashed processes.
@@ -331,8 +395,7 @@ impl<B: RegisterBank> StepEngine<B> {
             crashed: Vec::new(),
             trace: Vec::new(),
             metrics: Metrics::default(),
-            #[cfg(feature = "check")]
-            checker: None,
+            checks: GrantChecks::default(),
         }
     }
 
@@ -422,7 +485,7 @@ impl<B: RegisterBank> StepEngine<B> {
     /// [`exsel_analysis::AccessChecker::compile`].
     #[cfg(feature = "check")]
     pub fn install_checker(&mut self, checker: exsel_analysis::AccessChecker) {
-        self.checker = Some(checker);
+        self.checks.checker = Some(checker);
     }
 
     /// The installed checker, if any — e.g. to inspect
@@ -431,14 +494,14 @@ impl<B: RegisterBank> StepEngine<B> {
     #[cfg(feature = "check")]
     #[must_use]
     pub fn checker(&self) -> Option<&exsel_analysis::AccessChecker> {
-        self.checker.as_ref()
+        self.checks.checker.as_ref()
     }
 
     /// Uninstalls and returns the checker (subsequent trials run
     /// unchecked).
     #[cfg(feature = "check")]
     pub fn take_checker(&mut self) -> Option<exsel_analysis::AccessChecker> {
-        self.checker.take()
+        self.checks.checker.take()
     }
 
     /// Re-initializes the engine's state in place for the next trial:
@@ -452,7 +515,7 @@ impl<B: RegisterBank> StepEngine<B> {
         self.trace_moved = false;
         self.metrics.reset(self.num_registers);
         #[cfg(feature = "check")]
-        if let Some(c) = &mut self.checker {
+        if let Some(c) = &mut self.checks.checker {
             c.begin_trial();
         }
     }
@@ -616,11 +679,10 @@ impl<B: RegisterBank> StepEngine<B> {
     }
 
     /// Performs the granted operation `op` of `machine` — the per-grant
-    /// step both grant loops share: metrics, trace, the grantee's step
-    /// count and the checker hook, then the operation itself. Reads hand
-    /// the machine a borrow of the register word (no clone — snapshot
-    /// scanners exploit this); the operand word of a write is
-    /// materialized exactly once, here.
+    /// step both grant loops share: metrics, trace and the grantee's step
+    /// count, then the shared [`grant`]. Reads hand the machine a borrow
+    /// of the register word (no clone — snapshot scanners exploit this);
+    /// the operand word of a write is materialized exactly once, here.
     // Forced: a machine type driven by both loops otherwise gets one
     // out-of-line copy, which cost ~10% per granted op.
     #[inline(always)]
@@ -637,34 +699,40 @@ impl<B: RegisterBank> StepEngine<B> {
             self.regs.len()
         );
         self.metrics.ops_per_register[reg.0] += 1;
+        let ops = *steps;
         if self.record_trace {
             self.trace.push(PendingOp {
                 pid,
                 kind,
                 reg,
-                step_index: *steps,
+                step_index: ops,
             });
         }
         *steps += 1;
         self.metrics.total_ops += 1;
-        #[cfg(feature = "check")]
-        if let Some(c) = &mut self.checker {
-            c.observe(pid, kind, reg, self.metrics.total_ops);
-        }
-        match kind {
+        let op = match kind {
             OpKind::Read => {
                 self.metrics.reads += 1;
-                machine.advance(self.regs.read(reg))
+                ShmOp::Read(reg)
             }
             OpKind::Write => {
                 self.metrics.writes += 1;
                 let ShmOp::Write(_, word) = machine.op() else {
                     panic!("machine peek/op disagree on pending operation")
                 };
-                self.regs.write(reg, word);
-                machine.advance(&NULL_WORD)
+                ShmOp::Write(reg, word)
             }
-        }
+        };
+        let index = self.metrics.total_ops;
+        grant(
+            &mut self.regs,
+            &mut self.checks,
+            machine,
+            op,
+            pid,
+            ops,
+            index,
+        )
     }
 
     /// The pending-set entry of live machine `pid`, as `machine.peek()`
@@ -710,7 +778,7 @@ impl<B: RegisterBank> StepEngine<B> {
         self.metrics.trials = 1;
         self.metrics.max_steps = steps.iter().copied().max().unwrap_or(0);
         #[cfg(feature = "check")]
-        if let Some(c) = &self.checker {
+        if let Some(c) = &self.checks.checker {
             self.metrics.checker_ops = c.trial_ops();
             self.metrics.checker_violations = c.trial_violations();
         }
@@ -736,6 +804,7 @@ impl<B: RegisterBank> StepEngine<B> {
         debug_assert!(results.iter().all(Option::is_none));
         self.crashed.clear();
         self.crashed.resize(n, CrashKind::None);
+        self.checks.start(n);
         self.pending.clear();
         self.pending_pos.clear();
         for (pid, machine) in machines.iter().enumerate() {
@@ -801,6 +870,7 @@ impl<B: RegisterBank> StepEngine<B> {
         debug_assert!(shards > 1);
         self.crashed.clear();
         self.crashed.resize(n, CrashKind::None);
+        self.checks.start(n);
         self.metrics.shard_ops.resize(shards, 0);
         if self.measure_contention {
             self.metrics.shard_contention.resize(shards, 0);
@@ -893,13 +963,15 @@ mod tests {
     use crate::runner::SimBuilder;
     use exsel_shm::{Ctx, RegAlloc, RegId, RegRange, Step};
 
-    /// A machine performing `rounds` write/read pairs on one register.
+    /// A machine performing `rounds` write/read pairs on one register,
+    /// reporting `overstate` more operations left than it performs.
     struct Hammer {
         reg: RegId,
         id: u64,
         rounds: u64,
         done_ops: u64,
         last_read: Word,
+        overstate: u64,
     }
 
     impl Hammer {
@@ -910,6 +982,7 @@ mod tests {
                 rounds,
                 done_ops: 0,
                 last_read: Word::Null,
+                overstate: 0,
             }
         }
     }
@@ -933,6 +1006,9 @@ mod tests {
             } else {
                 Poll::Pending
             }
+        }
+        fn min_ops_left(&self) -> u64 {
+            2 * self.rounds - self.done_ops + self.overstate
         }
     }
 
@@ -1275,6 +1351,18 @@ mod tests {
         }
         StepEngine::new(1, Box::new(RoundRobin::new()))
             .run(vec![Box::new(Bad) as Box<dyn StepMachine<Output = ()>>]);
+    }
+
+    /// Checked grants hold every machine to its `min_ops_left`: one that
+    /// reports an operation more than it performs fails at `Ready`.
+    #[cfg(feature = "check")]
+    #[test]
+    #[should_panic(expected = "completed in 4 operations, below the 5")]
+    fn an_overstated_min_ops_left_fails_the_checked_grant() {
+        let mut hammer = Hammer::new(RegId(0), 0, 2);
+        hammer.overstate = 1;
+        StepEngine::new(1, Box::new(RoundRobin::new()))
+            .run(vec![Box::new(hammer) as Box<dyn StepMachine<Output = Word>>]);
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub use engine::{Metrics, StepEngine};
 pub use exsel_analysis::{
     collect_specs, non_interference, AccessChecker, StaticError, Violation, ViolationKind,
 };
-pub use machines::{AlgoSet, MachineSet, SetOutput};
+pub use machines::{AlgoSet, MachineSet, SessionOp, SessionPhase, SetOutput};
 pub use policy::{Action, PendingOp, Policy};
 pub use pool::MachinePool;
 #[cfg(feature = "check")]

@@ -53,6 +53,7 @@ use exsel_storecollect::{CollectOp, FirstStoreOp, StoreCollect, StoreCollectErro
 use exsel_unbounded::{AltruisticDeposit, DepositOp, NamingMachine, UnboundedNaming};
 
 use crate::pool::MachinePool;
+use crate::service::ServiceWorld;
 
 /// The uniform output of a [`MachineSet`] trial: what the process ended
 /// up holding.
@@ -156,31 +157,28 @@ impl StepMachine for MachineSet<'_> {
     }
 
     fn advance(&mut self, input: &Word) -> Poll<SetOutput> {
-        let wrap_rename = |poll: Poll<Outcome>| match poll {
-            Poll::Ready(outcome) => Poll::Ready(SetOutput::Rename(outcome)),
-            Poll::Pending => Poll::Pending,
-        };
         match self {
-            MachineSet::Walk(m) => wrap_rename(m.advance(input)),
-            MachineSet::Majority(m) => wrap_rename(m.advance(input)),
-            MachineSet::SnapshotRename(m) => wrap_rename(m.advance(input)),
-            MachineSet::Rename(m) => wrap_rename(m.advance(input)),
-            MachineSet::FirstStore(m) => match m.advance(input) {
-                Poll::Ready(res) => Poll::Ready(SetOutput::Store(res)),
-                Poll::Pending => Poll::Pending,
-            },
-            MachineSet::Naming(m) => match m.advance(input) {
-                Poll::Ready(name) => Poll::Ready(SetOutput::Name(name)),
-                Poll::Pending => Poll::Pending,
-            },
-            MachineSet::Deposit(m) => match m.advance(input) {
-                Poll::Ready(reg) => Poll::Ready(SetOutput::Deposit(reg)),
-                Poll::Pending => Poll::Pending,
-            },
-            MachineSet::Collect(m) => match m.advance(input) {
-                Poll::Ready(len) => Poll::Ready(SetOutput::Collect(len)),
-                Poll::Pending => Poll::Pending,
-            },
+            MachineSet::Walk(m) => m.advance(input).map(SetOutput::Rename),
+            MachineSet::Majority(m) => m.advance(input).map(SetOutput::Rename),
+            MachineSet::SnapshotRename(m) => m.advance(input).map(SetOutput::Rename),
+            MachineSet::Rename(m) => m.advance(input).map(SetOutput::Rename),
+            MachineSet::FirstStore(m) => m.advance(input).map(SetOutput::Store),
+            MachineSet::Naming(m) => m.advance(input).map(SetOutput::Name),
+            MachineSet::Deposit(m) => m.advance(input).map(SetOutput::Deposit),
+            MachineSet::Collect(m) => m.advance(input).map(SetOutput::Collect),
+        }
+    }
+
+    fn min_ops_left(&self) -> u64 {
+        match self {
+            MachineSet::Walk(m) => m.min_ops_left(),
+            MachineSet::Majority(m) => m.min_ops_left(),
+            MachineSet::SnapshotRename(m) => m.min_ops_left(),
+            MachineSet::Rename(m) => m.min_ops_left(),
+            MachineSet::FirstStore(m) => m.min_ops_left(),
+            MachineSet::Naming(m) => m.min_ops_left(),
+            MachineSet::Deposit(m) => m.min_ops_left(),
+            MachineSet::Collect(m) => m.min_ops_left(),
         }
     }
 
@@ -413,83 +411,260 @@ impl std::fmt::Debug for AlgoSet {
     }
 }
 
-/// The pooled machine bundle of one service-harness client slot: every
-/// machine a full acquire → store → collect → deposit session needs,
-/// built once per slot and re-armed in place as the open-loop harness
-/// binds, frees and re-binds clients (`exsel_sim::service`). Slots are
-/// stored as plain `Vec` slabs over this bundle, so an open-loop run
-/// performs zero per-session machine allocations on either register-bank
-/// backend.
-///
-/// Crash dirt is tracked here because it is machine state, not client
-/// state: a crashed incarnation leaves the naming (or deposit) machine
-/// mid-protocol, and the *next* incarnation on the same slot must
-/// re-enter it as a fresh contender with suites republished instead of
-/// starting over ([`NamingMachine::reenter`]) — the paper's wasted-claim
-/// crash budget.
-pub struct SessionMachines<'w> {
-    /// Unbounded-naming acquire machine (claims the session ticket).
-    pub naming: NamingMachine<'w>,
-    /// The slot's first store (rename + raise controls + value write).
-    pub first_store: FirstStoreOp<'w>,
-    /// The value register adopted by the completed first store; `None`
-    /// until the slot's first session registers it.
-    pub registered: Option<exsel_shm::RegId>,
-    /// Prefix-read collect machine.
-    pub collect: CollectOp<'w>,
-    /// Wait-free altruistic deposit machine.
-    pub deposit: DepositOp<'w>,
-    /// A previous incarnation crashed mid-acquire; the next session must
-    /// re-enter the naming machine instead of beginning fresh.
-    pub naming_dirty: bool,
-    /// A previous incarnation crashed mid-deposit; the next deposit
-    /// round must re-enter instead of beginning fresh.
-    pub deposit_dirty: bool,
+/// Where a [`SessionOp`] is: one phase per shared object, then idle.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SessionPhase {
+    /// The unbounded-naming acquire, which claims the session ticket.
+    Acquire,
+    /// The slot's first store (rename + raise controls + value write)
+    /// until the slot is registered, then the session's one value write.
+    Store,
+    /// The prefix-read collect.
+    Collect,
+    /// One wait-free altruistic deposit round.
+    Deposit,
+    /// No session runs: the last one completed or crashed.
+    Idle,
 }
 
-impl<'w> SessionMachines<'w> {
-    /// Builds the bundle for slot `pid` over the service's three shared
-    /// objects; `original` is the slot's store&collect token.
+/// One open-loop service session as a step machine over a
+/// [`ServiceWorld`]: an unbounded-naming acquire claims the session
+/// ticket (Theorem 10), a store and a collect follow (Theorem 5), and
+/// a wait-free altruistic deposit round ends it (Theorem 9). The output
+/// is the ticket. One machine serves one service slot for a whole run,
+/// re-armed in place: a new (or reset) machine runs a session for
+/// client 0, and [`SessionOp::begin`] starts the next.
+///
+/// A crash ([`SessionOp::crash`]) kills the session, not the machine
+/// state: a session that dies mid-acquire (or mid-deposit) leaves that
+/// machine mid-protocol, and the next session re-enters it as a fresh
+/// contender with its suite republished ([`NamingMachine::reenter`]) —
+/// the paper's wasted-claim crash budget. A first store interrupted
+/// mid-rename resumes (slot registration is infrastructure, not client
+/// state); collects restart.
+pub struct SessionOp<'w> {
+    naming: NamingMachine<'w>,
+    /// The slot's first store and its adopted value register, and the
+    /// collect: the service primes a slot by driving them directly.
+    pub(crate) first_store: FirstStoreOp<'w>,
+    pub(crate) registered: Option<RegId>,
+    pub(crate) collect: CollectOp<'w>,
+    /// The deposit machine, which the lookahead tests audit.
+    pub(crate) deposit: DepositOp<'w>,
+    phase: SessionPhase,
+    /// The last session crashed mid-acquire (mid-deposit): the next
+    /// re-enters the naming (deposit) machine.
+    naming_dirty: bool,
+    deposit_dirty: bool,
+    /// The slot's store&collect token, and the running session's client,
+    /// the value it stores and deposits.
+    original: u64,
+    client: u64,
+    ticket: u64,
+}
+
+impl<'w> SessionOp<'w> {
+    /// Builds the session machine of slot `pid` over `world`; the slot's
+    /// store&collect token is `pid + 1`.
     #[must_use]
-    pub fn new(
-        naming: &'w UnboundedNaming,
-        sc: &'w StoreCollect,
-        repo: &'w AltruisticDeposit,
-        pid: Pid,
-        original: u64,
-    ) -> Self {
-        SessionMachines {
-            naming: naming.begin_machine(pid, 1),
-            first_store: sc.begin_first_store(pid, original, 0),
+    pub fn new(world: &'w ServiceWorld, pid: Pid) -> Self {
+        let original = pid.0 as u64 + 1;
+        SessionOp {
+            naming: world.naming.begin_machine(pid, 1),
+            first_store: world.sc.begin_first_store(pid, original, 0),
             registered: None,
-            collect: sc.begin_collect(pid),
-            deposit: repo.begin_deposit(pid, 0, 1),
+            collect: world.sc.begin_collect(pid),
+            deposit: world.repo.begin_deposit(pid, 0, 1),
+            phase: SessionPhase::Acquire,
             naming_dirty: false,
             deposit_dirty: false,
+            original,
+            client: 0,
+            ticket: 0,
         }
     }
 
-    /// Arms the acquire phase for a newly bound client: re-enters the
-    /// naming machine when the previous incarnation died mid-acquire
-    /// (keeping its burned claims), else begins a fresh session.
-    pub fn begin_acquire(&mut self) {
-        if self.naming_dirty {
+    /// Starts the session of `client`, re-entering the naming machine if
+    /// the last session died mid-acquire.
+    pub fn begin(&mut self, client: u64) {
+        if std::mem::take(&mut self.naming_dirty) {
             self.naming.reenter();
-            self.naming_dirty = false;
         } else {
             self.naming.begin_session();
         }
+        self.client = client;
+        self.phase = SessionPhase::Acquire;
     }
 
-    /// Arms the deposit phase for `value`: re-enters the deposit machine
-    /// when a previous incarnation died mid-round, else begins fresh.
-    pub fn begin_deposit(&mut self, value: u64) {
-        if self.deposit_dirty {
-            self.deposit.reenter(value);
-            self.deposit_dirty = false;
-        } else {
-            self.deposit.begin_round(value);
+    /// Kills the running session mid-operation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no session runs.
+    pub fn crash(&mut self) {
+        match self.phase {
+            SessionPhase::Acquire => self.naming_dirty = true,
+            SessionPhase::Deposit => self.deposit_dirty = true,
+            SessionPhase::Store | SessionPhase::Collect => {}
+            SessionPhase::Idle => panic!("crashed an idle session"),
         }
+        self.phase = SessionPhase::Idle;
+    }
+
+    /// The running phase. It changes exactly when a phase's last
+    /// operation is granted.
+    #[must_use]
+    #[inline]
+    pub fn phase(&self) -> SessionPhase {
+        self.phase
+    }
+
+    /// The fewest operations before the deposit round begins — the rest
+    /// of the acquire, then a store and a collect operation — or `None`
+    /// from the deposit phase on.
+    #[inline]
+    fn ops_before_round(&self) -> Option<u64> {
+        match self.phase {
+            SessionPhase::Acquire => Some(self.naming.min_ops_left() + 2),
+            SessionPhase::Store => Some(2),
+            SessionPhase::Collect => Some(1),
+            SessionPhase::Deposit | SessionPhase::Idle => None,
+        }
+    }
+
+    /// The park the session's row service has pending
+    /// ([`DepositOp::pending_park`]): its column, and the fewest
+    /// operations of this session up to and including the park write.
+    /// Row events alternate with `Column` reads, so `rows` row events
+    /// take `2·rows − 1` operations from the next row event on. The row
+    /// state survives between rounds (only a re-entry clears it), so a
+    /// session in any phase may carry one. A session holding its name
+    /// reports none: its slot's next row event waits for a whole further
+    /// session.
+    #[must_use]
+    #[inline]
+    pub fn pending_park(&self) -> Option<(usize, u64)> {
+        let (column, rows) = self.deposit.pending_park()?;
+        let to_row = match self.ops_before_round() {
+            Some(ops) => ops,
+            None if self.phase == SessionPhase::Idle || self.deposit.holds_name() => return None,
+            None => u64::from(self.deposit.reads_column_next()),
+        };
+        Some((column, to_row + 2 * rows - 1))
+    }
+
+    /// The column the next operation parks a name in
+    /// ([`DepositOp::next_park`]).
+    #[must_use]
+    #[inline]
+    pub fn next_park(&self) -> Option<usize> {
+        match self.phase {
+            SessionPhase::Deposit => self.deposit.next_park(),
+            _ => None,
+        }
+    }
+}
+
+impl StepMachine for SessionOp<'_> {
+    /// The session ticket.
+    type Output = u64;
+
+    // Forced, like `advance`: the service's grant loop is generic over
+    // its bank and compiles in the caller's crate, where a plain
+    // `#[inline]` left these out-of-line, at about 6% of a steady
+    // service's operations per second.
+    #[inline(always)]
+    fn op(&self) -> ShmOp {
+        match self.phase {
+            SessionPhase::Acquire => self.naming.op(),
+            SessionPhase::Store => match self.registered {
+                Some(reg) => ShmOp::Write(reg, Word::Pair(self.original, self.client)),
+                None => self.first_store.op(),
+            },
+            SessionPhase::Collect => self.collect.op(),
+            SessionPhase::Deposit => self.deposit.op(),
+            SessionPhase::Idle => panic!("idle session driven"),
+        }
+    }
+
+    fn peek(&self) -> (OpKind, RegId) {
+        match self.phase {
+            SessionPhase::Acquire => self.naming.peek(),
+            SessionPhase::Store => match self.registered {
+                Some(reg) => (OpKind::Write, reg),
+                None => self.first_store.peek(),
+            },
+            SessionPhase::Collect => self.collect.peek(),
+            SessionPhase::Deposit => self.deposit.peek(),
+            SessionPhase::Idle => panic!("idle session driven"),
+        }
+    }
+
+    #[inline(always)]
+    fn advance(&mut self, input: &Word) -> Poll<u64> {
+        match self.phase {
+            SessionPhase::Acquire => {
+                if let Poll::Ready(name) = self.naming.advance(input) {
+                    self.ticket = name;
+                    self.phase = SessionPhase::Store;
+                }
+            }
+            SessionPhase::Store if self.registered.is_some() => {
+                self.collect.rearm();
+                self.phase = SessionPhase::Collect;
+            }
+            SessionPhase::Store => {
+                if let Poll::Ready(reg) = self.first_store.advance(input) {
+                    // Still storing: the next grant is the value write.
+                    self.registered = Some(reg.expect("store&collect sized for every slot"));
+                }
+            }
+            SessionPhase::Collect => {
+                if self.collect.advance(input).ready().is_some() {
+                    if std::mem::take(&mut self.deposit_dirty) {
+                        self.deposit.reenter(self.client);
+                    } else {
+                        self.deposit.begin_round(self.client);
+                    }
+                    self.phase = SessionPhase::Deposit;
+                }
+            }
+            SessionPhase::Deposit => {
+                if let Poll::Ready(reg) = self.deposit.advance(input) {
+                    debug_assert!(reg.is_some(), "depositors always claim");
+                    self.phase = SessionPhase::Idle;
+                    return Poll::Ready(self.ticket);
+                }
+            }
+            SessionPhase::Idle => panic!("idle session driven"),
+        }
+        Poll::Pending
+    }
+
+    /// The session's floor: the operations to its deposit round plus a
+    /// whole round ([`DepositOp::MIN_OPS`]), then the round's own
+    /// minimum — 7 at the least in the acquire, 6 in the store, 5 in the
+    /// collect, then 4, 3, 2 and 1.
+    #[inline]
+    fn min_ops_left(&self) -> u64 {
+        match self.ops_before_round() {
+            Some(ops) => ops + DepositOp::MIN_OPS,
+            None if self.phase == SessionPhase::Idle => 0,
+            None => self.deposit.min_ops_left(),
+        }
+    }
+
+    fn reset(&mut self, pid: Pid) {
+        self.naming.reset(pid);
+        self.first_store.reset(pid);
+        self.registered = None;
+        self.collect.reset(pid);
+        self.deposit.reset(pid);
+        self.phase = SessionPhase::Acquire;
+        self.naming_dirty = false;
+        self.deposit_dirty = false;
+        self.client = 0;
+        self.ticket = 0;
     }
 }
 
@@ -497,9 +672,11 @@ impl<'w> SessionMachines<'w> {
 mod tests {
     use super::*;
     use crate::engine::StepEngine;
-    use crate::policy::RandomPolicy;
+    use crate::policy::{CrashStorm, RandomPolicy};
+    use crate::service::ServiceConfig;
     use exsel_core::RenameConfig;
     use exsel_shm::RegAlloc;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
     use std::collections::BTreeSet;
 
     fn distinct_claims(algo: &AlgoSet, regs: usize, originals: &[u64], seeds: u64) {
@@ -630,6 +807,121 @@ mod tests {
                     assert!(c.view().len() <= 2);
                 }
             }
+        }
+    }
+
+    /// `(min_ops_left, pending_park, next_park)` before a grant.
+    type Record = (u64, Option<(usize, u64)>, Option<usize>);
+
+    /// A session that records its [`Record`] before each grant, crashes and begins again after a
+    /// grant with probability 0.005, and checks an incarnation's records
+    /// when it completes (minima and parks) or is cut short (parks) —
+    /// the probe of `crates/unbounded/tests/minima.rs`.
+    struct Probe<'w> {
+        session: SessionOp<'w>,
+        rng: SmallRng,
+        records: Vec<Record>,
+        parks: u64,
+    }
+
+    impl Probe<'_> {
+        /// No park into a reported column came sooner than reported (a
+        /// re-entered deposit round drops a carried-over park).
+        fn check_parks(&mut self) {
+            for (i, &(_, park, _)) in self.records.iter().enumerate() {
+                let Some((column, ops)) = park else { continue };
+                if let Some(at) = self.records[i..].iter().position(|r| r.2 == Some(column)) {
+                    assert!(ops <= at as u64 + 1, "{ops} ops reported, parked at {at}");
+                    self.parks += 1;
+                }
+            }
+        }
+    }
+
+    impl StepMachine for Probe<'_> {
+        type Output = u64;
+
+        fn op(&self) -> ShmOp {
+            self.session.op()
+        }
+
+        fn peek(&self) -> (OpKind, RegId) {
+            self.session.peek()
+        }
+
+        fn advance(&mut self, input: &Word) -> Poll<u64> {
+            let s = &self.session;
+            let record = (s.min_ops_left(), s.pending_park(), s.next_park());
+            self.records.push(record);
+            let poll = self.session.advance(input);
+            let done = matches!(poll, Poll::Ready(_));
+            let cut = !done && self.rng.gen_bool(0.005);
+            if done {
+                let ops = self.records.len() as u64;
+                for (i, &(left, ..)) in self.records.iter().enumerate() {
+                    assert!(left <= ops - i as u64, "op {i} of {ops}: {left} left");
+                }
+                assert_eq!(self.session.min_ops_left(), 0);
+            }
+            if done || cut {
+                self.check_parks();
+                self.records.clear();
+            }
+            if cut {
+                self.session.crash();
+                self.session.begin(1);
+            }
+            poll
+        }
+
+        fn reset(&mut self, pid: Pid) {
+            self.session.reset(pid);
+            self.records.clear();
+        }
+    }
+
+    /// 2–4 sessions on the engine under crash storms (seeds 0..60), with
+    /// and without crash re-entries: completed sessions hold distinct
+    /// tickets, `min_ops_left` and `pending_park` never overstate the
+    /// operations that follow, and a reset pool replays a fresh pool's
+    /// trace.
+    #[test]
+    fn session_pools_are_exclusive_replayable_and_never_overstate() {
+        for n in 2..=4 {
+            let world = ServiceWorld::new(&ServiceConfig {
+                slots: n,
+                ..ServiceConfig::default()
+            });
+            let mut engine = StepEngine::reusable(world.num_registers()).record_trace(true);
+            let sessions = || -> MachinePool<SessionOp<'_>> {
+                (0..n).map(|p| SessionOp::new(&world, Pid(p))).collect()
+            };
+            let (mut reused, mut parks) = (sessions(), 0);
+            for seed in 0..60u64 {
+                let storm =
+                    || CrashStorm::new(Box::new(RandomPolicy::new(seed)), !seed, 0.005, n - 1);
+                let mut probes: MachinePool<Probe<'_>> = (0..n)
+                    .map(|p| Probe {
+                        session: SessionOp::new(&world, Pid(p)),
+                        rng: SmallRng::seed_from_u64(seed << 8 | p as u64),
+                        records: Vec::new(),
+                        parks: 0,
+                    })
+                    .collect();
+                engine.run_pool(&mut storm(), &mut probes);
+                let tickets: Vec<u64> = probes.completed().map(|(_, &t)| t).collect();
+                let distinct: BTreeSet<u64> = tickets.iter().copied().collect();
+                assert!(!tickets.is_empty(), "n = {n}, seed {seed}");
+                assert_eq!(distinct.len(), tickets.len(), "n = {n}, seed {seed}");
+                parks += probes.machines().iter().map(|m| m.parks).sum::<u64>();
+                let mut fresh = sessions();
+                engine.run_pool(&mut storm(), &mut fresh);
+                let trace = engine.trace().expect("recorded").to_vec();
+                engine.run_pool(&mut storm(), &mut reused);
+                assert_eq!(engine.trace(), Some(&trace[..]), "n = {n}, seed {seed}");
+                assert_eq!(reused.results(), fresh.results(), "n = {n}, seed {seed}");
+            }
+            assert!(parks > 0, "n = {n}: no pending park was checked");
         }
     }
 

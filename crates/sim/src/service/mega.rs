@@ -36,13 +36,15 @@
 //!   operation per tick, and a session needs a minimum number of
 //!   operations to finish: `S_min(n) = 5n + 9` from binding
 //!   ([`ServiceWorld::min_session_ops`]), and in flight a bound read
-//!   from its own machines and its column of the repository's `Help`
-//!   matrix. A deposit round completes only by consuming a name parked
-//!   in its own column, and a name gets there only through a row
-//!   server's park write after a whole acquire. So a session whose
-//!   column is empty completes no sooner than the nearest pending park
-//!   into it + 3 operations, and without one no sooner than `S_min`
-//!   (see `ShardState::bound_completions`). A session bound inside the
+//!   from its session machine ([`SessionOp`](crate::SessionOp)'s
+//!   `min_ops_left`) and its column of the repository's `Help` matrix.
+//!   A deposit round completes only by consuming a name parked in its
+//!   own column, and a name gets there only through a row server's park
+//!   write after a whole acquire. So a session whose column is empty
+//!   completes no sooner than the nearest pending park into it
+//!   ([`SessionOp::pending_park`](crate::SessionOp::pending_park)) + 3
+//!   operations, and without one no sooner than `S_min` (see
+//!   `ShardState::bound_completions`). A session bound inside the
 //!   epoch needs `S_min ≥ E` ticks and cannot complete before its last
 //!   tick. So while more sessions are still needed than are in flight,
 //!   `E` is the cap, `min(S_min, ticks to the window end, ticks to the
@@ -142,9 +144,7 @@
 
 use exsel_shm::{RegisterBank, SlabBank};
 
-use super::{
-    Arrivals, ServiceConfig, ServiceReport, ServiceWorld, ShardState, Stepped, Telemetry, Totals,
-};
+use super::{ServiceConfig, ServiceReport, ServiceWorld, ShardState, Stepped, Telemetry, Totals};
 
 /// Salt multiplier deriving per-shard RNG seeds (the 64-bit golden
 /// ratio, as in the engine's pid-mixing); shard 0's salt is 0 so the
@@ -193,35 +193,11 @@ impl MegaServiceConfig {
     #[must_use]
     pub fn shard_cfg(&self, s: usize) -> ServiceConfig {
         assert!(s < self.shards, "shard {s} out of {} shards", self.shards);
-        let k = self.shards as f64;
-        let arrivals = match self.base.arrivals {
-            Arrivals::Poisson { mean_gap } => Arrivals::Poisson {
-                mean_gap: mean_gap * k,
-            },
-            Arrivals::Bursty {
-                mean_gap,
-                burst,
-                lull,
-            } => Arrivals::Bursty {
-                mean_gap: mean_gap * k,
-                burst,
-                lull,
-            },
-            Arrivals::Diurnal {
-                peak_gap,
-                trough_gap,
-                period,
-            } => Arrivals::Diurnal {
-                peak_gap: peak_gap * k,
-                trough_gap: trough_gap * k,
-                period,
-            },
-        };
         ServiceConfig {
             seed: self.base.seed ^ (s as u64).wrapping_mul(SHARD_SALT),
             target_sessions: Self::share(self.base.target_sessions, s, self.shards),
             max_clients: Self::share(self.base.max_clients, s, self.shards),
-            arrivals,
+            arrivals: self.base.arrivals.scale_gaps(self.shards as f64),
             ..self.base
         }
     }
@@ -429,26 +405,20 @@ impl<'w> MegaServiceHarness<'w, SlabBank> {
     /// allocation-free from the first session.
     #[must_use]
     pub fn new(world: &'w MegaServiceWorld, cfg: &MegaServiceConfig) -> Self {
-        let banks = world
-            .worlds
-            .iter()
-            .map(|w| {
-                let mut bank = SlabBank::new();
-                bank.reserve_slots(Self::slab_slots(w));
-                bank
-            })
-            .collect();
+        let banks = world.worlds.iter().map(reserved_slab).collect();
         MegaServiceHarness::with_banks(world, cfg, banks)
     }
+}
 
-    /// The slab slots one shard can hold live at once: one per register
-    /// that can hold a snapshot record
-    /// ([`ServiceWorld::snapshot_registers`]; 66 at 8 slots), plus one
-    /// because [`SlabBank`]'s write parks the new record before it frees
-    /// the one it displaces.
-    fn slab_slots(world: &ServiceWorld) -> usize {
-        world.snapshot_registers() + 1
-    }
+/// A [`SlabBank`] reserving the slab slots a shard over `world` can hold
+/// live at once: one per register that can hold a snapshot record
+/// ([`ServiceWorld::snapshot_registers`]; 66 at 8 slots), plus one
+/// because the slab's write parks the new record before it frees the
+/// one it displaces.
+pub(super) fn reserved_slab(world: &ServiceWorld) -> SlabBank {
+    let mut bank = SlabBank::new();
+    bank.reserve_slots(world.snapshot_registers() + 1);
+    bank
 }
 
 impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
@@ -529,7 +499,7 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
         );
         for (shard, mut checker) in self.shards.iter_mut().zip(checkers) {
             checker.begin_trial();
-            shard.checker = Some(checker);
+            shard.checks.checker = Some(checker);
         }
     }
 
@@ -540,7 +510,7 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
     pub fn checker_violations(&self) -> u64 {
         self.shards
             .iter()
-            .filter_map(|s| s.checker.as_ref())
+            .filter_map(|s| s.checks.checker.as_ref())
             .map(exsel_analysis::AccessChecker::trial_violations)
             .sum()
     }
@@ -763,8 +733,11 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Admission, Phase, ServiceHarness, NOT_ACTIVE};
+    use super::super::{Admission, Arrivals, ServiceHarness, NOT_ACTIVE};
     use super::*;
+    use crate::machines::SessionPhase;
+    use exsel_shm::StepMachine;
+    use exsel_unbounded::DepositOp;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -1348,19 +1321,19 @@ mod tests {
                 assert!(reference_tick(&mut h));
                 continue;
             };
-            let s = &h.shards[0].slots[slot];
-            let (phase, floor) = (s.phase, s.floor());
+            let session = &h.shards[0].slots[slot].session;
+            let (phase, floor) = (session.phase(), session.min_ops_left());
             let done = h.completed();
             assert!(reference_tick(&mut h));
             floors.push(floor);
-            let s = &h.shards[0].slots[slot];
             if h.completed() > done {
                 for (i, &floor) in floors.iter().rev().enumerate() {
                     assert!(floor <= i as u64 + 1, "{floors:?}");
                 }
                 floors.clear();
             }
-            if s.phase != phase || phase == Phase::Deposit {
+            let session = &h.shards[0].slots[slot].session;
+            if session.phase() != phase || phase == SessionPhase::Deposit {
                 last.insert((format!("{phase:?}"), floor));
             }
         }
@@ -1406,28 +1379,32 @@ mod tests {
             let shard = &h.shards[0];
             let mut gate = vec![u64::MAX; cfg.slots];
             for &slot in &shard.active {
-                if let Some((column, ops)) = shard.slots[slot].park() {
+                if let Some((column, ops)) = shard.slots[slot].session.pending_park() {
                     gate[column] = gate[column].min(ops);
                 }
             }
             for &slot in &shard.active {
-                let s = &shard.slots[slot];
-                let Some((column, rows)) = s.machines.deposit.pending_park() else {
+                let session = &shard.slots[slot].session;
+                let Some((column, rows)) = session.deposit.pending_park() else {
                     continue;
                 };
-                let Some(to_deposit) = s.ops_to_deposit() else {
+                if session.phase() == SessionPhase::Deposit {
                     continue;
-                };
+                }
+                // The operations to the deposit round, then `rows` row
+                // events alternating with column reads.
+                let to_deposit = session.min_ops_left() - DepositOp::MIN_OPS;
                 let ops = to_deposit + 2 * rows - 1;
-                assert_eq!(s.park(), Some((column, ops)));
+                assert_eq!(session.pending_park(), Some((column, ops)));
                 if shard.active_pos[column] == NOT_ACTIVE || shard.slots[column].parked > 0 {
                     continue;
                 }
                 let bound = shard.completion_bound(column, &gate);
-                assert!(bound <= shard.slots[column].floor().max(ops + 3));
+                let floor = shard.slots[column].session.min_ops_left();
+                assert!(bound <= floor.max(ops + 3));
                 if ops + 3 < s_min {
                     assert!(bound < s_min, "slot {slot} does not gate column {column}");
-                    seen.insert(format!("{:?}", s.phase));
+                    seen.insert(format!("{:?}", session.phase()));
                 }
             }
         }
@@ -1539,22 +1516,6 @@ mod tests {
         assert_eq!(classes.len(), cfg.shards);
     }
 
-    #[test]
-    fn same_seed_is_bit_identical_across_builds() {
-        let cfg = MegaServiceConfig {
-            base: base_cfg(11, 400, 0.005),
-            shards: 3,
-        };
-        let world_a = MegaServiceWorld::new(&cfg);
-        let a = MegaServiceHarness::new(&world_a, &cfg).run();
-        let world_b = MegaServiceWorld::new(&cfg);
-        let b = MegaServiceHarness::new(&world_b, &cfg).run();
-        assert_eq!(a.report.totals, b.report.totals);
-        assert_eq!(a.report.windows, b.report.windows);
-        assert_eq!(a.report.names, b.report.names);
-        assert_eq!(a.shard_totals, b.shard_totals);
-    }
-
     /// No shard's slab grows past its reserved slots and no shard's
     /// snapshot arenas miss, on a primed crashy fleet under light and
     /// overload arrivals.
@@ -1575,7 +1536,7 @@ mod tests {
             harness.prime();
             assert!(harness.run_until(base.target_sessions), "{cfg:?}");
             for (s, (shard, w)) in harness.shards.iter().zip(&world.worlds).enumerate() {
-                let reserved = MegaServiceHarness::slab_slots(w);
+                let reserved = reserved_slab(w).allocated_slots();
                 assert!(
                     shard.bank.peak_slots() <= reserved,
                     "shard {s}: {} live slots, {reserved} reserved ({cfg:?})",

@@ -27,16 +27,13 @@
 //!
 //! # Crash–re-entry semantics
 //!
-//! A crash kills the *incarnation*, not the slot: the slot's machines
-//! stay mid-flight, and when the client re-enters (through admission,
-//! after backoff) the naming and deposit machines are re-entered as
-//! fresh contenders with their suites republished
-//! ([`exsel_unbounded::NamingMachine::reenter`]) — local claim state is
-//! kept, so integers claimed by dead incarnations stay claimed (wasted,
-//! per the paper's crash budget) and **completed sessions' tickets are
-//! pairwise exclusive**. A first store interrupted mid-rename is
-//! *resumed* (slot registration is infrastructure, not client state);
-//! collects restart from scratch (reads only).
+//! A crash kills the *incarnation*, not the slot: the slot's session
+//! machine ([`SessionOp`]) stays mid-flight, and the next session on the
+//! slot (the client's re-entry through admission, after backoff, or
+//! another client's) re-enters the naming or deposit machine as a fresh
+//! contender. Integers claimed by dead incarnations stay claimed
+//! (wasted, per the paper's crash budget), and **completed sessions'
+//! tickets are pairwise exclusive**.
 //!
 //! # Example
 //!
@@ -70,14 +67,13 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use exsel_core::RenameConfig;
-use exsel_shm::{
-    ArcBank, Pid, Poll, RegAlloc, RegisterBank, ShmOp, SnapArenaStats, StepMachine, Word,
-};
+use exsel_shm::{Pid, Poll, RegAlloc, RegisterBank, SlabBank, SnapArenaStats, StepMachine};
 use exsel_storecollect::StoreCollect;
 use exsel_unbounded::{AltruisticDeposit, DepositOp, UnboundedNaming};
 use rand::{rngs::SmallRng, Rng, RngCore, SeedableRng};
 
-use crate::machines::SessionMachines;
+use crate::engine::{grant, GrantChecks};
+use crate::machines::{SessionOp, SessionPhase};
 
 /// How clients arrive, in service-clock steps. Every process is driven
 /// by its own seeded RNG stream, so the arrival schedule is a pure
@@ -114,6 +110,37 @@ pub enum Arrivals {
 }
 
 impl Arrivals {
+    /// The same process with every inter-arrival gap multiplied by
+    /// `factor`, burst/lull and diurnal phases kept: how a fleet thins
+    /// one arrival stream per shard, or holds per-shard load as it is
+    /// resized.
+    #[must_use]
+    pub fn scale_gaps(self, factor: f64) -> Self {
+        match self {
+            Arrivals::Poisson { mean_gap } => Arrivals::Poisson {
+                mean_gap: mean_gap * factor,
+            },
+            Arrivals::Bursty {
+                mean_gap,
+                burst,
+                lull,
+            } => Arrivals::Bursty {
+                mean_gap: mean_gap * factor,
+                burst,
+                lull,
+            },
+            Arrivals::Diurnal {
+                peak_gap,
+                trough_gap,
+                period,
+            } => Arrivals::Diurnal {
+                peak_gap: peak_gap * factor,
+                trough_gap: trough_gap * factor,
+                period,
+            },
+        }
+    }
+
     /// Steps from `now` to the next arrival (≥ 1).
     fn next_gap(&self, now: u64, rng: &mut SmallRng) -> u64 {
         match *self {
@@ -286,9 +313,9 @@ impl ServiceConfig {
 /// concurrent clients on a single register address space.
 #[derive(Debug)]
 pub struct ServiceWorld {
-    naming: UnboundedNaming,
-    sc: StoreCollect,
-    repo: AltruisticDeposit,
+    pub(crate) naming: UnboundedNaming,
+    pub(crate) sc: StoreCollect,
+    pub(crate) repo: AltruisticDeposit,
     registers: usize,
 }
 
@@ -327,7 +354,7 @@ impl ServiceWorld {
         self.registers
     }
 
-    /// Registers that can hold a [`Word::Snap`]: the `slots` snapshot
+    /// Registers that can hold a [`exsel_shm::Word::Snap`]: the `slots` snapshot
     /// components of each naming object (the session tickets' and the
     /// repository's), plus those of the store&collect renamer's snapshot
     /// stages, which only a slot's first store writes.
@@ -377,22 +404,6 @@ impl exsel_shm::Footprint for ServiceWorld {
     }
 }
 
-/// Where a bound session currently is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Phase {
-    /// No client bound.
-    Free,
-    /// Driving the unbounded-naming acquire (the session ticket).
-    Acquire,
-    /// Driving the slot's first store (rename + controls + value write),
-    /// or — once registered — performing the session's one-write store.
-    Store,
-    /// Driving the prefix-read collect.
-    Collect,
-    /// Driving one wait-free deposit round.
-    Deposit,
-}
-
 /// What one [`ShardState::step`] did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Stepped {
@@ -419,6 +430,19 @@ enum OpFamily {
 }
 
 const FAMILIES: usize = 6;
+
+impl OpFamily {
+    /// The latency family of a session phase.
+    fn of(phase: SessionPhase) -> Self {
+        match phase {
+            SessionPhase::Acquire => OpFamily::Acquire,
+            SessionPhase::Store => OpFamily::Store,
+            SessionPhase::Collect => OpFamily::Collect,
+            SessionPhase::Deposit => OpFamily::Deposit,
+            SessionPhase::Idle => unreachable!("an idle session has no latency"),
+        }
+    }
+}
 
 /// A fixed-size log-bucketed step-latency histogram: values 0–7 exact,
 /// then four sub-buckets per octave (≈ ±12% resolution) up to `u64::MAX`
@@ -619,8 +643,10 @@ impl ServiceReport {
     }
 }
 
-/// A client's journey record while waiting (queue or backoff).
-#[derive(Clone, Copy, Debug)]
+/// A client's journey record while waiting (queue or backoff). The
+/// timer heap orders its entries by `(due, seq)` alone, since every
+/// `seq` is distinct.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Client {
     id: u64,
     arrival: u64,
@@ -628,16 +654,13 @@ struct Client {
     crashed: bool,
 }
 
-/// One client slot: the pooled session-machine bundle of its pid
-/// ([`SessionMachines`]) plus the bound session's bookkeeping.
+/// One client slot: the session machine of its pid ([`SessionOp`])
+/// plus the bound session's bookkeeping.
 struct Slot<'w> {
-    machines: SessionMachines<'w>,
-    phase: Phase,
+    session: SessionOp<'w>,
     client: Client,
-    ticket: u64,
     session_start: u64,
     phase_start: u64,
-    original: u64,
     /// Operations granted to the bound session so far (a `u32` fits
     /// the slot's padding; it saturates rather than wraps).
     ops: u32,
@@ -648,56 +671,6 @@ struct Slot<'w> {
     /// with its `Help` clear. At most one name per row, so a `u16` (in
     /// the slot's padding) holds any shard that fits in memory.
     parked: u16,
-}
-
-impl Slot<'_> {
-    /// The fewest granted operations before the bound session's deposit
-    /// round begins — the rest of the acquire
-    /// ([`NamingMachine::min_ops_left`](exsel_unbounded::NamingMachine::min_ops_left)),
-    /// at least one store and one collect operation — or `None` once
-    /// the round has begun.
-    fn ops_to_deposit(&self) -> Option<u64> {
-        match self.phase {
-            Phase::Free => unreachable!("a free slot has no session"),
-            Phase::Acquire => Some(self.machines.naming.min_ops_left() + 2),
-            Phase::Store => Some(2),
-            Phase::Collect => Some(1),
-            Phase::Deposit => None,
-        }
-    }
-
-    /// The bound session's completion floor: the fewest granted
-    /// operations before it completes if its deposit finds a name at
-    /// its first `Column` read. That is [`Slot::ops_to_deposit`] plus a
-    /// whole round ([`DepositOp::MIN_OPS`]), or in the deposit phase
-    /// [`DepositOp::min_ops_left`] — 7 at the least in the acquire, 6 in
-    /// the store, 5 in the collect, then 4, 3, 2 and 1.
-    fn floor(&self) -> u64 {
-        self.ops_to_deposit().map_or_else(
-            || self.machines.deposit.min_ops_left(),
-            |ops| ops + DepositOp::MIN_OPS,
-        )
-    }
-
-    /// The park the slot's row service has pending
-    /// ([`DepositOp::pending_park`]): its column, and the fewest granted
-    /// operations of this slot up to and including the park write. Row
-    /// events alternate with `Column` reads, so `rows` row events take
-    /// `2·rows − 1` operations from the next row event on. The row
-    /// state survives between rounds (only a re-entry clears it), so a
-    /// session in any phase may carry one. A session holding its name
-    /// reports none: its slot's next row event waits for a whole
-    /// further session.
-    fn park(&self) -> Option<(usize, u64)> {
-        let deposit = &self.machines.deposit;
-        let (column, rows) = deposit.pending_park()?;
-        let to_row = match self.ops_to_deposit() {
-            Some(ops) => ops,
-            None if deposit.holds_name() => return None,
-            None => u64::from(deposit.reads_column_next()),
-        };
-        Some((column, to_row + 2 * rows - 1))
-    }
 }
 
 /// The telemetry sink of a service run: global counter totals, the
@@ -848,7 +821,7 @@ struct ShardState<'w, B: RegisterBank> {
     /// (`usize::MAX` when inactive).
     active_pos: Vec<usize>,
     queue: VecDeque<Client>,
-    timers: BinaryHeap<Reverse<(u64, u64, ClientBits)>>,
+    timers: BinaryHeap<Reverse<(u64, u64, Client)>>,
     timer_seq: u64,
     sched_rng: SmallRng,
     arrival_rng: SmallRng,
@@ -867,30 +840,19 @@ struct ShardState<'w, B: RegisterBank> {
     ticket_base: u64,
     /// [`ServiceWorld::min_session_ops`], asserted at every completion.
     min_session_ops: u64,
-    /// The shard's dynamic footprint checker, if one is installed —
-    /// consulted on every granted (and priming) operation. Sharded
-    /// worlds get one checker per shard: each shard's world and bank
-    /// are register-disjoint, so per-shard checking is exactly whole-
-    /// run checking.
-    #[cfg(feature = "check")]
-    checker: Option<exsel_analysis::AccessChecker>,
+    /// The shard's footprint checker and `min_ops_left` checks
+    /// ([`grant`]), over every granted and priming operation. Each
+    /// shard's world and bank are register-disjoint, so per-shard
+    /// checking is exactly whole-run checking.
+    checks: GrantChecks,
 }
 
 /// The open-loop service harness; see the module docs. It is a fleet of
 /// one shard ([`mega::MegaServiceHarness`]) over `world`, which it
 /// borrows (machines hold references into the shared objects); it owns
 /// the register bank, the clock, and every waiting-room structure.
-pub struct ServiceHarness<'w, B: RegisterBank = ArcBank>(mega::MegaServiceHarness<'w, B>);
-
-/// A [`Client`] packed into plain integers so the timer heap's ordering
-/// is a pure `(due, seq)` comparison.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct ClientBits {
-    id: u64,
-    arrival: u64,
-    attempt: u32,
-    crashed: bool,
-}
+/// Like the fleet, it defaults to the [`SlabBank`] backend.
+pub struct ServiceHarness<'w, B: RegisterBank = SlabBank>(mega::MegaServiceHarness<'w, B>);
 
 const NOT_ACTIVE: usize = usize::MAX;
 
@@ -928,28 +890,21 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
         bank.reset(world.registers);
         let slots: Vec<Slot<'w>> = (0..cfg.slots)
             .map(|p| Slot {
-                machines: SessionMachines::new(
-                    &world.naming,
-                    &world.sc,
-                    &world.repo,
-                    Pid(p),
-                    p as u64 + 1,
-                ),
-                phase: Phase::Free,
+                session: SessionOp::new(world, Pid(p)),
                 client: Client {
                     id: 0,
                     arrival: 0,
                     attempt: 0,
                     crashed: false,
                 },
-                ticket: 0,
                 session_start: 0,
                 phase_start: 0,
-                original: p as u64 + 1,
                 ops: 0,
                 parked: 0,
             })
             .collect();
+        let mut checks = GrantChecks::default();
+        checks.start(cfg.slots);
         let mut arrival_rng = SmallRng::seed_from_u64(cfg.seed ^ 0xA221_55A1);
         let first_arrival = cfg.arrivals.next_gap(0, &mut arrival_rng);
         ShardState {
@@ -973,26 +928,7 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
             ticket_step,
             ticket_base,
             min_session_ops: world.min_session_ops(),
-            #[cfg(feature = "check")]
-            checker: None,
-        }
-    }
-
-    /// The `(kind, register)` of the operation the slot's current phase
-    /// is about to perform — the checker's view of a grant, derived the
-    /// same way [`ShardState::grant`] dispatches it.
-    #[cfg(feature = "check")]
-    fn peek_slot(s: &Slot<'w>) -> (exsel_shm::OpKind, exsel_shm::RegId) {
-        let m = &s.machines;
-        match s.phase {
-            Phase::Free => unreachable!("peeked a free slot"),
-            Phase::Acquire => m.naming.peek(),
-            Phase::Store => m.registered.map_or_else(
-                || m.first_store.peek(),
-                |reg| (exsel_shm::OpKind::Write, reg),
-            ),
-            Phase::Collect => m.collect.peek(),
-            Phase::Deposit => m.deposit.peek(),
+            checks,
         }
     }
 
@@ -1016,18 +952,12 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
 
     /// Fires every backoff/re-entry timer due at or before `now`.
     fn fire_due_timers(&mut self, now: u64, tel: &mut Telemetry) {
-        while let Some(Reverse((due, _, bits))) = self.timers.peek().copied() {
+        while let Some(Reverse((due, _, client))) = self.timers.peek().copied() {
             if due > now {
                 break;
             }
             self.timers.pop();
             self.waiting -= 1;
-            let client = Client {
-                id: bits.id,
-                arrival: bits.arrival,
-                attempt: bits.attempt,
-                crashed: bits.crashed,
-            };
             if client.crashed {
                 self.totals.reentries += 1;
                 tel.totals.reentries += 1;
@@ -1095,16 +1025,8 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
             .delay(client.attempt, &mut self.jitter_rng);
         client.attempt += 1;
         self.timer_seq += 1;
-        self.timers.push(Reverse((
-            now + delay,
-            self.timer_seq,
-            ClientBits {
-                id: client.id,
-                arrival: client.arrival,
-                attempt: client.attempt,
-                crashed: client.crashed,
-            },
-        )));
+        self.timers
+            .push(Reverse((now + delay, self.timer_seq, client)));
         self.waiting += 1;
     }
 
@@ -1117,11 +1039,10 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
         tel.inflight += 1;
         let s = &mut self.slots[slot];
         s.client = client;
-        s.phase = Phase::Acquire;
         s.session_start = now;
         s.phase_start = now;
         s.ops = 0;
-        s.machines.begin_acquire();
+        s.session.begin(client.id);
         debug_assert_eq!(self.active_pos[slot], NOT_ACTIVE);
         self.active_pos[slot] = self.active.len();
         self.active.push(slot);
@@ -1148,18 +1069,9 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
         tel.window_counts.crashes += 1;
         tel.inflight -= 1;
         let s = &mut self.slots[slot];
-        match s.phase {
-            Phase::Acquire => s.machines.naming_dirty = true,
-            Phase::Deposit => s.machines.deposit_dirty = true,
-            // A first store interrupted mid-flight resumes on the next
-            // session (slot infrastructure); collects restart; a
-            // registered store's single write needs nothing.
-            Phase::Store | Phase::Collect => {}
-            Phase::Free => unreachable!("crashed a free slot"),
-        }
+        s.session.crash();
         let mut client = s.client;
         client.crashed = true;
-        s.phase = Phase::Free;
         self.deactivate(slot);
         self.free.push(slot);
         self.backoff_or_reject(client, now, tel);
@@ -1179,8 +1091,7 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
     }
 
     /// Grants one shared-memory operation to the session on `slot` and
-    /// advances its state machine; returns whether the session
-    /// completed.
+    /// advances its machine; returns whether the session completed.
     ///
     /// # Panics
     ///
@@ -1190,88 +1101,50 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
         self.totals.ops += 1;
         tel.totals.ops += 1;
         let s = &mut self.slots[slot];
-        s.ops = s.ops.saturating_add(1);
-        #[cfg(feature = "check")]
-        if let Some(c) = &mut self.checker {
-            let (kind, reg) = Self::peek_slot(s);
-            c.observe(Pid(slot), kind, reg, self.totals.ops);
+        let ops = s.ops;
+        s.ops = ops.saturating_add(1);
+        let (phase, park) = (s.session.phase(), s.session.next_park());
+        let op = s.session.op();
+        let poll = grant(
+            &mut self.bank,
+            &mut self.checks,
+            &mut s.session,
+            op,
+            Pid(slot),
+            u64::from(ops),
+            self.totals.ops,
+        );
+        if s.session.phase() != phase {
+            tel.record(OpFamily::of(phase), now + 1 - s.phase_start);
+            s.phase_start = now + 1;
         }
-        let m = &mut s.machines;
-        match s.phase {
-            Phase::Free => unreachable!("granted a free slot"),
-            Phase::Acquire => {
-                if let Poll::Ready(name) = step_machine(&mut self.bank, &mut m.naming) {
-                    s.ticket = name;
-                    let lat = now + 1 - s.phase_start;
-                    s.phase = Phase::Store;
-                    s.phase_start = now + 1;
-                    tel.record(OpFamily::Acquire, lat);
-                }
+        let Poll::Ready(ticket) = poll else {
+            if let Some(column) = park {
+                self.slots[column].parked += 1;
             }
-            Phase::Store => {
-                if let Some(reg) = m.registered {
-                    self.bank.write(reg, Word::Pair(s.original, s.client.id));
-                    let lat = now + 1 - s.phase_start;
-                    m.collect.rearm();
-                    s.phase = Phase::Collect;
-                    s.phase_start = now + 1;
-                    tel.record(OpFamily::Store, lat);
-                } else if let Poll::Ready(res) = step_machine(&mut self.bank, &mut m.first_store) {
-                    let reg = res.expect("store&collect sized for every slot");
-                    m.registered = Some(reg);
-                    // Stay in Store: the next grant performs the
-                    // session's own value write.
-                }
-            }
-            Phase::Collect => {
-                if let Poll::Ready(_len) = step_machine(&mut self.bank, &mut m.collect) {
-                    let lat = now + 1 - s.phase_start;
-                    m.begin_deposit(s.client.id);
-                    s.phase = Phase::Deposit;
-                    s.phase_start = now + 1;
-                    tel.record(OpFamily::Collect, lat);
-                }
-            }
-            Phase::Deposit => {
-                let park = m.deposit.next_park();
-                let Poll::Ready(out) = step_machine(&mut self.bank, &mut m.deposit) else {
-                    if let Some(column) = park {
-                        self.slots[column].parked += 1;
-                    }
-                    return false;
-                };
-                debug_assert!(out.is_some(), "depositors always claim");
-                assert!(
-                    u64::from(s.ops) >= self.min_session_ops,
-                    "a session completed in {} ops, below S_min = {}",
-                    s.ops,
-                    self.min_session_ops
-                );
-                let lat = now + 1 - s.phase_start;
-                let session = now + 1 - s.session_start;
-                let sojourn = now + 1 - s.client.arrival;
-                let ticket = s.ticket;
-                s.phase = Phase::Free;
-                tel.record(OpFamily::Deposit, lat);
-                tel.record(OpFamily::Session, session);
-                tel.record(OpFamily::Sojourn, sojourn);
-                // The round's `Help` clear emptied a cell of its own
-                // column.
-                s.parked -= 1;
-                tel.inflight -= 1;
-                self.totals.completed += 1;
-                tel.totals.completed += 1;
-                tel.window_counts.completed += 1;
-                if tel.record_names {
-                    tel.names.push(ticket * self.ticket_step + self.ticket_base);
-                }
-                self.deactivate(slot);
-                self.free.push(slot);
-                self.drain_queue(now, tel);
-                return true;
-            }
+            return false;
+        };
+        assert!(
+            u64::from(s.ops) >= self.min_session_ops,
+            "a session completed in {} ops, below S_min = {}",
+            s.ops,
+            self.min_session_ops
+        );
+        tel.record(OpFamily::Session, now + 1 - s.session_start);
+        tel.record(OpFamily::Sojourn, now + 1 - s.client.arrival);
+        // The round's `Help` clear emptied a cell of its own column.
+        s.parked -= 1;
+        tel.inflight -= 1;
+        self.totals.completed += 1;
+        tel.totals.completed += 1;
+        tel.window_counts.completed += 1;
+        if tel.record_names {
+            tel.names.push(ticket * self.ticket_step + self.ticket_base);
         }
-        false
+        self.deactivate(slot);
+        self.free.push(slot);
+        self.drain_queue(now, tel);
+        true
     }
 
     /// Pre-registers every slot's store&collect infrastructure: drives
@@ -1285,35 +1158,32 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
     /// writes are real, so a primed run is *not* bit-identical to an
     /// unprimed one.
     fn prime(&mut self) {
-        #[cfg(feature = "check")]
-        let mut prime_ops: u64 = 0;
-        #[cfg_attr(not(feature = "check"), allow(clippy::unused_enumerate_index))]
-        for (_slot, s) in self.slots.iter_mut().enumerate() {
-            let m = &mut s.machines;
-            while m.registered.is_none() {
-                #[cfg(feature = "check")]
-                if let Some(c) = &mut self.checker {
-                    let (kind, reg) = m.first_store.peek();
-                    prime_ops += 1;
-                    c.observe(Pid(_slot), kind, reg, prime_ops);
+        let mut index = 0;
+        for (slot, s) in self.slots.iter_mut().enumerate() {
+            let session = &mut s.session;
+            for ops in 0.. {
+                if session.registered.is_some() {
+                    break;
                 }
-                if let Poll::Ready(res) = step_machine(&mut self.bank, &mut m.first_store) {
-                    m.registered = Some(res.expect("store&collect sized for every slot"));
+                index += 1;
+                let store = &mut session.first_store;
+                let op = store.op();
+                let bank = &mut self.bank;
+                if let Poll::Ready(reg) =
+                    grant(bank, &mut self.checks, store, op, Pid(slot), ops, index)
+                {
+                    session.registered = Some(reg.expect("store&collect sized for every slot"));
                 }
             }
         }
-        #[cfg_attr(not(feature = "check"), allow(clippy::unused_enumerate_index))]
-        for (_slot, s) in self.slots.iter_mut().enumerate() {
-            let m = &mut s.machines;
-            m.collect.rearm();
-            loop {
-                #[cfg(feature = "check")]
-                if let Some(c) = &mut self.checker {
-                    let (kind, reg) = m.collect.peek();
-                    prime_ops += 1;
-                    c.observe(Pid(_slot), kind, reg, prime_ops);
-                }
-                if step_machine(&mut self.bank, &mut m.collect)
+        for (slot, s) in self.slots.iter_mut().enumerate() {
+            let collect = &mut s.session.collect;
+            collect.rearm();
+            for ops in 0.. {
+                index += 1;
+                let op = collect.op();
+                let bank = &mut self.bank;
+                if grant(bank, &mut self.checks, collect, op, Pid(slot), ops, index)
                     .ready()
                     .is_some()
                 {
@@ -1350,11 +1220,12 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
     ///
     /// A deposit round completes only by consuming a name parked in its
     /// own column `Help[·][p]`. When column `p` holds one, the bound is
-    /// the session's [`Slot::floor`]; the slot's `parked` count includes
-    /// the name a session that has found one is about to clear.
-    /// Otherwise a row server must park one first: a session whose row
-    /// service is acquiring or parking for column `p`, `k` operations of
-    /// its slot from that write ([`Slot::park`]). The column read, the
+    /// the session's floor ([`StepMachine::min_ops_left`] of its
+    /// [`SessionOp`]); the slot's `parked` count includes the name a
+    /// session that has found one is about to clear. Otherwise a row
+    /// server must park one first: a session whose row service is
+    /// acquiring or parking for column `p`, `k` operations of its slot
+    /// from that write ([`SessionOp::pending_park`]). The column read, the
     /// arena write and the clear follow, so the bound is
     /// `max(floor, k + 3)`. Any other park into `p` needs a row read
     /// that finds the cell empty, a whole acquire (at least `5n + 3`)
@@ -1366,7 +1237,7 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
         let full = hist.len() as u64 - 1;
         let mut servers = false;
         for &slot in &self.active {
-            if let Some((column, ops)) = self.slots[slot].park() {
+            if let Some((column, ops)) = self.slots[slot].session.pending_park() {
                 gate[column] = gate[column].min(ops);
                 servers = true;
             }
@@ -1384,7 +1255,7 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
     /// no server targets it); see [`ShardState::bound_completions`].
     fn completion_bound(&self, slot: usize, gate: &[u64]) -> u64 {
         let s = &self.slots[slot];
-        let floor = s.floor();
+        let floor = s.session.min_ops_left();
         if s.parked > 0 {
             floor
         } else {
@@ -1406,17 +1277,18 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
     }
 }
 
-impl<'w> ServiceHarness<'w, ArcBank> {
-    /// Builds a harness over the default [`ArcBank`] backend.
+impl<'w> ServiceHarness<'w> {
+    /// Builds a harness over a [`SlabBank`] reserved like each shard of
+    /// [`mega::MegaServiceHarness::new`], so the two build the same
+    /// shard.
     #[must_use]
     pub fn new(world: &'w ServiceWorld, cfg: &ServiceConfig) -> Self {
-        ServiceHarness::with_bank(world, cfg, ArcBank::new())
+        ServiceHarness::with_bank(world, cfg, mega::reserved_slab(world))
     }
 }
 
 impl<'w, B: RegisterBank> ServiceHarness<'w, B> {
-    /// Builds a harness over a caller-chosen register-bank backend
-    /// (`SlabBank` for mega runs).
+    /// Builds a harness over a caller-chosen register-bank backend.
     ///
     /// # Panics
     ///
@@ -1435,14 +1307,11 @@ impl<'w, B: RegisterBank> ServiceHarness<'w, B> {
         ))
     }
 
-    /// Pre-registers every slot's store&collect infrastructure (slot
-    /// rename, controls, collect caches) before the run, so the slot
-    /// machinery's one-time buffer growth cannot land inside a measured
-    /// steady-state segment. Optional: an unprimed run warms the same
-    /// state lazily across its first sessions. Priming performs real
-    /// register writes, so a primed run is **not** bit-identical to an
-    /// unprimed one; it is infrastructure only — no arrivals, ops,
-    /// telemetry or ticket state.
+    /// Pre-registers every slot's store&collect infrastructure before
+    /// the run (see [`mega::MegaServiceHarness::prime`]). Optional: an
+    /// unprimed run warms the same state lazily across its first
+    /// sessions. Priming performs real register writes, so a primed run
+    /// is **not** bit-identical to an unprimed one.
     pub fn prime(&mut self) {
         self.0.prime();
     }
@@ -1462,7 +1331,7 @@ impl<'w, B: RegisterBank> ServiceHarness<'w, B> {
     #[cfg(feature = "check")]
     #[must_use]
     pub fn checker(&self) -> Option<&exsel_analysis::AccessChecker> {
-        self.0.shards[0].checker.as_ref()
+        self.0.shards[0].checks.checker.as_ref()
     }
 
     /// Total footprint violations observed since the checker was
@@ -1508,24 +1377,10 @@ impl<'w, B: RegisterBank> ServiceHarness<'w, B> {
     }
 }
 
-/// One grant: perform the machine's pending operation against `bank`
-/// and advance it — the service-harness form of the engine's grant.
-fn step_machine<B: RegisterBank, M: StepMachine>(bank: &mut B, m: &mut M) -> Poll<M::Output> {
-    match m.op() {
-        ShmOp::Read(reg) => {
-            let word = bank.read(reg);
-            m.advance(word)
-        }
-        ShmOp::Write(reg, word) => {
-            bank.write(reg, word);
-            m.advance(&Word::Null)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exsel_shm::ArcBank;
     use std::collections::BTreeSet;
 
     fn small_cfg(seed: u64) -> ServiceConfig {
@@ -1561,18 +1416,6 @@ mod tests {
             "duplicate tickets"
         );
         assert!(!report.windows.is_empty());
-    }
-
-    #[test]
-    fn same_seed_is_bit_identical() {
-        let cfg = small_cfg(11);
-        let world_a = ServiceWorld::new(&cfg);
-        let a = ServiceHarness::new(&world_a, &cfg).run();
-        let world_b = ServiceWorld::new(&cfg);
-        let b = ServiceHarness::new(&world_b, &cfg).run();
-        assert_eq!(a.totals, b.totals);
-        assert_eq!(a.windows, b.windows);
-        assert_eq!(a.names, b.names);
     }
 
     #[test]

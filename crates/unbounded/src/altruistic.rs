@@ -468,36 +468,12 @@ impl DepositOp<'_> {
         )
     }
 
-    /// The fewest operations before this machine completes, a pure
-    /// function of its phase: 4 at a `Row` event, 3 at a `Column` read
-    /// (which may find a name), 2 at the arena write, 1 at the `Help`
-    /// clear, plus [`DepositOp::MIN_OPS`] for each round still to begin.
-    /// A serve machine reports the events it has left, and a completed
-    /// machine 0.
-    #[must_use]
-    pub fn min_ops_left(&self) -> u64 {
-        let rounds = match self.goal {
-            DepositGoal::Deposit { rounds } => rounds,
-            DepositGoal::Serve { events } => return events - self.events_done,
-        };
-        let Some(later) = (rounds - self.deposits.len()).checked_sub(1) else {
-            return 0;
-        };
-        let round = match self.phase {
-            DepositPhase::Row => Self::MIN_OPS,
-            DepositPhase::Column => Self::MIN_OPS - 1,
-            DepositPhase::ArenaWrite { .. } => 2,
-            DepositPhase::HelpClear { .. } => 1,
-        };
-        round + later as u64 * Self::MIN_OPS
-    }
-
     /// The row service's pending park, read from its local state: the
     /// column `t` whose cell `Help[p][t]` receives the next name, and
     /// the row events left up to and including that park write — the
-    /// embedded acquire's fewest operations left (counted as
-    /// [`NamingMachine::min_ops_left`](crate::NamingMachine::min_ops_left)
-    /// counts them) plus the write while acquiring, 1 at the write
+    /// embedded acquire's fewest operations left (counted as a
+    /// [`NamingMachine`](crate::NamingMachine)'s
+    /// [`min_ops_left`](StepMachine::min_ops_left) counts them) plus the write while acquiring, 1 at the write
     /// itself. `None`
     /// while the row is being scanned: a park then needs a scan read
     /// that finds an empty cell and a whole acquire first.
@@ -676,6 +652,27 @@ impl StepMachine for DepositOp<'_> {
             }
         }
         Poll::Pending
+    }
+
+    /// 4 at a `Row` event, 3 at a `Column` read (which may find a
+    /// name), 2 at the arena write, 1 at the `Help` clear, plus
+    /// [`DepositOp::MIN_OPS`] for each round still to begin. A serve
+    /// machine reports the events it has left, and a completed machine 0.
+    fn min_ops_left(&self) -> u64 {
+        let rounds = match self.goal {
+            DepositGoal::Deposit { rounds } => rounds,
+            DepositGoal::Serve { events } => return events - self.events_done,
+        };
+        let Some(later) = (rounds - self.deposits.len()).checked_sub(1) else {
+            return 0;
+        };
+        let round = match self.phase {
+            DepositPhase::Row => Self::MIN_OPS,
+            DepositPhase::Column => Self::MIN_OPS - 1,
+            DepositPhase::ArenaWrite { .. } => 2,
+            DepositPhase::HelpClear { .. } => 1,
+        };
+        round + later as u64 * Self::MIN_OPS
     }
 
     fn reset(&mut self, pid: Pid) {

@@ -632,20 +632,6 @@ impl NamingMachine<'_> {
         &self.names
     }
 
-    /// The fewest operations before this machine completes, a pure
-    /// function of its local state: the current acquire's remaining
-    /// operations at their minimum — the rest of the publication, the
-    /// update, the scan, one `A_q` read per process still to check and
-    /// the two commit writes, with a prune restarting the acquire — plus
-    /// [`UnboundedNaming::min_acquire_ops`] for each round still to
-    /// begin. A session begun over a published suite reports
-    /// `min_acquire_ops`; a completed machine, 0.
-    #[must_use]
-    pub fn min_ops_left(&self) -> u64 {
-        let later = (self.rounds - self.names.len()).saturating_sub(1) as u64;
-        self.acquire.min_ops_left(self.naming) + later * self.naming.min_acquire_ops()
-    }
-
     /// Re-arms a completed (or mid-flight) machine in place for its next
     /// acquisition run **within the same trial**, keeping the process's
     /// naming state — claimed integers stay claimed, the published suite
@@ -715,6 +701,18 @@ impl StepMachine for NamingMachine<'_> {
             self.acquire.rearm(&self.st);
         }
         Poll::Pending
+    }
+
+    /// The current acquire's remaining operations at their minimum —
+    /// the rest of the publication, the update, the scan, one `A_q` read
+    /// per process still to check and the two commit writes, with a
+    /// prune restarting the acquire — plus
+    /// [`UnboundedNaming::min_acquire_ops`] for each round still to
+    /// begin. A session begun over a published suite reports
+    /// `min_acquire_ops`; a completed machine, 0.
+    fn min_ops_left(&self) -> u64 {
+        let later = (self.rounds - self.names.len()).saturating_sub(1) as u64;
+        self.acquire.min_ops_left(self.naming) + later * self.naming.min_acquire_ops()
     }
 
     fn reset(&mut self, pid: Pid) {

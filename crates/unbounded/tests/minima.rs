@@ -18,9 +18,9 @@ use exsel_sim::{MachinePool, StepEngine};
 use exsel_unbounded::{AltruisticDeposit, DepositOp, NamingMachine, UnboundedNaming};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
-/// What the probe reads from a machine before each grant.
+/// What the probe reads from a machine before each grant, besides its
+/// [`StepMachine::min_ops_left`].
 trait Minima: StepMachine {
-    fn min_ops_left(&self) -> u64;
     /// A crash of the incarnation and its re-entry as a fresh
     /// contender, as the open-loop service does it.
     fn crash_and_reenter(&mut self);
@@ -39,20 +39,12 @@ trait Minima: StepMachine {
 }
 
 impl Minima for NamingMachine<'_> {
-    fn min_ops_left(&self) -> u64 {
-        NamingMachine::min_ops_left(self)
-    }
-
     fn crash_and_reenter(&mut self) {
         self.reenter();
     }
 }
 
 impl Minima for DepositOp<'_> {
-    fn min_ops_left(&self) -> u64 {
-        DepositOp::min_ops_left(self)
-    }
-
     fn crash_and_reenter(&mut self) {
         self.reenter(0);
     }

@@ -180,10 +180,11 @@ impl StepMachine for SnapProc {
             }
             return Poll::Pending;
         }
-        match self.scan.as_mut().expect("scan pending").advance(input) {
-            Poll::Ready(view) => Poll::Ready(Some(view)),
-            Poll::Pending => Poll::Pending,
-        }
+        self.scan
+            .as_mut()
+            .expect("scan pending")
+            .advance(input)
+            .map(Some)
     }
     fn reset(&mut self, pid: Pid) {
         for update in &mut self.updates {

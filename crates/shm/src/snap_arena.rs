@@ -27,7 +27,7 @@ pub struct SnapArenaStats {
     /// view because no register changed since its last direct scan.
     pub view_cache_hits: u64,
     /// Most records the arena ever tracked at once — the steady-state
-    /// record footprint of the object (registers + in-flight caches).
+    /// record footprint of the object (registers + pending installs).
     pub peak_records: u64,
     /// Most view buffers the arena ever tracked at once.
     pub peak_views: u64,
@@ -93,9 +93,11 @@ impl SnapArenaStats {
 /// direct double-collect, as `Arc` clones in two free-lists. A tracked
 /// buffer is **reclaimable** exactly when its `Arc` is unique again —
 /// the arena's clone is the only one left, meaning the record has been
-/// displaced from its register *and* dropped from every scanner's
-/// collect cache (resp. the view is no longer embedded in any live
-/// record or held by any caller). Reclaim checks are
+/// displaced from its register and its update has let go of it (resp.
+/// the view is no longer embedded in any live record, cached or
+/// borrowed by any scanner, or held by any caller). Scanners keep tags
+/// and values, not records, so a displaced record frees up as soon as
+/// the write lands. Reclaim checks are
 /// [`Arc::get_mut`]-based, so a buffer is only ever mutated under whole-
 /// `Arc` exclusivity: concurrent readers can never observe a refill,
 /// which is why recycling is invisible to linearizability — and it
@@ -112,8 +114,8 @@ impl SnapArenaStats {
 /// external holder (a caller retaining a returned view forever) stays on
 /// the list — it is skipped by every reclaim scan and retained for the
 /// object's lifetime. That retention is bounded by the peak number of
-/// simultaneously held buffers (registers + scanner caches + whatever
-/// callers keep), which is exactly the object's live footprint; evicting
+/// simultaneously held buffers (registers, pending installs, scanner
+/// views and whatever callers keep), which is exactly the object's live footprint; evicting
 /// instead would turn those entries into steady-state frees and break
 /// the zero-churn guarantee, so the arena deliberately does not.
 ///
@@ -123,7 +125,7 @@ impl SnapArenaStats {
 /// cheapest paths — a scanner's cached-view hit, and every operation of
 /// a `recycling(false)` baseline object — never take the lock.
 pub struct SnapArena {
-    initial: Arc<SnapRecord>,
+    initial_view: Arc<[Word]>,
     recycling: AtomicBool,
     records_fresh: AtomicU64,
     views_fresh: AtomicU64,
@@ -167,11 +169,10 @@ where
     for off in 0..len {
         let i = start + off;
         let i = if i < len { i } else { i - len };
-        // A reservation sized to its holder bound leaves few views
-        // reclaimable (every tracked record pins its view), so most
-        // probes miss: a plain count load rejects them, and only a
-        // candidate pays for `get_mut`'s read-modify-write on the weak
-        // count.
+        // Every tracked record pins its view, so a reservation sized to
+        // its holder bound leaves some probes to miss: a plain count
+        // load rejects them, and only a candidate pays for `get_mut`'s
+        // read-modify-write on the weak count.
         if Arc::strong_count(&list[i]) == 1 && Arc::get_mut(&mut list[i]).is_some() {
             *cursor = i;
             return Some(list.swap_remove(i));
@@ -185,7 +186,7 @@ impl SnapArena {
     #[must_use]
     pub(crate) fn new(n: usize) -> Self {
         SnapArena {
-            initial: Arc::new(SnapRecord::initial(n)),
+            initial_view: vec![Word::Null; n].into(),
             recycling: AtomicBool::new(true),
             records_fresh: AtomicU64::new(0),
             views_fresh: AtomicU64::new(0),
@@ -194,11 +195,12 @@ impl SnapArena {
         }
     }
 
-    /// The object's shared never-written record (generation 0) — one
-    /// allocation per object, cloned into every scanner's collect cache.
+    /// The object's shared all-null view (every component at generation
+    /// 0) — one allocation per object, every scanner's first cached
+    /// direct view.
     #[must_use]
-    pub(crate) fn initial(&self) -> &Arc<SnapRecord> {
-        &self.initial
+    pub(crate) fn initial_view(&self) -> &Arc<[Word]> {
+        &self.initial_view
     }
 
     /// Whether in-place recycling is enabled (it is by default; see
@@ -255,7 +257,7 @@ impl SnapArena {
         if !self.recycling_enabled() {
             return;
         }
-        let n = self.initial.view.len();
+        let n = self.initial_view.len();
         let mut inner = self.inner.lock();
         inner.records.reserve(records);
         inner.views.reserve(views + records);
@@ -351,7 +353,7 @@ impl fmt::Debug for SnapArena {
             (inner.records.len(), inner.views.len())
         };
         f.debug_struct("SnapArena")
-            .field("n", &self.initial.view.len())
+            .field("n", &self.initial_view.len())
             .field("recycling", &self.recycling_enabled())
             .field("records", &records)
             .field("views", &views)

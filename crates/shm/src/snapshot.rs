@@ -23,7 +23,10 @@
 //! displaced records and retired view buffers are reclaimed under `Arc`
 //! uniqueness and refilled in place, so steady-state updates and scans
 //! perform no heap allocation (see the arena's docs for the reclaim
-//! invariants and `ARCHITECTURE.md` for the full lifecycle).
+//! invariants and `ARCHITECTURE.md` for the full lifecycle). A scanner
+//! keeps only each component's sequence number and value, plus the one
+//! embedded view it may borrow, so records are pinned by the registers
+//! and by updates about to install them, never by scans.
 //!
 //! Each slot is single-writer: at most one process may call `update` on a
 //! given slot (the usual SWMR snapshot discipline). Scans may be invoked by
@@ -178,34 +181,41 @@ impl Snapshot {
 ///
 /// Steady-state scans are allocation-free end to end: the collect
 /// buffers are reused across rounds (and across trials via
-/// [`StepMachine::reset`]); each slot's stored record carries its
-/// sequence number as a *generation tag* — a re-read whose tag matches
-/// is dropped without cloning the record's `Arc`, so quiescent registers
-/// cost no refcount traffic at all; and the view a successful direct
-/// double-collect returns comes from the object's [`SnapArena`] — a
-/// retired buffer refilled in place, or, when no register changed since
-/// this scanner's previous direct scan, the generation-tagged cached
-/// view itself (no refill, no allocation).
+/// [`StepMachine::reset`]); the scanner keeps each component's sequence
+/// number — its *generation tag* — and value, not its record, so a
+/// re-read whose tag matches costs one compare, a moved tag copies the
+/// value, and no read clones or drops a record's `Arc`; and the view a
+/// successful direct double-collect returns comes from the object's
+/// [`SnapArena`] — a retired buffer refilled in place, or, when no
+/// register changed since this scanner's previous direct scan, the
+/// generation-tagged cached view itself (no refill, no allocation). The
+/// only record part a scan pins is the embedded view it may borrow.
 #[derive(Clone, Debug)]
 pub struct ScanOp {
     regs: RegRange,
     /// The object's recycling arena (shared; also holds the never-written
-    /// generation-0 record, allocated once per *object*).
+    /// all-null view, allocated once per *object*).
     arena: Arc<SnapArena>,
-    /// Clone of the arena's shared initial record, reinstalled — not
-    /// reallocated — on reset.
-    initial: Arc<SnapRecord>,
-    /// Sequence numbers seen in the previous complete collect.
-    prev_seq: Vec<u64>,
     /// Whether at least one complete collect has finished.
     have_prev: bool,
-    /// Records of the collect currently in progress; `cur[j].seq` is the
-    /// generation tag guarding the `Arc` clone.
-    cur: Vec<Arc<SnapRecord>>,
+    /// Whether a tag of the collect in progress differs from the
+    /// previous collect's. A collect reads each component once and in
+    /// order, so before slot `j` is read, `cur_seq[j]` is the previous
+    /// collect's tag.
+    collect_moved: bool,
+    /// Generation tags of the collect in progress (the previous one's
+    /// beyond `idx`).
+    cur_seq: Vec<u64>,
+    /// Values of the collect in progress, copied when a tag moves.
+    cur_val: Vec<Word>,
     /// Next slot to read in the current collect.
     idx: usize,
     /// How many times each writer has been observed to move.
     moved: Vec<u8>,
+    /// The embedded view of the lowest writer seen to move twice in the
+    /// collect in progress: the view this scan returns when the collect
+    /// ends without a clean double collect.
+    borrow: Option<Arc<[Word]>>,
     /// Generation tags of the last direct view this scan returned (all 0
     /// = the initial all-null view, which `last_direct` starts as).
     direct_seq: Vec<u64>,
@@ -217,64 +227,54 @@ pub struct ScanOp {
 impl ScanOp {
     fn new(regs: RegRange, arena: Arc<SnapArena>) -> Self {
         let n = regs.len();
-        let initial = Arc::clone(arena.initial());
         ScanOp {
             regs,
-            prev_seq: vec![0; n],
             have_prev: false,
-            cur: vec![Arc::clone(&initial); n],
+            collect_moved: false,
+            cur_seq: vec![0; n],
+            cur_val: vec![Word::Null; n],
             idx: 0,
             moved: vec![0; n],
+            borrow: None,
             direct_seq: vec![0; n],
-            last_direct: Arc::clone(&initial.view),
-            initial,
+            last_direct: Arc::clone(arena.initial_view()),
             arena,
         }
     }
 
     /// The view of a completed direct double-collect: the values of
-    /// `cur`, materialized without allocating whenever the arena can
+    /// `cur_val`, materialized without allocating whenever the arena can
     /// serve the request — the cached previous direct view if no
     /// register changed since it was taken (same generation tags ⇒ the
     /// very same records ⇒ identical values, by the SWMR discipline), or
     /// a retired buffer refilled in place. Falls back to a fresh collect
     /// (arena miss, or recycling disabled) with identical contents.
     fn direct_view(&mut self) -> Arc<[Word]> {
-        if self.arena.recycling_enabled() {
-            if self
-                .cur
-                .iter()
-                .zip(&self.direct_seq)
-                .all(|(rec, &seq)| rec.seq == seq)
-            {
-                self.arena.note_view_cache_hit();
-                return Arc::clone(&self.last_direct);
-            }
-            let view = match self.arena.take_view() {
-                Some(mut view) => {
-                    let buf = Arc::get_mut(&mut view).expect("taken view is uniquely owned");
-                    for (dst, rec) in buf.iter_mut().zip(&self.cur) {
-                        dst.clone_from(&rec.value);
-                    }
-                    self.arena.put_view(&view, false);
-                    view
-                }
-                None => {
-                    let view: Arc<[Word]> = self.cur.iter().map(|r| r.value.clone()).collect();
-                    self.arena.put_view(&view, true);
-                    view
-                }
-            };
-            for (seq, rec) in self.direct_seq.iter_mut().zip(&self.cur) {
-                *seq = rec.seq;
-            }
-            self.last_direct = Arc::clone(&view);
-            view
-        } else {
-            let view: Arc<[Word]> = self.cur.iter().map(|r| r.value.clone()).collect();
+        if !self.arena.recycling_enabled() {
+            let view: Arc<[Word]> = self.cur_val.iter().cloned().collect();
             self.arena.put_view(&view, true);
-            view
+            return view;
         }
+        if self.cur_seq == self.direct_seq {
+            self.arena.note_view_cache_hit();
+            return Arc::clone(&self.last_direct);
+        }
+        let view = match self.arena.take_view() {
+            Some(mut view) => {
+                let buf = Arc::get_mut(&mut view).expect("taken view is uniquely owned");
+                buf.clone_from_slice(&self.cur_val);
+                self.arena.put_view(&view, false);
+                view
+            }
+            None => {
+                let view: Arc<[Word]> = self.cur_val.iter().cloned().collect();
+                self.arena.put_view(&view, true);
+                view
+            }
+        };
+        self.direct_seq.copy_from_slice(&self.cur_seq);
+        self.last_direct = Arc::clone(&view);
+        view
     }
 
     fn n(&self) -> usize {
@@ -292,17 +292,20 @@ impl ScanOp {
 
     /// Restarts the scan from its first collect **within the same
     /// trial**, allocation-free: the collect buffers are reused as-is,
-    /// and the generation-tag cache (`cur`) is kept — writer sequence
-    /// numbers only grow within a trial, so retained tags stay valid and
-    /// quiescent registers still skip their `Arc` clones. This is the
-    /// in-place counterpart of [`Snapshot::begin_scan`] for machines
-    /// that scan many times per trial (the unbounded-naming acquire
-    /// loop). Between trials use [`StepMachine::reset`] instead, which
-    /// must drop the cache because writers' sequence numbers restart.
+    /// and the generation-tag cache (`cur_seq`, `cur_val`) is kept —
+    /// writer sequence numbers only grow within a trial, so retained
+    /// tags stay valid and quiescent registers still skip their value
+    /// copies. This is the in-place counterpart of
+    /// [`Snapshot::begin_scan`] for machines that scan many times per
+    /// trial (the unbounded-naming acquire loop). Between trials use
+    /// [`StepMachine::reset`] instead, which must drop the cache because
+    /// writers' sequence numbers restart.
     pub fn restart(&mut self) {
         self.have_prev = false;
+        self.collect_moved = false;
         self.idx = 0;
         self.moved.fill(0);
+        self.borrow = None;
     }
 
     /// Performs one shared-memory read; returns the view when the scan
@@ -335,47 +338,43 @@ impl StepMachine for ScanOp {
     }
 
     fn advance(&mut self, input: &Word) -> Poll<Arc<[Word]>> {
-        let n = self.n();
-        // Generation-tagged read: clone the record's Arc only when the
-        // register actually changed since we last stored this slot.
-        if seq_of(input) != self.cur[self.idx].seq {
-            self.cur[self.idx] = match input {
-                Word::Null => Arc::clone(&self.initial),
-                Word::Snap(rec) => Arc::clone(rec),
-                other => panic!("snapshot register holds non-snapshot word {other:?}"),
-            };
+        let j = self.idx;
+        // Generation-tagged read: copy the value only when the register
+        // changed since this slot was last read.
+        let seq = seq_of(input);
+        if seq != self.cur_seq[j] {
+            self.cur_seq[j] = seq;
+            let rec = input.as_snap();
+            self.cur_val[j] = rec.map_or(Word::Null, |rec| rec.value.clone());
+            if self.have_prev {
+                self.collect_moved = true;
+                if self.moved[j] >= 1 && self.borrow.is_none() {
+                    // Writer j completed an entire update inside our
+                    // interval: its embedded view is a valid return.
+                    let view = rec.map_or(self.arena.initial_view(), |rec| &rec.view);
+                    self.borrow = Some(Arc::clone(view));
+                }
+                self.moved[j] = self.moved[j].saturating_add(1);
+            }
         }
         self.idx += 1;
-        if self.idx < n {
+        if self.idx < self.n() {
             return Poll::Pending;
         }
 
         // A collect just completed.
         if self.have_prev {
-            if self
-                .cur
-                .iter()
-                .zip(&self.prev_seq)
-                .all(|(rec, &prev)| rec.seq == prev)
-            {
+            if !self.collect_moved {
                 // Two identical consecutive collects: direct scan.
                 return Poll::Ready(self.direct_view());
             }
-            for j in 0..n {
-                if self.cur[j].seq != self.prev_seq[j] {
-                    self.moved[j] = self.moved[j].saturating_add(1);
-                    if self.moved[j] >= 2 {
-                        // Writer j completed an entire update inside our
-                        // interval: borrow its embedded view.
-                        return Poll::Ready(Arc::clone(&self.cur[j].view));
-                    }
-                }
+            if let Some(view) = self.borrow.take() {
+                // The lowest writer seen to move twice lends its view.
+                return Poll::Ready(view);
             }
         }
-        for (prev, rec) in self.prev_seq.iter_mut().zip(&self.cur) {
-            *prev = rec.seq;
-        }
         self.have_prev = true;
+        self.collect_moved = false;
         self.idx = 0;
         Poll::Pending
     }
@@ -394,21 +393,17 @@ impl StepMachine for ScanOp {
     }
 
     fn reset(&mut self, _pid: Pid) {
-        // Stale records must go: a fresh trial restarts every writer's
+        // Stale tags must go: a fresh trial restarts every writer's
         // sequence numbers, so a leftover tag could falsely match. The
         // direct-view cache resets to the initial all-null view for the
         // same reason (all-zero tags describe it exactly), which also
         // keeps the previous trial's values from ever escaping a reused
         // machine.
-        for (slot, prev) in self.cur.iter_mut().zip(&mut self.prev_seq) {
-            *slot = Arc::clone(&self.initial);
-            *prev = 0;
-        }
-        self.have_prev = false;
-        self.idx = 0;
-        self.moved.fill(0);
+        self.restart();
+        self.cur_seq.fill(0);
+        self.cur_val.fill(Word::Null);
         self.direct_seq.fill(0);
-        self.last_direct = Arc::clone(&self.initial.view);
+        self.last_direct = Arc::clone(self.arena.initial_view());
     }
 }
 
@@ -425,9 +420,10 @@ enum UpdateState {
 /// permanent field (not a state payload) so [`StepMachine::reset`]
 /// re-arms the update without reallocating the collect buffers; the
 /// installed [`SnapRecord`] itself comes from the object's
-/// [`SnapArena`] — a displaced record, reclaimed once every reader has
-/// let go of it, mutated in place under `Arc` uniqueness — so at steady
-/// state even the record install touches no allocator.
+/// [`SnapArena`] — a displaced record, reclaimed once its register and
+/// its update have let go of it, mutated in place under `Arc`
+/// uniqueness — so at steady state even the record install touches no
+/// allocator.
 #[derive(Clone, Debug)]
 pub struct UpdateOp {
     regs: RegRange,

@@ -32,9 +32,10 @@
 //! its pending set at every decision, is the differential reference
 //! (this is tested under crash storms). With [`StepEngine::record_trace`] on, `run_trial` moves
 //! each trial's trace buffer into its outcome (no copy) while pooled
-//! trials leave it readable via [`StepEngine::trace`]. A reused engine —
-//! pooled or not — is observationally identical to a fresh one: same
-//! policy + seed ⇒ same trace (this is tested).
+//! trials reserve it once and leave it readable via
+//! [`StepEngine::trace`]. A reused engine — pooled or not — is
+//! observationally identical to a fresh one: same policy + seed ⇒ same
+//! trace (this is tested).
 //!
 //! Per-trial [`Metrics`] (operation mix, ops per register, crash causes,
 //! contention) are collected during the grant loop and read back with
@@ -340,6 +341,12 @@ pub struct StepEngine<B: RegisterBank = ArcBank> {
 /// Sentinel in `pending_pos` for completed/crashed processes.
 const NOT_PENDING: usize = usize::MAX;
 
+/// Bytes a pooled trial reserves its trace for, at most (see
+/// [`StepEngine::reserve_trace`]): 32 MiB, the size from which glibc's
+/// `malloc` always maps a request on its own (its heap threshold tops
+/// out there).
+const TRACE_RESERVE_BYTES: usize = 32 << 20;
+
 /// Policy decisions taken per shard visit before the sharded grant loop
 /// rotates to the next non-empty shard — the batching that keeps
 /// decisions cache-local on one shard's pending set at a time.
@@ -598,6 +605,7 @@ impl<B: RegisterBank> StepEngine<B> {
     /// machine does not implement [`StepMachine::reset`].
     pub fn run_pool<M: StepMachine>(&mut self, policy: &mut dyn Policy, pool: &mut MachinePool<M>) {
         self.reset();
+        self.reserve_trace();
         pool.begin_trial();
         let (machines, results, steps) = pool.trial_buffers();
         self.drive(policy, machines, results, steps);
@@ -635,9 +643,30 @@ impl<B: RegisterBank> StepEngine<B> {
             return self.run_pool(policy, pool);
         }
         self.reset();
+        self.reserve_trace();
         pool.begin_trial();
         let (machines, results, steps) = pool.trial_buffers();
         self.drive_sharded(policy, machines, results, steps, shards);
+    }
+
+    /// Gives a pooled recording engine its trace buffer in one
+    /// allocation of [`TRACE_RESERVE_BYTES`], or of the op budget if
+    /// that is fewer ops; a no-op once the buffer is that large.
+    ///
+    /// The trace is the engine's largest buffer (one [`PendingOp`] per
+    /// granted op). Grown by doubling from empty, it would move up the
+    /// heap past the machines' per-trial allocations and leave a hole at
+    /// every size it outgrew; how much of that stays resident depends on
+    /// where a schedule's allocations land, so peak RSS would differ by
+    /// MiBs from seed to seed. A request this large gets a mapping of
+    /// its own, so the trace stays put and only the pages it writes
+    /// become resident.
+    fn reserve_trace(&mut self) {
+        if self.record_trace {
+            let ops = TRACE_RESERVE_BYTES / std::mem::size_of::<PendingOp>();
+            let ops = usize::try_from(self.max_total_ops).map_or(ops, |budget| budget.min(ops));
+            self.trace.reserve(ops);
+        }
     }
 
     /// The last trial's granted schedule, when

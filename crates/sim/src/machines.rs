@@ -540,10 +540,16 @@ impl<'w> SessionOp<'w> {
     /// state survives between rounds (only a re-entry clears it), so a
     /// session in any phase may carry one. A session holding its name
     /// reports none: its slot's next row event waits for a whole further
-    /// session.
+    /// session. Nor does a slot whose last session crashed mid-deposit:
+    /// the next round re-enters ([`DepositOp::reenter`]) and drops the
+    /// carried-over park, and its row service needs a row read that
+    /// finds an empty cell and a whole acquire before it parks again.
     #[must_use]
     #[inline]
     pub fn pending_park(&self) -> Option<(usize, u64)> {
+        if self.deposit_dirty {
+            return None;
+        }
         let (column, rows) = self.deposit.pending_park()?;
         let to_row = match self.ops_before_round() {
             Some(ops) => ops,
@@ -825,12 +831,14 @@ mod tests {
     }
 
     impl Probe<'_> {
-        /// No park into a reported column came sooner than reported (a
-        /// re-entered deposit round drops a carried-over park).
+        /// A reported park is the slot's next park, into the reported
+        /// column and no sooner than reported.
         fn check_parks(&mut self) {
             for (i, &(_, park, _)) in self.records.iter().enumerate() {
                 let Some((column, ops)) = park else { continue };
-                if let Some(at) = self.records[i..].iter().position(|r| r.2 == Some(column)) {
+                if let Some(at) = self.records[i..].iter().position(|r| r.2.is_some()) {
+                    let parked = self.records[i + at].2;
+                    assert_eq!(parked, Some(column), "parked elsewhere");
                     assert!(ops <= at as u64 + 1, "{ops} ops reported, parked at {at}");
                     self.parks += 1;
                 }

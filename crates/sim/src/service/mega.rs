@@ -184,8 +184,15 @@ impl MegaServiceConfig {
     }
 
     /// The [`ServiceConfig`] shard `s` runs: salted seed, thinned
-    /// arrivals, split client budgets, everything else inherited. With
-    /// `shards = 1` this is the base configuration bit for bit.
+    /// arrivals, split client budgets, everything else inherited.
+    ///
+    /// Every shard's deposit arena follows the fleet's largest share,
+    /// shard 0's ([`ServiceConfig::arena`] of its split budgets), set
+    /// as `arena_capacity`, so all shards keep one register layout. A
+    /// fleet driven past its session target with `run_until` needs an
+    /// explicit `base.arena_capacity`. With `shards = 1` this is the
+    /// base configuration with its arena made explicit, so the shard
+    /// runs the base configuration bit for bit.
     ///
     /// # Panics
     ///
@@ -193,19 +200,23 @@ impl MegaServiceConfig {
     #[must_use]
     pub fn shard_cfg(&self, s: usize) -> ServiceConfig {
         assert!(s < self.shards, "shard {s} out of {} shards", self.shards);
-        ServiceConfig {
-            seed: self.base.seed ^ (s as u64).wrapping_mul(SHARD_SALT),
+        let split = |s| ServiceConfig {
             target_sessions: Self::share(self.base.target_sessions, s, self.shards),
             max_clients: Self::share(self.base.max_clients, s, self.shards),
-            arrivals: self.base.arrivals.scale_gaps(self.shards as f64),
             ..self.base
+        };
+        ServiceConfig {
+            seed: self.base.seed ^ (s as u64).wrapping_mul(SHARD_SALT),
+            arrivals: self.base.arrivals.scale_gaps(self.shards as f64),
+            arena_capacity: split(0).arena(),
+            ..split(s)
         }
     }
 }
 
 /// The shared-memory worlds of a sharded run: one independent
 /// [`ServiceWorld`] per shard (shards never share registers), each
-/// sized for its own slice of the client budget.
+/// sized for the fleet's largest slice of the client budget.
 #[derive(Debug)]
 pub struct MegaServiceWorld {
     worlds: Vec<ServiceWorld>,
@@ -1544,6 +1555,123 @@ mod tests {
                 );
                 assert_eq!(shard.bank.allocated_slots(), reserved, "shard {s}");
                 assert_eq!(w.arena_stats().fresh_allocations(), 0, "shard {s}");
+            }
+        }
+    }
+
+    /// Every shard's deposit arena is at least twice its highest
+    /// written register, on perfbench's `fleet` shape, on 64 primed
+    /// shards under perfbench's bursty crash storm, and on a fleet with
+    /// fewer sessions than shards; all shards share one arena size.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release-mode audit: cargo test --release")]
+    fn deposit_arena_reservation_is_never_short() {
+        let fleet = ServiceConfig {
+            seed: 41,
+            target_sessions: 36_000,
+            window: 1 << 16,
+            arrivals: Arrivals::Poisson {
+                mean_gap: 2800.0 / 1250.0,
+            },
+            admission: Admission {
+                queue_capacity: 16,
+                backoff_base: 256,
+                backoff_cap: 1 << 15,
+                max_retries: 10,
+                waiting_capacity: 512,
+                ..ServiceConfig::default().admission
+            },
+            ..ServiceConfig::default()
+        };
+        let storm = ServiceConfig {
+            seed: 43,
+            target_sessions: 64_000,
+            window: 1 << 16,
+            arrivals: Arrivals::Bursty {
+                mean_gap: 700.0 / 64.0,
+                burst: 1 << 15,
+                lull: 1 << 14,
+            },
+            crash_hazard: 2e-3,
+            admission: Admission {
+                queue_capacity: 8,
+                backoff_base: 256,
+                max_retries: 6,
+                waiting_capacity: 64,
+                ..ServiceConfig::default().admission
+            },
+            ..ServiceConfig::default()
+        };
+        let sparse = ServiceConfig {
+            seed: 47,
+            target_sessions: 5,
+            crash_hazard: 2e-3,
+            arrivals: Arrivals::Poisson { mean_gap: 4.0 },
+            ..ServiceConfig::default()
+        };
+        for (base, shards) in [(fleet, 1250), (storm, 64), (sparse, 16)] {
+            let cfg = MegaServiceConfig { base, shards };
+            let world = MegaServiceWorld::new(&cfg);
+            let mut harness = MegaServiceHarness::new(&world, &cfg);
+            harness.prime();
+            assert!(harness.run_until(base.target_sessions), "{cfg:?}");
+            let arena = cfg.shard_cfg(0).arena();
+            for (s, (shard, w)) in harness.shards.iter().zip(&world.worlds).enumerate() {
+                assert_eq!(w.repo.arena().capacity(), arena, "shard {s}");
+                let occupancy = w.repo.arena().occupancy_in_bank(&shard.bank);
+                let highest = occupancy
+                    .iter()
+                    .rposition(Option::is_some)
+                    .map_or(0, |i| i + 1);
+                assert!(
+                    2 * highest <= arena,
+                    "shard {s}: register {highest} of {arena} written ({cfg:?})"
+                );
+            }
+        }
+    }
+
+    /// `ServiceConfig::arena` keeps its 4,096-session floor only for a
+    /// run with neither a session target nor a client budget, and every
+    /// shard of a fleet reports the arena of its largest share.
+    #[test]
+    fn arena_floors_only_unbounded_runs_and_shards_share_the_largest() {
+        let sized = |target_sessions, max_clients| {
+            ServiceConfig {
+                target_sessions,
+                max_clients,
+                ..ServiceConfig::default()
+            }
+            .arena()
+        };
+        // 8 slots: 4·8² + 256 = 512 registers of slack.
+        assert_eq!(sized(0, 0), 2 * 4096 + 512);
+        assert_eq!(sized(29, 0), 570);
+        assert_eq!(sized(0, 29), 570);
+        assert_eq!(sized(29, 5), 570);
+        assert_eq!(sized(800, 0), 2_112);
+        let explicit = ServiceConfig {
+            target_sessions: 29,
+            arena_capacity: 77,
+            ..ServiceConfig::default()
+        };
+        assert_eq!(explicit.arena(), 77);
+        for (target_sessions, max_clients, shards, arena) in [
+            (36_000, 0, 1250, 570),
+            (1_000_000, 0, 1250, 2_112),
+            (0, 5, 16, 514),
+            (7, 3, 3, 518),
+            (0, 0, 4, 2 * 4096 + 512),
+            (45_000, 0, 1, 90_512),
+        ] {
+            let base = ServiceConfig {
+                target_sessions,
+                max_clients,
+                ..ServiceConfig::default()
+            };
+            let cfg = MegaServiceConfig { base, shards };
+            for s in 0..shards {
+                assert_eq!(cfg.shard_cfg(s).arena(), arena, "shard {s} of {cfg:?}");
             }
         }
     }

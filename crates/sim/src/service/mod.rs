@@ -261,7 +261,8 @@ pub struct ServiceConfig {
     pub crash_hazard: f64,
     /// Admission control.
     pub admission: Admission,
-    /// Deposit-arena registers; 0 auto-sizes from the session target.
+    /// Deposit-arena registers; 0 auto-sizes from the session target
+    /// and client budget ([`ServiceConfig::arena`]).
     pub arena_capacity: usize,
     /// Record every completed session's ticket (for exclusivity audits;
     /// costs 8 bytes per session).
@@ -296,13 +297,23 @@ impl Default for ServiceConfig {
 impl ServiceConfig {
     /// The deposit-arena size this configuration implies: the explicit
     /// capacity, or twice the expected session count plus crash/park
-    /// slack.
+    /// slack, `2·expected + 4·slots² + 256`. The expected count is the
+    /// larger of the session target and the client budget; a run with
+    /// neither assumes 4,096 sessions.
+    ///
+    /// A bounded run's arena holds its own sessions only: driving a
+    /// harness past `target_sessions` with `run_until` needs an explicit
+    /// `arena_capacity`. A fleet shard's arena follows the fleet's
+    /// largest share ([`mega::MegaServiceConfig::shard_cfg`]).
     #[must_use]
     pub fn arena(&self) -> usize {
         if self.arena_capacity > 0 {
             return self.arena_capacity;
         }
-        let expected = self.target_sessions.max(self.max_clients).max(1 << 12) as usize;
+        let expected = match self.target_sessions.max(self.max_clients) {
+            0 => 1 << 12,
+            bounded => bounded as usize,
+        };
         2 * expected + 4 * self.slots * self.slots + 256
     }
 }
@@ -336,8 +347,7 @@ impl ServiceWorld {
         // their holders can pin at once, so even the first contention
         // excursion deep into a run stays allocation-free, where warm-up
         // alone only covers the high-water it happened to visit
-        // (2·slots² + 2·slots records and 2·slots² + 5·slots views per
-        // object; about 0.1 MB per world at the default 8 slots).
+        // (2·slots records and 7·slots views per object).
         naming.reserve_snapshot_buffers();
         repo.naming().reserve_snapshot_buffers();
         ServiceWorld {

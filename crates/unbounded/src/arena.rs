@@ -92,6 +92,18 @@ impl DepositArena {
     pub fn occupancy_in(&self, regs: &[Word]) -> Vec<Option<u64>> {
         self.regs.iter().map(|reg| regs[reg.0].as_int()).collect()
     }
+
+    /// [`DepositArena::occupancy`] over a
+    /// [`RegisterBank`](exsel_shm::RegisterBank), through its
+    /// non-mutating `load` — how tests audit an open-loop service's
+    /// arena against its size.
+    #[must_use]
+    pub fn occupancy_in_bank<B: exsel_shm::RegisterBank>(&self, bank: &B) -> Vec<Option<u64>> {
+        self.regs
+            .iter()
+            .map(|reg| bank.load(reg).as_int())
+            .collect()
+    }
 }
 
 impl exsel_shm::Footprint for DepositArena {

@@ -177,22 +177,23 @@ impl UnboundedNaming {
     ///
     /// The bound assumes each process drives one [`AcquireOp`] at a
     /// time, as a [`NamingMachine`] or an altruistic depositor state
-    /// does. An `AcquireOp` owns one `UpdateOp` (whose embedded scan
-    /// caches a collect) and one `ScanOp`, so the holders are:
+    /// does. An `AcquireOp` owns one `UpdateOp` (with an embedded scan)
+    /// and one `ScanOp`. A scan keeps tags and values, not records, so
+    /// the holders are:
     ///
-    /// - records: the `n` registers, `2n` collect-cache entries per
-    ///   process and one pending record per update — `2n² + 2n`;
-    /// - views: one embedded in each of those records, plus each scan's
-    ///   last direct view (`2n`) and each update's captured view (`n`)
-    ///   — `2n² + 5n`.
+    /// - records: the `n` registers and one pending record per update —
+    ///   `2n`;
+    /// - views: one embedded in each of those records (`2n`), plus each
+    ///   scan's last direct view (`2n`) and borrowed view (`2n`) and each
+    ///   update's captured view (`n`) — `7n`.
     ///
     /// [`SnapArena::reserve`](exsel_shm::SnapArena::reserve) tracks each
-    /// reserved record's embedded view itself, so only the `3n` views
+    /// reserved record's embedded view itself, so only the `5n` views
     /// outside records are requested separately. `ARCHITECTURE.md`
     /// derives why no transient needs a spare buffer.
     pub fn reserve_snapshot_buffers(&self) {
         let n = self.n;
-        self.w.arena().reserve(2 * n * n + 2 * n, 3 * n);
+        self.w.arena().reserve(2 * n, 5 * n);
     }
 
     /// Starts a poll-based acquire for process `pid`.

@@ -10,10 +10,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use exsel_bench::runner::{run_sim, run_sim_engine, run_sim_engine_with, spread_originals};
 use exsel_core::{Majority, MoirAnderson, Outcome, Rename, RenameConfig, StepRename};
-use exsel_lowerbound::{run_against, run_machines_against};
-use exsel_shm::{RegAlloc, StepMachine};
+use exsel_lowerbound::{run_against, run_machines_against_pooled};
+use exsel_shm::{Pid, RegAlloc, StepMachine};
 use exsel_sim::policy::RandomPolicy;
-use exsel_sim::StepEngine;
+use exsel_sim::{MachinePool, StepEngine};
 
 fn bench_majority_round(c: &mut Criterion) {
     let cfg = RenameConfig::default();
@@ -49,15 +49,15 @@ fn bench_adversary(c: &mut Criterion) {
             })
         });
     });
+    let mut engine = StepEngine::reusable(regs);
+    let mut pool: MachinePool<_> = (0..n)
+        .map(|p| {
+            algo.begin_rename(Pid(p), p as u64 + 1)
+                .map_output(Outcome::name as fn(Outcome) -> Option<u64>)
+        })
+        .collect();
     group.bench_with_input(BenchmarkId::new("step_engine", n), &n, |b, _| {
-        b.iter(|| {
-            run_machines_against(n, regs, k, m, regs as u64, |pid| {
-                Box::new(
-                    algo.begin_rename(pid, pid.0 as u64 + 1)
-                        .map_output(Outcome::name),
-                )
-            })
-        });
+        b.iter(|| run_machines_against_pooled(&mut engine, &mut pool, regs, k, m, regs as u64));
     });
     group.finish();
 }

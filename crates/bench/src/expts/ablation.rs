@@ -1,4 +1,5 @@
-//! Ablations of the design choices DESIGN.md calls out:
+//! Ablations of the design choices, including the expander-profile
+//! substitution of ARCHITECTURE.md, "Substitutions":
 //!
 //! 1. **Efficient-Rename pipeline** — Theorem 2's middle `PolyLog` stage
 //!    exists for asymptotics: it compresses Moir–Anderson's `k(k+1)/2`

@@ -9,7 +9,7 @@
 
 use exsel_core::{AlmostAdaptive, Rename, RenameConfig};
 use exsel_shm::RegAlloc;
-use exsel_sim::StepEngine;
+use exsel_sim::{AlgoSet, StepEngine};
 
 use crate::runner::{spread_originals, sweep_random};
 use crate::Table;
@@ -41,7 +41,7 @@ pub fn run() {
     for k in [1usize, 2, 4, 8, 16, 32] {
         let originals = spread_originals(k, n_names);
         let stats = sweep_random(&mut engine, 0..3, &originals, |a| {
-            AlmostAdaptive::new(a, n_names, n_procs, &cfg)
+            AlgoSet::Rename(Box::new(AlmostAdaptive::new(a, n_names, n_procs, &cfg)))
         });
         let bound = probe.name_bound_for_contention(k);
         assert!(

@@ -8,7 +8,7 @@
 
 use exsel_core::{BasicRename, Rename, RenameConfig};
 use exsel_shm::RegAlloc;
-use exsel_sim::StepEngine;
+use exsel_sim::{AlgoSet, StepEngine};
 
 use crate::runner::{spread_originals, sweep_random};
 use crate::Table;
@@ -42,7 +42,7 @@ pub fn run() {
             let algo = BasicRename::new(&mut alloc, n, k, &cfg);
             let originals = spread_originals(k, n);
             let stats = sweep_random(&mut engine, 0..5, &originals, |a| {
-                BasicRename::new(a, n, k, &cfg)
+                AlgoSet::Rename(Box::new(BasicRename::new(a, n, k, &cfg)))
             });
             let lg_k = (k as f64).log2().max(1.0);
             let lg_n = (n as f64).log2();

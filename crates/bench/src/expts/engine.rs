@@ -289,8 +289,8 @@ pub fn measure(quick: bool) -> Vec<Row> {
                     "recycling changed the schedule at seed {seed}"
                 );
                 assert_eq!(
-                    engine_off.registers(),
-                    engine_on.registers(),
+                    engine_off.bank().words(),
+                    engine_on.bank().words(),
                     "recycling changed the memory at seed {seed}"
                 );
             }

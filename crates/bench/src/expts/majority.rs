@@ -7,7 +7,7 @@
 
 use exsel_core::{Majority, Rename, RenameConfig};
 use exsel_shm::RegAlloc;
-use exsel_sim::StepEngine;
+use exsel_sim::{AlgoSet, StepEngine};
 
 use crate::runner::{spread_originals, sweep_random};
 use crate::Table;
@@ -46,7 +46,7 @@ pub fn run() {
             // Worst renamed fraction over several adversarially-seeded
             // schedules.
             let stats = sweep_random(&mut engine, 0..5, &originals, |a| {
-                Majority::new(a, n, l, &cfg)
+                AlgoSet::Majority(Majority::new(a, n, l, &cfg))
             });
             table.row(&[
                 n.to_string(),

@@ -16,7 +16,7 @@
 //!    engine: one [`exsel_unbounded::DepositOp`] pool is re-driven
 //!    across every storm seed (machines reset in place), and occupancy
 //!    is audited straight from the engine's register bank
-//!    (`StepEngine::registers`).
+//!    (`StepEngine::bank`).
 
 use crate::Table;
 use exsel_shm::{Ctx, Pid, RegAlloc, ThreadedShm};
@@ -135,7 +135,7 @@ fn altruistic_storm_pooled(n: usize, per: usize, seeds: std::ops::Range<u64>) ->
             n - 1,
         );
         engine.run_pool(&mut policy, &mut pool);
-        let (h, f) = waste(&repo.arena().occupancy_in(engine.registers()));
+        let (h, f) = waste(&repo.arena().occupancy_in_bank(engine.bank()));
         worst = worst.max(h);
         frontier = frontier.max(f);
     }

@@ -1,5 +1,5 @@
-//! Experiment harness for the EXPERIMENTS.md tables (T1–T11) and shared
-//! utilities for the Criterion benches.
+//! Experiment harness for the reproduction tables of README's scenario
+//! registry (T1–T11) and shared utilities for the Criterion benches.
 //!
 //! Every experiment is a named entry in the [`scenario`] registry —
 //! either a reproduction table ([`expts`]) or a declarative
@@ -25,7 +25,7 @@ pub mod scenario;
 pub mod table;
 
 pub use runner::{
-    run_sim, run_sim_engine, run_sim_engine_with, run_threaded, sweep, sweep_pool,
-    sweep_pool_sharded, sweep_random, RenamingRun, TrialStats,
+    run_sim, run_sim_engine, run_sim_engine_with, run_threaded, sweep_pool, sweep_pool_sharded,
+    sweep_random, RenamingRun, TrialStats,
 };
 pub use table::Table;

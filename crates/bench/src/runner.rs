@@ -1,8 +1,10 @@
 //! Shared execution helpers: run a renaming algorithm under the
 //! deterministic simulator or on real threads, collecting names and step
-//! counts — plus the **one generic trial loop** ([`sweep`]) that every
-//! experiment and scenario shares: rebuild the algorithm fresh per seed,
-//! run it on a reusable [`StepEngine`], fold worst-case statistics.
+//! counts — plus the **one generic trial loop** ([`sweep_pool`]) that
+//! tables T1–T6 and every grid scenario share: build the algorithm once,
+//! pool its machines, re-drive the pool per seed on a reusable
+//! [`StepEngine`], audit every trial's claims and fold worst-case
+//! statistics.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -194,10 +196,10 @@ where
     run
 }
 
-/// Worst-case statistics folded over a seed sweep by [`sweep`].
+/// Worst-case statistics folded over a seed sweep by [`sweep_pool`].
 #[derive(Clone, Debug)]
 pub struct TrialStats {
-    /// Registers the (last-built) algorithm instance reserved.
+    /// Registers the algorithm instance reserved.
     pub registers: usize,
     /// Largest name handed out in any trial.
     pub max_name: u64,
@@ -237,56 +239,15 @@ impl TrialStats {
     }
 }
 
-/// The one generic trial loop behind every experiment table and grid
-/// scenario: for each seed, rebuild the algorithm fresh (`build`), run
-/// one trial of `originals` under `policy(seed)` on the reused `engine`,
-/// check exclusiveness and fold worst-case statistics.
-pub fn sweep<A, B, P>(
-    engine: &mut StepEngine,
-    seeds: Range<u64>,
-    originals: &[u64],
-    build: B,
-    policy: P,
-) -> TrialStats
-where
-    A: StepRename,
-    B: Fn(&mut RegAlloc) -> A,
-    P: Fn(u64) -> Box<dyn Policy>,
-{
-    let mut stats = TrialStats {
-        registers: 0,
-        max_name: 0,
-        min_named: originals.len(),
-        max_unnamed_survivors: 0,
-        metrics: Metrics::default(),
-    };
-    for seed in seeds {
-        let mut alloc = RegAlloc::new();
-        let algo = build(&mut alloc);
-        engine.set_registers(alloc.total());
-        let mut policy = policy(seed);
-        let run = run_sim_engine_with(engine, &algo, originals, policy.as_mut());
-        stats.registers = alloc.total();
-        stats.max_name = stats.max_name.max(run.max_name());
-        stats.min_named = stats.min_named.min(run.named());
-        stats.max_unnamed_survivors = stats.max_unnamed_survivors.max(
-            originals
-                .len()
-                .saturating_sub(run.crashed + run.budget_crashed + run.named()),
-        );
-        stats.metrics.merge(engine.metrics());
-    }
-    stats
-}
-
-/// The allocation-free form of [`sweep`]: the algorithm instance is
-/// built **once** per call, a [`MachinePool`] of [`MachineSet`] machines
-/// is built once from it, and every seed's trial re-drives that pool via
-/// [`StepEngine::run_pool`] — no per-trial machine boxes, no per-trial
-/// result vectors. Trials are trace-identical to [`sweep`]'s
-/// rebuild-per-seed form because algorithm construction is deterministic
-/// and the engine resets all shared state between trials (tested in
-/// `tests/engine_determinism.rs`).
+/// The one generic trial loop behind tables T1–T6 and every grid
+/// scenario. The algorithm instance is built **once** per call, a
+/// [`MachinePool`] of [`MachineSet`] machines is built once from it, and
+/// every seed's trial re-drives that pool via [`StepEngine::run_pool`]
+/// under `policy(seed)` — no per-trial machine boxes, no per-trial
+/// result vectors. Each trial is trace-identical to boxed machines on a
+/// fresh engine, because the engine resets all shared state and the
+/// pool resets every machine between trials (tested in
+/// `tests/pooled_determinism.rs`).
 ///
 /// Works for every algorithm family ([`AlgoSet`]), not just renamers:
 /// per-trial safety asserts that completed processes' *claims* (names /
@@ -408,19 +369,18 @@ where
     stats
 }
 
-/// [`sweep`] under the plain seeded-random schedule — the default
+/// [`sweep_pool`] under the plain seeded-random schedule — the default
 /// adversary of the experiment tables.
-pub fn sweep_random<A, B>(
+pub fn sweep_random<B>(
     engine: &mut StepEngine,
     seeds: Range<u64>,
     originals: &[u64],
     build: B,
 ) -> TrialStats
 where
-    A: StepRename,
-    B: Fn(&mut RegAlloc) -> A,
+    B: FnOnce(&mut RegAlloc) -> AlgoSet,
 {
-    sweep(engine, seeds, originals, build, |seed| {
+    sweep_pool(engine, seeds, originals, build, |seed| {
         Box::new(RandomPolicy::new(seed))
     })
 }
@@ -468,51 +428,34 @@ mod tests {
     #[test]
     fn sweep_folds_worst_cases_and_reuses_the_engine() {
         let originals = spread_originals(4, 64);
-        let mut engine = StepEngine::reusable(0);
+        let mut engine = StepEngine::reusable(0).measure_contention(true);
         let stats = sweep_random(&mut engine, 0..5, &originals, |alloc| {
-            MoirAnderson::new(alloc, 4)
+            AlgoSet::MoirAnderson(MoirAnderson::new(alloc, 4))
         });
         assert_eq!(stats.trials(), 5);
         assert_eq!(stats.min_named, 4);
         assert!(stats.max_steps() > 0);
-        assert_eq!(stats.metrics.trials, 5);
         assert_eq!(stats.crashed(), 0);
+        assert_eq!(stats.max_unnamed_survivors, 0);
 
-        // The folded worst cases match a hand-rolled loop of single runs.
-        let mut max_steps = 0;
-        let mut max_name = 0;
+        // The folded statistics, metrics included, match a hand-rolled
+        // loop of boxed trials on one reused engine.
+        let mut alloc = RegAlloc::new();
+        let algo = MoirAnderson::new(&mut alloc, 4);
+        let mut engine = StepEngine::reusable(alloc.total()).measure_contention(true);
+        let mut metrics = Metrics::default();
+        let (mut max_name, mut min_named) = (0, originals.len());
         for seed in 0..5 {
-            let mut alloc = RegAlloc::new();
-            let algo = MoirAnderson::new(&mut alloc, 4);
-            let run = run_sim_engine(&algo, alloc.total(), &originals, seed);
-            max_steps = max_steps.max(run.max_steps());
+            let mut policy = RandomPolicy::new(seed);
+            let run = run_sim_engine_with(&mut engine, &algo, &originals, &mut policy);
             max_name = max_name.max(run.max_name());
+            min_named = min_named.min(run.named());
+            metrics.merge(engine.metrics());
         }
-        assert_eq!(stats.max_steps(), max_steps);
+        assert_eq!(stats.metrics, metrics);
         assert_eq!(stats.max_name, max_name);
-    }
-
-    #[test]
-    fn pooled_sweep_matches_boxed_sweep_bit_for_bit() {
-        let originals = spread_originals(4, 64);
-        let mut engine = StepEngine::reusable(0).measure_contention(true);
-        let boxed = sweep_random(&mut engine, 0..6, &originals, |alloc| {
-            MoirAnderson::new(alloc, 4)
-        });
-        let mut engine = StepEngine::reusable(0).measure_contention(true);
-        let pooled = sweep_pool(
-            &mut engine,
-            0..6,
-            &originals,
-            |alloc| AlgoSet::MoirAnderson(MoirAnderson::new(alloc, 4)),
-            |seed| Box::new(RandomPolicy::new(seed)),
-        );
-        // Same trials ⇒ identical folded statistics, metrics included.
-        assert_eq!(boxed.metrics, pooled.metrics);
-        assert_eq!(boxed.max_name, pooled.max_name);
-        assert_eq!(boxed.min_named, pooled.min_named);
-        assert_eq!(boxed.registers, pooled.registers);
-        assert_eq!(boxed.max_unnamed_survivors, pooled.max_unnamed_survivors);
+        assert_eq!(stats.min_named, min_named);
+        assert_eq!(stats.registers, alloc.total());
     }
 
     #[test]
@@ -545,11 +488,11 @@ mod tests {
     fn sweep_reports_adversary_crashes() {
         let originals = spread_originals(6, 64);
         let mut engine = StepEngine::reusable(0);
-        let stats = sweep(
+        let stats = sweep_pool(
             &mut engine,
             0..4,
             &originals,
-            |alloc| MoirAnderson::new(alloc, 6),
+            |alloc| AlgoSet::MoirAnderson(MoirAnderson::new(alloc, 6)),
             |seed| {
                 Box::new(CrashStorm::new(
                     Box::new(RandomPolicy::new(seed)),

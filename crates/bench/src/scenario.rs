@@ -1,8 +1,8 @@
 //! The scenario registry: every experiment in the repository as a named,
 //! data-driven entry behind one multiplexer binary.
 //!
-//! A scenario is either a **table** (one of the EXPERIMENTS.md
-//! reproduction tables, T1–T11/S1/A1-3, living in [`crate::expts`]) or a
+//! A scenario is either a **table** (one of the reproduction tables of
+//! README's scenario registry, T1–T11/S1/A1-3, living in [`crate::expts`]) or a
 //! **grid** — a declarative `algorithm × adversary × size-grid × seeds`
 //! specification executed by the shared [`run_grid`] driver over one
 //! reusable `StepEngine`, with per-trial engine metrics (op mix,

@@ -9,7 +9,7 @@
 //!    `[k(k+1)/2]` in `O(k)` steps;
 //! 2. [`PolyLogRename`]`(k, k(k+1)/2)` — compresses to `O(k)` (Theorem 1);
 //! 3. the `AF(k, M′)` stage, here the snapshot-based `(2k−1)`-renaming
-//!    ([`SnapshotRename`], see DESIGN.md substitution notes) — yields the
+//!    ([`SnapshotRename`], see ARCHITECTURE.md, "Substitutions") — yields the
 //!    final names in `[2k−1]`.
 //!
 //! Stage 2 only pays off asymptotically: its `O(k)` bound carries a large

@@ -2,7 +2,7 @@
 //! Peleg, Reischuk — JACM 1990, adapted to shared memory as in Attiya &
 //! Welch). This is the substitute for the Attiya–Fouren `AF(k, N)` stage
 //! of `Efficient-Rename`: identical interface and identical name bound
-//! `M = 2k−1` (see `DESIGN.md`, substitution notes).
+//! `M = 2k−1` (see ARCHITECTURE.md, "Substitutions").
 //!
 //! Each participant repeatedly publishes `(token, proposal)` in an atomic
 //! snapshot and scans: if its proposal is unique among the published

@@ -9,7 +9,7 @@
 /// union bound go through and is still heavy for experiments (ℓ = 8,
 /// N = 256 already needs ~26 000 registers per stage), so we also provide
 /// a `compact` profile whose expansion we validate empirically (see
-/// `DESIGN.md`, substitution notes): exclusiveness and wait-freedom of the
+/// ARCHITECTURE.md, "Substitutions"): exclusiveness and wait-freedom of the
 /// renaming algorithms never depend on expansion — only the *progress
 /// rate* does — so weaker constants only move constants in measured
 /// curves.

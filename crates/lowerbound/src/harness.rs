@@ -1,26 +1,23 @@
 //! Running the adversary against a concrete renaming algorithm.
 //!
-//! Three generations of entry points, newest preferred:
+//! Two forms of entry point:
 //!
 //! * [`run_machines_against_pooled`] / [`run_store_against_pooled`] —
 //!   the adversarial trial over a caller-held [`MachinePool`] and
 //!   reusable engine: machines are reset in place per trial, so
 //!   adversary sweeps allocate nothing per trial beyond what the
 //!   algorithm itself installs in registers.
-//! * [`run_machines_against`] / [`run_machines_against_with`] — the
-//!   boxed engine path (one heap allocation per machine per trial).
 //! * [`run_against`] / [`run_store_against`] — the thread-backed
 //!   scheduler for closure-style process bodies; kept as the
 //!   differential oracle (the pigeonhole adversary is deterministic, so
-//!   all paths must force the identical staged execution).
+//!   both must force the identical staged execution).
 
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
-use exsel_shm::{Crash, Ctx, Pid, StepMachine};
+use exsel_shm::{Crash, Ctx, StepMachine};
 use exsel_sim::{
-    explore_pool_sleep, ExploreReport, MachinePool, ReduceConfig, SimBuilder, SimOutcome,
-    StepEngine,
+    explore_pool_sleep, ExploreReport, MachinePool, ReduceConfig, SimBuilder, StepEngine,
 };
 
 use crate::{theorem6_bound, AdversaryStats, PigeonholeAdversary};
@@ -73,64 +70,16 @@ where
     let outcome = SimBuilder::new(num_registers, Box::new(adversary))
         .stack_size(128 * 1024)
         .run(n_processes, rename);
-    digest_outcome(&outcome, stats.as_ref(), n_processes, k, m, r)
-}
-
-/// [`run_against`] on the single-threaded `StepEngine`: `factory(pid)`
-/// builds process `pid`'s renaming machine (its output is the acquired
-/// name, `None` on instance failure). No OS threads are spawned, which is
-/// what makes adversary sweeps over thousands of processes practical.
-/// Uses a throwaway reusable engine; sweeps that run many adversarial
-/// trials should hold their own engine and call
-/// [`run_machines_against_with`] to keep its buffers across trials.
-///
-/// # Panics
-///
-/// Panics if two processes decide the same name (exclusiveness violation
-/// — a bug in the algorithm under test).
-pub fn run_machines_against<'a, F>(
-    n_processes: usize,
-    num_registers: usize,
-    k: usize,
-    m: u64,
-    r: u64,
-    factory: F,
-) -> LowerBoundReport
-where
-    F: Fn(Pid) -> Box<dyn StepMachine<Output = Option<u64>> + 'a>,
-{
-    let mut engine = StepEngine::reusable(num_registers);
-    run_machines_against_with(&mut engine, n_processes, num_registers, k, m, r, factory)
-}
-
-/// [`run_machines_against`] over a caller-held reusable engine: the
-/// engine is pointed at the algorithm's register count and the
-/// adversarial trial runs via [`StepEngine::run_trial`], so consecutive
-/// calls reuse the engine's scratch buffers instead of reallocating.
-///
-/// # Panics
-///
-/// As [`run_machines_against`].
-pub fn run_machines_against_with<'a, F>(
-    engine: &mut StepEngine,
-    n_processes: usize,
-    num_registers: usize,
-    k: usize,
-    m: u64,
-    r: u64,
-    factory: F,
-) -> LowerBoundReport
-where
-    F: Fn(Pid) -> Box<dyn StepMachine<Output = Option<u64>> + 'a>,
-{
-    engine.set_registers(num_registers);
-    let (mut adversary, stats) =
-        PigeonholeAdversary::new(n_processes, k.saturating_sub(2), 2 * m as usize);
-    let outcome = engine.run_trial(
-        &mut adversary,
-        (0..n_processes).map(Pid).map(factory).collect(),
-    );
-    digest_outcome(&outcome, stats.as_ref(), n_processes, k, m, r)
+    assemble_report(
+        outcome
+            .results
+            .iter()
+            .map(|r| r.as_ref().ok().copied().flatten()),
+        &outcome.steps,
+        stats.as_ref(),
+        n_processes,
+        theorem6_bound(k as u64, n_processes as u64, m, r),
+    )
 }
 
 /// The fully pooled adversarial trial: runs the machines of `pool`
@@ -144,8 +93,8 @@ where
 /// `k − 2` staging budget.
 ///
 /// The adversary is deterministic: the forced execution is identical to
-/// [`run_machines_against`] over freshly boxed machines and to the
-/// thread-backed [`run_against`] (tested).
+/// the thread-backed [`run_against`]'s, on a fresh or a reused engine
+/// and pool (tested).
 ///
 /// # Panics
 ///
@@ -273,27 +222,6 @@ where
     )
 }
 
-/// Shared digestion of an adversarial execution into the report.
-fn digest_outcome(
-    outcome: &SimOutcome<Option<u64>>,
-    stats: &Mutex<AdversaryStats>,
-    n_processes: usize,
-    k: usize,
-    m: u64,
-    r: u64,
-) -> LowerBoundReport {
-    assemble_report(
-        outcome
-            .results
-            .iter()
-            .map(|r| r.as_ref().ok().copied().flatten()),
-        &outcome.steps,
-        stats,
-        n_processes,
-        theorem6_bound(k as u64, n_processes as u64, m, r),
-    )
-}
-
 /// The one folding point of every harness path: collects decided names
 /// (asserting exclusiveness), the worst step count among deciders, and
 /// the adversary's staging statistics.
@@ -388,7 +316,7 @@ where
 mod tests {
     use super::*;
     use exsel_core::{MoirAnderson, Rename, RenameConfig, SnapshotRename};
-    use exsel_shm::RegAlloc;
+    use exsel_shm::{Pid, RegAlloc};
 
     #[test]
     fn adversary_vs_moir_anderson() {
@@ -460,8 +388,10 @@ mod tests {
 
     #[test]
     fn engine_adversary_matches_thread_backed_adversary() {
-        // The pigeonhole adversary is deterministic: both backends must
-        // force the identical staged execution on Moir-Anderson.
+        // The pigeonhole adversary is deterministic: the pooled engine
+        // path must force the identical staged execution on
+        // Moir-Anderson as the thread-backed one — including on a
+        // dirtied, reused engine and pool (trial 2 replays trial 1).
         use exsel_core::StepRename;
         use exsel_shm::StepMachine as _;
         let k = 8;
@@ -473,39 +403,6 @@ mod tests {
         let threaded = run_against(n, alloc.total(), k, m, r, |ctx| {
             Ok(algo.rename(ctx, ctx.pid().0 as u64 + 1)?.name())
         });
-        let engine = run_machines_against(n, alloc.total(), k, m, r, |pid| {
-            Box::new(
-                algo.begin_rename(pid, pid.0 as u64 + 1)
-                    .map_output(exsel_core::Outcome::name),
-            )
-        });
-        assert_eq!(threaded.stages, engine.stages);
-        assert_eq!(threaded.pool_sizes, engine.pool_sizes);
-        assert_eq!(threaded.max_steps_named, engine.max_steps_named);
-        assert_eq!(threaded.named, engine.named);
-        assert!(engine.exclusive);
-        assert!(engine.max_steps_named >= engine.bound);
-    }
-
-    #[test]
-    fn pooled_adversary_matches_boxed_adversary_across_reuse() {
-        // The pooled path must force the identical staged execution as
-        // freshly boxed machines — including on a dirtied, reused
-        // engine+pool (trial 2 replays trial 1 exactly).
-        use exsel_core::StepRename;
-        use exsel_shm::StepMachine as _;
-        let k = 8;
-        let n = 128;
-        let mut alloc = RegAlloc::new();
-        let algo = MoirAnderson::new(&mut alloc, k);
-        let m = algo.name_bound();
-        let r = alloc.total() as u64;
-        let boxed = run_machines_against(n, alloc.total(), k, m, r, |pid| {
-            Box::new(
-                algo.begin_rename(pid, pid.0 as u64 + 1)
-                    .map_output(exsel_core::Outcome::name),
-            )
-        });
         let mut engine = StepEngine::reusable(alloc.total());
         let mut pool: exsel_sim::MachinePool<_> = (0..n)
             .map(|p| {
@@ -516,15 +413,16 @@ mod tests {
         for trial in 0..2 {
             let pooled =
                 run_machines_against_pooled(&mut engine, &mut pool, alloc.total(), k, m, r);
-            assert_eq!(boxed.stages, pooled.stages, "trial {trial}");
-            assert_eq!(boxed.pool_sizes, pooled.pool_sizes, "trial {trial}");
+            assert_eq!(threaded.stages, pooled.stages, "trial {trial}");
+            assert_eq!(threaded.pool_sizes, pooled.pool_sizes, "trial {trial}");
             assert_eq!(
-                boxed.max_steps_named, pooled.max_steps_named,
+                threaded.max_steps_named, pooled.max_steps_named,
                 "trial {trial}"
             );
-            assert_eq!(boxed.named, pooled.named, "trial {trial}");
-            assert_eq!(boxed.bound, pooled.bound, "trial {trial}");
+            assert_eq!(threaded.named, pooled.named, "trial {trial}");
+            assert_eq!(threaded.bound, pooled.bound, "trial {trial}");
             assert!(pooled.exclusive);
+            assert!(pooled.max_steps_named >= pooled.bound);
         }
     }
 
@@ -593,7 +491,7 @@ mod tests {
                 .collect();
             let report =
                 run_machines_against_pooled(&mut engine, &mut pool, alloc.total(), k, m, r);
-            let bank: Vec<exsel_shm::Word> = engine.registers().to_vec();
+            let bank: Vec<exsel_shm::Word> = engine.bank().words().to_vec();
             (report, bank)
         };
         let (on, bank_on) = run(true);

@@ -44,6 +44,6 @@ mod harness;
 pub use adversary::{AdversaryStats, PigeonholeAdversary};
 pub use bound::{theorem6_bound, theorem7_bound};
 pub use harness::{
-    exhaust_exclusiveness_pooled, run_against, run_machines_against, run_machines_against_pooled,
-    run_machines_against_with, run_store_against, run_store_against_pooled, LowerBoundReport,
+    exhaust_exclusiveness_pooled, run_against, run_machines_against_pooled, run_store_against,
+    run_store_against_pooled, LowerBoundReport,
 };

@@ -372,17 +372,6 @@ impl StepEngine {
     pub fn reusable(num_registers: usize) -> Self {
         Self::with_parts(num_registers, None, ArcBank::new())
     }
-
-    /// The register bank as the last trial left it, indexed by
-    /// [`exsel_shm::RegId`] — the post-trial inspection path for
-    /// occupancy audits (e.g. repository waste counting), which on the
-    /// thread-backed runner would read through a `Memory` handle. The
-    /// next trial's [`StepEngine::reset`] re-nulls it. For bank-generic
-    /// inspection use [`StepEngine::load_register`] instead.
-    #[must_use]
-    pub fn registers(&self) -> &[Word] {
-        self.regs.words()
-    }
 }
 
 impl<B: RegisterBank> StepEngine<B> {

@@ -5,8 +5,9 @@
 //! `n` fresh machines per execution — the allocator traffic that
 //! dominated seed sweeps and exploration walks — the pool's machines are
 //! built **once** and re-initialized in place via [`StepMachine::reset`]
-//! at the start of every [`StepEngine::run_pool`] trial. After the first
-//! trial has stretched every buffer to capacity, steady-state trials
+//! at the start of every
+//! [`StepEngine::run_pool`](crate::StepEngine::run_pool) trial. After the
+//! first trial has stretched every buffer to capacity, steady-state trials
 //! perform no heap allocation at all (verified by the
 //! `tests/alloc_free.rs` counting-allocator test for machines whose
 //! `reset` is in-place, e.g. the splitter/majority renamers and
@@ -52,8 +53,6 @@
 //! ```
 
 use exsel_shm::{Crash, Pid, StepMachine};
-
-use crate::engine::StepEngine;
 
 /// The engine-facing view of a pool's trial buffers: machines, result
 /// slots and step counters, all indexed by pid.
@@ -184,18 +183,6 @@ impl<M: StepMachine> MachinePool<M> {
     pub(crate) fn trial_buffers(&mut self) -> TrialBuffers<'_, M> {
         (&mut self.machines, &mut self.results, &mut self.steps)
     }
-
-    /// Convenience: runs one pooled trial on `engine` under `policy`.
-    /// Identical to [`StepEngine::run_pool`] with the arguments flipped.
-    ///
-    /// [`StepEngine::run_pool`]: crate::StepEngine::run_pool
-    pub fn run_trial<B: exsel_shm::RegisterBank>(
-        &mut self,
-        engine: &mut StepEngine<B>,
-        policy: &mut dyn crate::Policy,
-    ) {
-        engine.run_pool(policy, self);
-    }
 }
 
 impl<M: StepMachine> FromIterator<M> for MachinePool<M> {
@@ -208,6 +195,7 @@ impl<M: StepMachine> FromIterator<M> for MachinePool<M> {
 mod tests {
     use super::*;
     use crate::policy::{RandomPolicy, RoundRobin};
+    use crate::StepEngine;
     use exsel_shm::{Poll, RegAlloc, RegId, ShmOp, Word};
 
     /// A machine performing `rounds` write/read pairs on one register.

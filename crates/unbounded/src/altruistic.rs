@@ -173,18 +173,11 @@ impl AltruisticDeposit {
             .collect()
     }
 
-    /// [`AltruisticDeposit::help_occupancy`] over a raw register bank —
-    /// the post-trial inspection path for `StepEngine` executions
-    /// (`StepEngine::registers`), which have no `Memory` handle.
-    #[must_use]
-    pub fn help_occupancy_in(&self, regs: &[Word]) -> Vec<Option<u64>> {
-        self.help.iter().map(|reg| regs[reg.0].as_int()).collect()
-    }
-
     /// [`AltruisticDeposit::help_occupancy`] over a
     /// [`RegisterBank`](exsel_shm::RegisterBank), through its
-    /// non-mutating `load` — how tests audit the names parked in an
-    /// open-loop service's bank.
+    /// non-mutating `load` — the inspection path for `StepEngine` banks
+    /// (`StepEngine::bank`) and open-loop service banks, which have no
+    /// `Memory` handle.
     #[must_use]
     pub fn help_occupancy_in_bank<B: exsel_shm::RegisterBank>(&self, bank: &B) -> Vec<Option<u64>> {
         self.help

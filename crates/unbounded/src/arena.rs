@@ -3,7 +3,7 @@
 use exsel_shm::{Ctx, Memory, Pid, RegAlloc, RegRange, Step, Word};
 
 /// The paper's infinite array of registers dedicated to deposits, modeled
-/// as a pre-sized bank (see DESIGN.md substitution notes): index `i ≥ 1`
+/// as a pre-sized bank (see ARCHITECTURE.md, "Substitutions"): index `i ≥ 1`
 /// addresses register `R_i`, registers beyond the experiment's frontier
 /// are simply never touched.
 ///
@@ -85,18 +85,11 @@ impl DepositArena {
             .collect()
     }
 
-    /// [`DepositArena::occupancy`] over a raw register bank — the
-    /// post-trial inspection path for `StepEngine` executions
-    /// (`StepEngine::registers`), which have no [`Memory`] handle.
-    #[must_use]
-    pub fn occupancy_in(&self, regs: &[Word]) -> Vec<Option<u64>> {
-        self.regs.iter().map(|reg| regs[reg.0].as_int()).collect()
-    }
-
     /// [`DepositArena::occupancy`] over a
     /// [`RegisterBank`](exsel_shm::RegisterBank), through its
-    /// non-mutating `load` — how tests audit an open-loop service's
-    /// arena against its size.
+    /// non-mutating `load` — the post-trial inspection path for
+    /// `StepEngine` executions (`StepEngine::bank`) and open-loop service
+    /// banks, which have no [`Memory`] handle.
     #[must_use]
     pub fn occupancy_in_bank<B: exsel_shm::RegisterBank>(&self, bank: &B) -> Vec<Option<u64>> {
         self.regs

@@ -26,7 +26,7 @@
 //!
 //! "Infinitely many registers" are modeled by a pre-sized
 //! [`DepositArena`]; experiments size it beyond the deposits they perform
-//! (see DESIGN.md substitution notes).
+//! (see ARCHITECTURE.md, "Substitutions").
 //!
 //! Every operation also exists in resettable step-machine form for the
 //! `exsel-sim` engine and its machine pools: [`NamingMachine`] (the

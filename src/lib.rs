@@ -54,8 +54,8 @@
 //!   faster; use for exhaustive exploration, adversary searches and
 //!   large crash storms. See `BENCH_engine.json` for measurements.
 //!
-//! See `examples/` for runnable scenarios and `EXPERIMENTS.md` for the
-//! paper-claim reproduction tables.
+//! See `examples/` for runnable scenarios and README's scenario registry
+//! for the paper-claim reproduction tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

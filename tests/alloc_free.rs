@@ -434,7 +434,7 @@ fn snapshot_compaction_smoke_n128() {
     // Sanity: every writer's component carries its value and a full
     // embedded view.
     assert_eq!(pool.completed().count(), N);
-    let regs = engine.registers();
+    let regs = engine.bank().words();
     for (slot, word) in regs.iter().take(N).enumerate() {
         let rec = word.as_snap().expect("component installed");
         assert_eq!(rec.value, Word::Int(slot as u64 + 1));

@@ -141,4 +141,22 @@ fn fleet_windows_tile_the_clock_and_bound_the_gauges() {
     assert_eq!(sum(|w| w.completed), mega.report.totals.completed);
     assert_eq!(sum(|w| w.crashes), mega.report.totals.crashes);
     assert_eq!(sum(|w| w.rejected), mega.report.totals.rejected);
+    assert_eq!(sum(|w| w.admitted), mega.report.totals.admitted);
+    assert_eq!(sum(|w| w.reentries), mega.report.totals.reentries);
+    assert_eq!(sum(|w| w.retries), mega.report.totals.retries);
+    assert_eq!(sum(|w| w.shed), mega.report.totals.shed);
+    // This run drives all eight counters, so no sum above holds
+    // vacuously.
+    let t = &mega.report.totals;
+    let counters = [
+        t.arrivals,
+        t.admitted,
+        t.completed,
+        t.crashes,
+        t.reentries,
+        t.retries,
+        t.shed,
+        t.rejected,
+    ];
+    assert!(counters.iter().all(|&c| c > 0), "{t:?}");
 }

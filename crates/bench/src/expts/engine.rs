@@ -1,8 +1,8 @@
 //! T11 — execution backends: the thread-backed lock-step scheduler vs
 //! the single-threaded step-machine engine on identical workloads, plus
-//! the engine-reuse comparison (fresh engine per trial vs one engine
-//! reused through `reset()`/`run_trial()`), the snapshot-compaction row,
-//! the construction-cost row and, with the `check` feature, the
+//! the engine-reuse comparison (a fresh engine and machine pool per
+//! trial vs one pair reused through `run_pool`), the snapshot-compaction
+//! row, the construction-cost row and, with the `check` feature, the
 //! footprint checker's overhead.
 //!
 //! Both backends replay the *same* executions (same policy ⇒ same trace;
@@ -19,14 +19,12 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use exsel_core::{AdaptiveRename, Majority, PolyLogRename, RenameConfig};
-use exsel_shm::RegAlloc;
+use exsel_shm::{RegAlloc, RegId};
 use exsel_sim::policy::RandomPolicy;
-#[cfg(feature = "check")]
-use exsel_sim::AlgoSet;
-use exsel_sim::{MachinePool, StepEngine};
+use exsel_sim::{AlgoSet, MachinePool, StepEngine};
 
 use crate::gate::Measurement as Row;
-use crate::runner::{run_sim, run_sim_engine, run_sim_engine_with, spread_originals};
+use crate::runner::{fresh_pooled_run, pooled_run, run_sim, spread_originals};
 use crate::Table;
 
 /// Wall-clock of `iters` runs of `f`, in seconds.
@@ -72,12 +70,15 @@ pub fn measure(quick: bool) -> Vec<Row> {
     let majority_ks: &[usize] = if quick { &[8, 32] } else { &[8, 32, 128] };
     for &k in majority_ks {
         let mut alloc = RegAlloc::new();
-        let algo = Majority::new(&mut alloc, 1024, k, &cfg);
+        let set = AlgoSet::Majority(Majority::new(&mut alloc, 1024, k, &cfg));
+        let AlgoSet::Majority(algo) = &set else {
+            unreachable!()
+        };
         let regs = alloc.total();
         let originals = spread_originals(k, 1024);
         // Equivalence first: identical names and step counts.
-        let a = run_sim(&algo, regs, &originals, 7);
-        let b = run_sim_engine(&algo, regs, &originals, 7);
+        let a = run_sim(algo, regs, &originals, 7);
+        let b = fresh_pooled_run(&set, regs, &originals, 7);
         assert_eq!(a.names, b.names, "backends diverged at k={k}");
         assert_eq!(a.steps, b.steps, "backends diverged at k={k}");
         let iters = if k >= 128 {
@@ -88,10 +89,10 @@ pub fn measure(quick: bool) -> Vec<Row> {
             10
         };
         let threads_s = time(iters, || {
-            run_sim(&algo, regs, &originals, 7);
+            run_sim(algo, regs, &originals, 7);
         });
         let engine_s = time(iters, || {
-            run_sim_engine(&algo, regs, &originals, 7);
+            fresh_pooled_run(&set, regs, &originals, 7);
         });
         rows.push(Row {
             workload: format!("majority_round/k={k}"),
@@ -103,24 +104,25 @@ pub fn measure(quick: bool) -> Vec<Row> {
         });
     }
 
-    // Engine reuse: the same seed sweep with a fresh engine per trial
-    // vs one engine reused through reset()/run_trial(). Isolates the
+    // Engine reuse: the same seed sweep with a fresh engine and pool per
+    // trial vs one pair reused through `run_pool`. Isolates the
     // per-trial construction cost (register bank, scratch, metric
-    // buffers) that the reusable API amortizes.
+    // buffers, machines) that the reusable API amortizes.
     {
         let trials = if quick { 16u64 } else { 64u64 };
         let k = 32usize;
         let mut alloc = RegAlloc::new();
-        let algo = Majority::new(&mut alloc, 1024, k, &cfg);
+        let algo = AlgoSet::Majority(Majority::new(&mut alloc, 1024, k, &cfg));
         let regs = alloc.total();
         let originals = spread_originals(k, 1024);
-        // Equivalence: the reused engine replays the fresh engine's runs.
+        // Equivalence: the reused pair replays the fresh pairs' runs.
         {
             let mut reused = StepEngine::reusable(regs);
+            let mut pool = algo.pool(&originals);
             for seed in 0..8 {
-                let fresh = run_sim_engine(&algo, regs, &originals, seed);
-                let mut policy = RandomPolicy::new(seed);
-                let again = run_sim_engine_with(&mut reused, &algo, &originals, &mut policy);
+                let fresh = fresh_pooled_run(&algo, regs, &originals, seed);
+                reused.run_pool(&mut RandomPolicy::new(seed), &mut pool);
+                let again = pooled_run(&reused, &pool);
                 assert_eq!(fresh.names, again.names, "reuse diverged at seed {seed}");
                 assert_eq!(fresh.steps, again.steps, "reuse diverged at seed {seed}");
             }
@@ -128,14 +130,15 @@ pub fn measure(quick: bool) -> Vec<Row> {
         let iters = if quick { 3 } else { 5 };
         let fresh_s = time(iters, || {
             for seed in 0..trials {
-                run_sim_engine(&algo, regs, &originals, seed);
+                fresh_pooled_run(&algo, regs, &originals, seed);
             }
         });
         let reused_s = time(iters, || {
             let mut engine = StepEngine::reusable(regs);
+            let mut pool = algo.pool(&originals);
             for seed in 0..trials {
-                let mut policy = RandomPolicy::new(seed);
-                run_sim_engine_with(&mut engine, &algo, &originals, &mut policy);
+                engine.run_pool(&mut RandomPolicy::new(seed), &mut pool);
+                pooled_run(&engine, &pool);
             }
         });
         rows.push(Row {
@@ -288,11 +291,13 @@ pub fn measure(quick: bool) -> Vec<Row> {
                     engine_on.trace(),
                     "recycling changed the schedule at seed {seed}"
                 );
-                assert_eq!(
-                    engine_off.bank().words(),
-                    engine_on.bank().words(),
-                    "recycling changed the memory at seed {seed}"
-                );
+                for r in 0..regs {
+                    assert_eq!(
+                        engine_off.load_register(RegId(r)),
+                        engine_on.load_register(RegId(r)),
+                        "recycling changed register {r} at seed {seed}"
+                    );
+                }
             }
         }
         let timed = if quick { 1u64 } else { 3u64 };

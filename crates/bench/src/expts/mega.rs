@@ -1,9 +1,9 @@
 //! The mega scenario: one majority-renaming sweep at n ≈ 10⁶ contenders
-//! over ~2²¹ names, exercising the mega-scale stack end to end —
-//! [`exsel_shm::SlabBank`] register storage under a
+//! over ~2²¹ names, exercising the mega-scale stack end to end — the
+//! engine's default [`exsel_shm::SlabBank`] register storage under a
 //! [`exsel_sim::MachinePool`] of `MajorityOp` walkers and the sharded
-//! grant loop — against the Arc-backed register bank on the *same*
-//! machine pool and sharded schedule.
+//! grant loop — against the [`ArcBank`] oracle on the *same* machine
+//! pool and sharded schedule.
 //!
 //! Both arms replay identical trials (same policy seed, same shard
 //! count ⇒ same trace — the slab bank is bit-identical to the Arc
@@ -19,7 +19,7 @@
 use std::time::Instant;
 
 use exsel_core::{Majority, MajorityOp, RenameConfig};
-use exsel_shm::{RegAlloc, SlabBank};
+use exsel_shm::{ArcBank, RegAlloc};
 use exsel_sim::policy::RandomPolicy;
 use exsel_sim::{MachinePool, StepEngine};
 
@@ -72,7 +72,7 @@ pub fn measure(quick: bool) -> Row {
     // grant loop. Scoped so its ~regs-sized bank and pool are gone
     // before the slab arm builds its own.
     let (arc_s, arc_results, arc_steps) = {
-        let mut engine = StepEngine::reusable(regs);
+        let mut engine = StepEngine::reusable_with(regs, ArcBank::new());
         let mut pool = pool_of();
         let mut run = |seed: u64| {
             let mut policy = RandomPolicy::new(seed);
@@ -87,11 +87,11 @@ pub fn measure(quick: bool) -> Row {
         (per_trial, pool.results().to_vec(), pool.steps().to_vec())
     };
 
-    // Contender arm: slab bank. The timed trials sit inside an
-    // allocation window — after the warm trial has stretched every
+    // Contender arm: the default slab bank. The timed trials sit inside
+    // an allocation window — after the warm trial has stretched every
     // buffer (slab slots, pending sets, result vectors), the steady
     // state must not touch the heap at all.
-    let mut engine = StepEngine::reusable_with(regs, SlabBank::new());
+    let mut engine = StepEngine::reusable(regs);
     let mut pool = pool_of();
     {
         let mut policy = RandomPolicy::new(seeds[0]);

@@ -25,7 +25,7 @@ pub mod scenario;
 pub mod table;
 
 pub use runner::{
-    run_sim, run_sim_engine, run_sim_engine_with, run_threaded, sweep_pool, sweep_pool_sharded,
+    fresh_pooled_run, pooled_run, run_sim, run_threaded, sweep_pool, sweep_pool_sharded,
     sweep_random, RenamingRun, TrialStats,
 };
 pub use table::Table;

@@ -9,11 +9,11 @@
 use std::collections::BTreeSet;
 use std::ops::Range;
 
-use exsel_core::{Rename, StepRename};
-use exsel_shm::{Ctx, Pid, RegAlloc, RegisterBank, StepMachine, ThreadedShm};
+use exsel_core::Rename;
+use exsel_shm::{Ctx, Pid, RegAlloc, RegisterBank, ThreadedShm};
 use exsel_sim::{
-    policy::RandomPolicy, AlgoSet, MachinePool, MachineSet, Metrics, Policy, SimBuilder,
-    SimOutcome, StepEngine,
+    policy::RandomPolicy, AlgoSet, MachinePool, MachineSet, Metrics, Policy, SetOutput, SimBuilder,
+    StepEngine,
 };
 
 /// The outcome of one renaming execution.
@@ -27,7 +27,7 @@ pub struct RenamingRun {
     /// Contenders crashed by the adversary.
     pub crashed: usize,
     /// Contenders crashed by op-budget exhaustion (kept distinct from
-    /// adversary crashes; see `SimOutcome::budget_crashed`).
+    /// adversary crashes).
     pub budget_crashed: usize,
 }
 
@@ -72,9 +72,18 @@ impl RenamingRun {
     }
 }
 
-/// Digests a simulated execution into a [`RenamingRun`] and checks
-/// exclusiveness — the one folding point for all backends.
-fn digest(outcome: SimOutcome<Option<u64>>) -> RenamingRun {
+/// Runs `originals.len()` contenders through `algo` on the deterministic
+/// simulator under a seeded random schedule; step counts are exactly
+/// reproducible.
+pub fn run_sim<R>(algo: &R, num_registers: usize, originals: &[u64], seed: u64) -> RenamingRun
+where
+    R: Rename + ?Sized,
+{
+    let outcome = SimBuilder::new(num_registers, Box::new(RandomPolicy::new(seed)))
+        .stack_size(256 * 1024)
+        .run(originals.len(), |ctx| {
+            algo.rename(ctx, originals[ctx.pid().0]).map(|o| o.name())
+        });
     let run = RenamingRun {
         crashed: outcome.crashed.len(),
         budget_crashed: outcome.budget_crashed.len(),
@@ -89,77 +98,47 @@ fn digest(outcome: SimOutcome<Option<u64>>) -> RenamingRun {
     run
 }
 
-/// The renaming machines of `originals.len()` contenders of `algo`
-/// (contender `p` holds `originals[p]`), ready for a `StepEngine` trial.
-pub fn machines<'a, R>(
-    algo: &'a R,
-    originals: &[u64],
-) -> Vec<Box<dyn StepMachine<Output = Option<u64>> + 'a>>
-where
-    R: StepRename + ?Sized,
-{
-    originals
-        .iter()
-        .enumerate()
-        .map(
-            |(p, &orig)| -> Box<dyn StepMachine<Output = Option<u64>> + 'a> {
-                Box::new(
-                    algo.begin_rename(Pid(p), orig)
-                        .map_output(exsel_core::Outcome::name),
-                )
-            },
-        )
-        .collect()
+/// Digests the last trial of `pool`, renaming machines from
+/// [`AlgoSet::pool`], on `engine` into a [`RenamingRun`] and checks
+/// exclusiveness. The same seed on [`run_sim`] produces the same
+/// execution (the blocking renaming APIs are `drive` adapters over the
+/// same step machines).
+pub fn pooled_run<Bank: RegisterBank>(
+    engine: &StepEngine<Bank>,
+    pool: &MachinePool<MachineSet<'_>>,
+) -> RenamingRun {
+    let run = RenamingRun {
+        names: pool
+            .results()
+            .iter()
+            .map(|r| {
+                r.as_ref()
+                    .and_then(|r| r.as_ref().ok())
+                    .and_then(SetOutput::claim)
+            })
+            .collect(),
+        steps: pool.steps().to_vec(),
+        crashed: engine.adversary_crashed().count(),
+        budget_crashed: engine.budget_crashed().count(),
+    };
+    run.assert_exclusive();
+    run
 }
 
-/// Runs `originals.len()` contenders through `algo` on the deterministic
-/// simulator under a seeded random schedule; step counts are exactly
-/// reproducible.
-pub fn run_sim<R>(algo: &R, num_registers: usize, originals: &[u64], seed: u64) -> RenamingRun
-where
-    R: Rename + ?Sized,
-{
-    let outcome = SimBuilder::new(num_registers, Box::new(RandomPolicy::new(seed)))
-        .stack_size(256 * 1024)
-        .run(originals.len(), |ctx| {
-            algo.rename(ctx, originals[ctx.pid().0]).map(|o| o.name())
-        });
-    digest(outcome)
-}
-
-/// [`run_sim`] on the single-threaded `StepEngine`: no thread spawns, so
-/// large contender counts and long seed sweeps run at memory speed. The
-/// same seed produces the same execution as [`run_sim`] (the blocking
-/// renaming APIs are `drive` adapters over the same step machines).
-pub fn run_sim_engine<R>(
-    algo: &R,
+/// [`run_sim`] on the engine: one trial of `algo`'s renaming machines
+/// under the same seeded random schedule, on a fresh engine and pool
+/// (built per trial, as `run_sim` spawns its threads per trial) and
+/// digested by [`pooled_run`].
+pub fn fresh_pooled_run(
+    algo: &AlgoSet,
     num_registers: usize,
     originals: &[u64],
     seed: u64,
-) -> RenamingRun
-where
-    R: StepRename + ?Sized,
-{
+) -> RenamingRun {
     let mut engine = StepEngine::reusable(num_registers);
-    let mut policy = RandomPolicy::new(seed);
-    run_sim_engine_with(&mut engine, algo, originals, &mut policy)
-}
-
-/// [`run_sim_engine`] over a caller-held reusable engine and policy:
-/// consecutive trials keep the engine's register bank, pending-op
-/// scratch and metric buffers instead of reallocating per run. Point the
-/// engine at the right register count with `StepEngine::set_registers`
-/// before calling when the algorithm changed.
-pub fn run_sim_engine_with<R>(
-    engine: &mut StepEngine,
-    algo: &R,
-    originals: &[u64],
-    policy: &mut dyn Policy,
-) -> RenamingRun
-where
-    R: StepRename + ?Sized,
-{
-    digest(engine.run_trial(policy, machines(algo, originals)))
+    let mut pool = algo.pool(originals);
+    engine.run_pool(&mut RandomPolicy::new(seed), &mut pool);
+    pooled_run(&engine, &pool)
 }
 
 /// Runs contenders on real OS threads over [`ThreadedShm`]. Step counts
@@ -244,7 +223,7 @@ impl TrialStats {
 /// [`MachinePool`] of [`MachineSet`] machines is built once from it, and
 /// every seed's trial re-drives that pool via [`StepEngine::run_pool`]
 /// under `policy(seed)` — no per-trial machine boxes, no per-trial
-/// result vectors. Each trial is trace-identical to boxed machines on a
+/// result vectors. Each trial is trace-identical to a fresh pool on a
 /// fresh engine, because the engine resets all shared state and the
 /// pool resets every machine between trials (tested in
 /// `tests/pooled_determinism.rs`).
@@ -253,7 +232,7 @@ impl TrialStats {
 /// per-trial safety asserts that completed processes' *claims* (names /
 /// value registers / claimed integers) are pairwise distinct. Generic
 /// over the engine's register-bank backend, so the same sweep runs on
-/// the `Arc` bank and the slab bank.
+/// the default slab bank and on the `ArcBank` oracle.
 ///
 /// # Panics
 ///
@@ -415,13 +394,16 @@ mod tests {
     #[test]
     fn engine_run_matches_thread_backed_run() {
         let mut alloc = RegAlloc::new();
-        let algo = MoirAnderson::new(&mut alloc, 5);
+        let algo = AlgoSet::MoirAnderson(MoirAnderson::new(&mut alloc, 5));
+        let AlgoSet::MoirAnderson(renamer) = &algo else {
+            unreachable!()
+        };
         let originals = spread_originals(5, 100);
         for seed in [0u64, 7, 23] {
-            let threaded = run_sim(&algo, alloc.total(), &originals, seed);
-            let engine = run_sim_engine(&algo, alloc.total(), &originals, seed);
-            assert_eq!(threaded.names, engine.names, "seed {seed}");
-            assert_eq!(threaded.steps, engine.steps, "seed {seed}");
+            let threaded = run_sim(renamer, alloc.total(), &originals, seed);
+            let pooled = fresh_pooled_run(&algo, alloc.total(), &originals, seed);
+            assert_eq!(threaded.names, pooled.names, "seed {seed}");
+            assert_eq!(threaded.steps, pooled.steps, "seed {seed}");
         }
     }
 
@@ -439,15 +421,16 @@ mod tests {
         assert_eq!(stats.max_unnamed_survivors, 0);
 
         // The folded statistics, metrics included, match a hand-rolled
-        // loop of boxed trials on one reused engine.
+        // loop of pooled trials on one reused engine.
         let mut alloc = RegAlloc::new();
-        let algo = MoirAnderson::new(&mut alloc, 4);
+        let algo = AlgoSet::MoirAnderson(MoirAnderson::new(&mut alloc, 4));
         let mut engine = StepEngine::reusable(alloc.total()).measure_contention(true);
+        let mut pool = algo.pool(&originals);
         let mut metrics = Metrics::default();
         let (mut max_name, mut min_named) = (0, originals.len());
         for seed in 0..5 {
-            let mut policy = RandomPolicy::new(seed);
-            let run = run_sim_engine_with(&mut engine, &algo, &originals, &mut policy);
+            engine.run_pool(&mut RandomPolicy::new(seed), &mut pool);
+            let run = pooled_run(&engine, &pool);
             max_name = max_name.max(run.max_name());
             min_named = min_named.min(run.named());
             metrics.merge(engine.metrics());

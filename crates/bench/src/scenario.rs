@@ -22,7 +22,7 @@ use exsel_core::{
     AdaptiveRename, AlmostAdaptive, BasicRename, EfficientRename, Majority, MoirAnderson,
     PolyLogRename, RenameConfig, SnapshotRename,
 };
-use exsel_shm::{RegAlloc, SlabBank};
+use exsel_shm::RegAlloc;
 use exsel_sim::policy::{Bursty, CrashAfter, CrashStorm, Pigeonhole, RandomPolicy, RoundRobin};
 use exsel_sim::{AlgoSet, Policy, StepEngine};
 use exsel_storecollect::StoreCollect;
@@ -270,11 +270,11 @@ impl AdversarySpec {
 /// shard axis (`shards`, `shard_ops`, `shard_contention`) and the slab
 /// bank's occupancy telemetry (`slab_live`, `slab_peak`).
 ///
-/// The grids run on the [`exsel_shm::SlabBank`] backend — trials are
-/// bit-identical to the `Arc` bank (`tests/pooled_determinism.rs`
-/// proves it for every family × policy), so the emitted statistics are
-/// unchanged and the scenario doubles as a large-surface exercise of
-/// the slab path.
+/// The grids run on the engine's default [`exsel_shm::SlabBank`] —
+/// trials are bit-identical to the `ArcBank` oracle
+/// (`tests/pooled_determinism.rs` proves it for every family × policy),
+/// so the scenario doubles as a large-surface exercise of the slab
+/// path.
 ///
 /// # Panics
 ///
@@ -308,7 +308,7 @@ pub fn run_grid(name: &str, spec: &GridSpec) -> Vec<serde_json::Value> {
     // Budget exhaustion is reported (budget_crashed column), not a
     // panic: a livelocking grid cell records its trials instead of
     // killing the whole scenario run.
-    let mut engine = StepEngine::reusable_with(0, SlabBank::new())
+    let mut engine = StepEngine::reusable(0)
         .measure_contention(true)
         .panic_on_budget(false);
     let mut artifact = Vec::new();

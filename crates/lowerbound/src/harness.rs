@@ -284,32 +284,16 @@ where
     let outcome = SimBuilder::new(num_registers, Box::new(adversary))
         .stack_size(128 * 1024)
         .run(n_processes, store);
-
-    let mut slots = Vec::new();
-    let mut max_steps_named = 0;
-    for (pid, result) in outcome.results.iter().enumerate() {
-        if let Ok(Some(slot)) = result {
-            slots.push(*slot);
-            max_steps_named = max_steps_named.max(outcome.steps[pid]);
-        }
-    }
-    let set: BTreeSet<u64> = slots.iter().copied().collect();
-    assert_eq!(
-        set.len(),
-        slots.len(),
-        "stores shared a register: {slots:?}"
-    );
-
-    let st = stats.lock().expect("stats lock");
-    LowerBoundReport {
+    assemble_report(
+        outcome
+            .results
+            .iter()
+            .map(|r| r.as_ref().ok().copied().flatten()),
+        &outcome.steps,
+        stats.as_ref(),
         n_processes,
-        stages: st.stages,
-        pool_sizes: st.pool_sizes.clone(),
-        bound: crate::theorem7_bound(k as u64, n_processes as u64, r),
-        max_steps_named,
-        exclusive: true,
-        named: slots.len(),
-    }
+        crate::theorem7_bound(k as u64, n_processes as u64, r),
+    )
 }
 
 #[cfg(test)]
@@ -491,7 +475,9 @@ mod tests {
                 .collect();
             let report =
                 run_machines_against_pooled(&mut engine, &mut pool, alloc.total(), k, m, r);
-            let bank: Vec<exsel_shm::Word> = engine.bank().words().to_vec();
+            let bank: Vec<exsel_shm::Word> = (0..alloc.total())
+                .map(|reg| engine.load_register(exsel_shm::RegId(reg)))
+                .collect();
             (report, bank)
         };
         let (on, bank_on) = run(true);

@@ -2,8 +2,8 @@
 //!
 //! The engine's register bank was historically a `Vec<Word>` — one enum
 //! word per register, with [`Word::Snap`] variants holding an `Arc` to
-//! the snapshot record. That representation is kept as [`ArcBank`] (the
-//! differential oracle), and [`SlabBank`] is the mega-scale backend:
+//! the snapshot record. That representation is kept as [`ArcBank`], the
+//! differential oracle only, and [`SlabBank`] is the engine's default:
 //! registers are [`SlabEntry`]s — `Copy` payloads with the common small
 //! variants (`Null`/`Int`/`Pair`) inlined and snapshot records referenced
 //! by an `(index, generation)` handle into contiguous slab storage. A
@@ -80,8 +80,8 @@ pub trait RegisterBank {
 
 /// The historical register bank: one [`Word`] per register. Reads
 /// borrow the word in place; writes are enum assignments (drop glue runs
-/// on the displaced word). Kept as the differential oracle for
-/// [`SlabBank`].
+/// on the displaced word). Kept only as the differential oracle for
+/// [`SlabBank`]; engines name it through `StepEngine::reusable_with`.
 #[derive(Debug, Default)]
 pub struct ArcBank {
     words: Vec<Word>,
@@ -94,10 +94,10 @@ impl ArcBank {
         ArcBank::default()
     }
 
-    /// The register words as a slice, indexed by [`RegId`] — the
-    /// post-trial inspection path occupancy audits use.
+    /// The register words as a slice, indexed by [`RegId`] — what the
+    /// bank's [`Fingerprint`](crate::Fingerprint) hashes.
     #[must_use]
-    pub fn words(&self) -> &[Word] {
+    pub(crate) fn words(&self) -> &[Word] {
         &self.words
     }
 }

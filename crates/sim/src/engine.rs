@@ -1,86 +1,56 @@
 //! The single-threaded step-machine execution engine.
 //!
-//! [`StepEngine`] runs a set of [`StepMachine`]s under a [`Policy`] with
-//! the exact lock-step semantics of the thread-backed scheduler
-//! ([`crate::SimMemory`]/[`crate::SimBuilder`]) but **zero OS threads,
-//! zero locks and zero parked stacks**: every live machine always exposes
-//! its pending operation (`op()` is pure), so the policy can be consulted
-//! directly and the chosen operation applied in place. Because the
-//! blocking algorithm APIs are `drive` adapters over the same machines,
-//! the two backends observe identical operation sequences — the same
-//! policy (and seed) produces the same trace, steps and results on both.
+//! [`StepEngine`] runs a [`MachinePool`] of [`StepMachine`]s under a
+//! [`Policy`] with the exact lock-step semantics of the thread-backed
+//! scheduler ([`crate::SimMemory`]/[`crate::SimBuilder`]) but **zero OS
+//! threads, zero locks and zero parked stacks**: every live machine always
+//! exposes its pending operation (`op()` is pure), so the policy can be
+//! consulted directly and the chosen operation applied in place. Because
+//! the blocking algorithm APIs are `drive` adapters over the same
+//! machines, the two backends observe identical operation sequences — the
+//! same policy (and seed) produces the same trace, steps and results on
+//! both.
 //!
 //! Use the thread-backed [`crate::SimBuilder`] for closure-style process
 //! bodies; use `StepEngine` whenever the algorithms expose step machines
 //! and you care about speed or scale — exhaustive exploration, adversary
 //! searches, crash storms over thousands of processes.
 //!
-//! # Reuse and the machine pool
+//! # Trials, reuse and the register bank
 //!
-//! An engine is **reusable**: [`StepEngine::run_trial`] runs one
-//! execution under a caller-supplied policy and keeps the register bank,
-//! pending-op scratch, crash vector and metric histograms allocated for
-//! the next trial ([`StepEngine::reset`] re-initializes them in place).
-//! [`StepEngine::run_pool`] goes further: driving a
-//! [`crate::MachinePool`] re-initializes the *machines* in place too
-//! ([`StepMachine::reset`]) and lands results in the pool's own buffers,
-//! so steady-state trials perform **zero heap allocations**
+//! An engine is **reusable**: [`StepEngine::run_pool`] (or its sharded
+//! form, [`StepEngine::run_pool_sharded`]) runs one execution under a
+//! caller-supplied policy, re-initializes the register bank, pending-op
+//! scratch, crash vector and metric histograms in place, and resets the
+//! pool's machines ([`StepMachine::reset`]); results land in the pool's
+//! own buffers, so steady-state trials perform **zero heap allocations**
 //! (`tests/alloc_free.rs` proves it with a counting allocator). The
 //! pending set the policy consults is maintained incrementally — one
 //! [`StepMachine::peek`] per *grant*, not one per live machine per
-//! decision; the thread-backed [`crate::SimBuilder`], which rebuilds
-//! its pending set at every decision, is the differential reference
-//! (this is tested under crash storms). With [`StepEngine::record_trace`] on, `run_trial` moves
-//! each trial's trace buffer into its outcome (no copy) while pooled
-//! trials reserve it once and leave it readable via
-//! [`StepEngine::trace`]. A reused engine — pooled or not — is
-//! observationally identical to a fresh one: same policy + seed ⇒ same
+//! decision; the thread-backed [`crate::SimBuilder`], which rebuilds its
+//! pending set at every decision, is the differential reference (this is
+//! tested under crash storms). With [`StepEngine::record_trace`] on, the
+//! trace buffer is reserved once and the last trial's schedule stays
+//! readable via [`StepEngine::trace`]. A reused engine and pool are
+//! observationally identical to fresh ones: same policy + seed ⇒ same
 //! trace (this is tested).
+//!
+//! The register bank defaults to [`SlabBank`] (inline small payloads,
+//! generation-tagged slab handles for snapshot records). Any other
+//! [`RegisterBank`] plugs in through [`StepEngine::reusable_with`]; the
+//! differential tests run [`exsel_shm::ArcBank`], one `Word` per
+//! register, as the slab bank's oracle.
 //!
 //! Per-trial [`Metrics`] (operation mix, ops per register, crash causes,
 //! contention) are collected during the grant loop and read back with
 //! [`StepEngine::metrics`].
-//!
-//! ```
-//! use exsel_shm::{Poll, RegAlloc, ShmOp, StepMachine, Word};
-//! use exsel_sim::{policy::RoundRobin, StepEngine};
-//!
-//! /// Write own id, then read the register back.
-//! struct WriteThenRead {
-//!     reg: exsel_shm::RegId,
-//!     id: u64,
-//!     wrote: bool,
-//! }
-//! impl StepMachine for WriteThenRead {
-//!     type Output = Word;
-//!     fn op(&self) -> ShmOp {
-//!         if self.wrote { ShmOp::Read(self.reg) } else { ShmOp::Write(self.reg, Word::Int(self.id)) }
-//!     }
-//!     fn advance(&mut self, input: &Word) -> Poll<Word> {
-//!         if self.wrote { Poll::Ready(input.clone()) } else { self.wrote = true; Poll::Pending }
-//!     }
-//! }
-//!
-//! let mut alloc = RegAlloc::new();
-//! let bank = alloc.reserve(1);
-//! let outcome = StepEngine::new(alloc.total(), Box::new(RoundRobin::new()))
-//!     .run((0..3).map(|p| -> Box<dyn StepMachine<Output = Word>> {
-//!         Box::new(WriteThenRead { reg: bank.get(0), id: p, wrote: false })
-//!     }).collect());
-//! // Round-robin: W0 W1 W2 R0 R1 R2 — everyone reads process 2's write.
-//! for r in &outcome.results {
-//!     assert_eq!(*r.as_ref().unwrap(), Word::Int(2));
-//! }
-//! assert_eq!(outcome.steps, vec![2, 2, 2]);
-//! ```
 
 use exsel_shm::{
-    ArcBank, Crash, OpKind, Pid, Poll, RegisterBank, ShmOp, SnapArenaStats, StepMachine, Word,
+    Crash, OpKind, Pid, Poll, RegisterBank, ShmOp, SlabBank, SnapArenaStats, StepMachine, Word,
 };
 
 use crate::policy::{Action, PendingOp, Policy};
 use crate::pool::MachinePool;
-use crate::runner::SimOutcome;
 
 /// The input handed to a machine consuming a granted write.
 const NULL_WORD: Word = Word::Null;
@@ -154,9 +124,9 @@ pub(crate) fn grant<B: RegisterBank, M: StepMachine>(
 }
 
 /// Counters collected by [`StepEngine`] during one trial's grant loop,
-/// read back with [`StepEngine::metrics`] after the trial. Reset by
-/// [`StepEngine::reset`] (and therefore at the start of every trial);
-/// fold trials together with [`Metrics::merge`].
+/// read back with [`StepEngine::metrics`] after the trial. Cleared at
+/// the start of every trial; fold trials together with
+/// [`Metrics::merge`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Trials folded into these metrics (1 after a single trial).
@@ -299,27 +269,23 @@ enum CrashKind {
 
 /// Builder/driver for engine executions; see the module docs.
 ///
-/// Generic over the register-bank storage `B` — [`ArcBank`] (the
-/// default, one `Word` enum per register) or [`exsel_shm::SlabBank`]
+/// Generic over the register-bank storage `B` — [`SlabBank`] by default
 /// (inline small payloads + generation-tagged slab handles for snapshot
-/// records, the mega-scale backend). The two are bit-identical per trial
-/// (`tests/pooled_determinism.rs` proves it differentially); slab
-/// engines are built with [`StepEngine::reusable_with`].
-pub struct StepEngine<B: RegisterBank = ArcBank> {
+/// records), or any other [`RegisterBank`] through
+/// [`StepEngine::reusable_with`], such as the [`exsel_shm::ArcBank`]
+/// oracle (one `Word` enum per register). The two are bit-identical per
+/// trial (`tests/pooled_determinism.rs` proves it differentially).
+pub struct StepEngine<B: RegisterBank = SlabBank> {
     num_registers: usize,
-    policy: Option<Box<dyn Policy>>,
     max_total_ops: u64,
     record_trace: bool,
     measure_contention: bool,
     panic_on_budget: bool,
-    // Scratch reused across trials — the point of `reset`/`run_trial`:
-    // the register bank, the pending-op buffer, the per-pid crash
-    // vector, the trace storage and the metric histograms keep their
-    // capacity from one trial to the next.
+    // Scratch reused across trials — the point of `reset`: the register
+    // bank, the pending-op buffer, the per-pid crash vector, the trace
+    // storage and the metric histograms keep their capacity from one
+    // trial to the next.
     regs: B,
-    /// Whether `run_trial` moved the last trial's trace into its outcome
-    /// (pooled trials leave it in place; see [`StepEngine::trace`]).
-    trace_moved: bool,
     pending: Vec<PendingOp>,
     /// `pending_pos[pid]` is pid's index into `pending`, or
     /// [`NOT_PENDING`]: the pending set is maintained *incrementally* —
@@ -352,39 +318,34 @@ const TRACE_RESERVE_BYTES: usize = 32 << 20;
 /// decisions cache-local on one shard's pending set at a time.
 const SHARD_BATCH: usize = 32;
 
-// Constructors that pin the default `ArcBank` storage live on a
+// The constructor that pins the default `SlabBank` storage lives on a
 // non-generic impl block: default type parameters do not participate in
 // function-call inference, so `StepEngine::reusable(n)` must resolve `B`
 // through the impl's self type.
 impl StepEngine {
-    /// A new engine over `num_registers` registers scheduled by `policy`
-    /// (the policy is consumed by [`StepEngine::run`]; trials via
-    /// [`StepEngine::run_trial`] take their policy per call).
-    #[must_use]
-    pub fn new(num_registers: usize, policy: Box<dyn Policy>) -> Self {
-        Self::with_parts(num_registers, Some(policy), ArcBank::new())
-    }
-
-    /// A reusable engine with no built-in policy: run trials with
-    /// [`StepEngine::run_trial`], which reuses the engine's scratch
-    /// buffers across trials instead of reallocating per run.
+    /// A reusable engine over `num_registers` registers of the default
+    /// [`SlabBank`]: run trials with [`StepEngine::run_pool`], which
+    /// reuses the engine's scratch buffers across trials instead of
+    /// reallocating per run.
     #[must_use]
     pub fn reusable(num_registers: usize) -> Self {
-        Self::with_parts(num_registers, None, ArcBank::new())
+        Self::reusable_with(num_registers, SlabBank::new())
     }
 }
 
 impl<B: RegisterBank> StepEngine<B> {
-    fn with_parts(num_registers: usize, policy: Option<Box<dyn Policy>>, bank: B) -> Self {
+    /// A reusable engine over an explicit register-bank backend, e.g.
+    /// `StepEngine::reusable_with(regs, ArcBank::new())`. Behaves
+    /// exactly like [`StepEngine::reusable`] otherwise.
+    #[must_use]
+    pub fn reusable_with(num_registers: usize, bank: B) -> Self {
         StepEngine {
             num_registers,
-            policy,
             max_total_ops: 50_000_000,
             record_trace: false,
             measure_contention: false,
             panic_on_budget: true,
             regs: bank,
-            trace_moved: false,
             pending: Vec::new(),
             pending_pos: Vec::new(),
             shard_pending: Vec::new(),
@@ -393,14 +354,6 @@ impl<B: RegisterBank> StepEngine<B> {
             metrics: Metrics::default(),
             checks: GrantChecks::default(),
         }
-    }
-
-    /// A reusable engine over an explicit register-bank backend, e.g.
-    /// `StepEngine::reusable_with(regs, SlabBank::new())`. Behaves
-    /// exactly like [`StepEngine::reusable`] otherwise.
-    #[must_use]
-    pub fn reusable_with(num_registers: usize, bank: B) -> Self {
-        Self::with_parts(num_registers, None, bank)
     }
 
     /// The register-bank backend (e.g. for slab occupancy telemetry
@@ -431,7 +384,8 @@ impl<B: RegisterBank> StepEngine<B> {
         self
     }
 
-    /// Records the granted schedule in [`SimOutcome::trace`].
+    /// Records each trial's granted schedule, read back with
+    /// [`StepEngine::trace`].
     #[must_use]
     pub fn record_trace(mut self, on: bool) -> Self {
         self.record_trace = on;
@@ -450,10 +404,10 @@ impl<B: RegisterBank> StepEngine<B> {
     /// Whether exhausting the operation budget panics (the default —
     /// every algorithm in this stack is supposed to be wait-free, so a
     /// blown budget means a livelock bug). With `false`, the survivors
-    /// are crashed with a **budget** cause instead: the trial returns an
-    /// outcome whose [`SimOutcome::budget_crashed`] lists them,
-    /// distinguishable from adversary [`Action::Crash`] victims in
-    /// [`SimOutcome::crashed`].
+    /// are crashed with a **budget** cause instead:
+    /// [`StepEngine::budget_crashed`] lists them, distinguishable from
+    /// the adversary [`Action::Crash`] victims that
+    /// [`StepEngine::adversary_crashed`] lists.
     #[must_use]
     pub fn panic_on_budget(mut self, panic: bool) -> Self {
         self.panic_on_budget = panic;
@@ -502,80 +456,14 @@ impl<B: RegisterBank> StepEngine<B> {
 
     /// Re-initializes the engine's state in place for the next trial:
     /// registers to [`Word::Null`], trace and metrics cleared — **keeping
-    /// every buffer's capacity**. Called automatically at the start of
-    /// [`StepEngine::run_trial`]; public for callers that want to drop
-    /// trial state eagerly.
-    pub fn reset(&mut self) {
+    /// every buffer's capacity**. Called at the start of every trial.
+    fn reset(&mut self) {
         self.regs.reset(self.num_registers);
         self.trace.clear();
-        self.trace_moved = false;
         self.metrics.reset(self.num_registers);
         #[cfg(feature = "check")]
         if let Some(c) = &mut self.checks.checker {
             c.begin_trial();
-        }
-    }
-
-    /// Runs `machines` (machine `i` is process `Pid(i)`) to quiescence
-    /// under the policy the engine was constructed with, consuming the
-    /// engine. Completed machines yield `Ok(output)`; machines crashed by
-    /// the policy yield `Err(Crash)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine was built with [`StepEngine::reusable`]
-    /// (use [`StepEngine::run_trial`]), if the operation budget is
-    /// exhausted while [`StepEngine::panic_on_budget`] is on, if a
-    /// machine targets a register out of range, or if the policy grants a
-    /// non-pending process / crashes a non-live one.
-    pub fn run<T>(mut self, machines: Vec<Box<dyn StepMachine<Output = T> + '_>>) -> SimOutcome<T> {
-        let mut policy = self
-            .policy
-            .take()
-            .expect("engine built with StepEngine::reusable — use run_trial");
-        self.run_trial(policy.as_mut(), machines)
-    }
-
-    /// Runs one trial of `machines` under `policy`, reusing the engine's
-    /// scratch buffers (see [`StepEngine::reset`], which this calls
-    /// first). The policy is borrowed per trial so seeded policies can be
-    /// rebuilt — or deliberately continued — across trials by the caller.
-    ///
-    /// This is the boxed compatibility path: it allocates result and
-    /// step vectors (they are moved into the outcome) and the machines
-    /// themselves were boxed by the caller. Hot trial loops use
-    /// [`StepEngine::run_pool`] instead, which re-drives pooled machine
-    /// storage with zero steady-state allocations.
-    ///
-    /// # Panics
-    ///
-    /// As [`StepEngine::run`], except for the missing-policy case.
-    pub fn run_trial<T>(
-        &mut self,
-        policy: &mut dyn Policy,
-        mut machines: Vec<Box<dyn StepMachine<Output = T> + '_>>,
-    ) -> SimOutcome<T> {
-        self.reset();
-        let n = machines.len();
-        let mut results: Vec<Option<Result<T, Crash>>> = (0..n).map(|_| None).collect();
-        let mut steps = vec![0u64; n];
-        self.drive(policy, &mut machines, &mut results, &mut steps);
-
-        SimOutcome {
-            results: results
-                .into_iter()
-                .map(|r| r.expect("result recorded"))
-                .collect(),
-            steps,
-            crashed: self.adversary_crashed().collect(),
-            budget_crashed: self.budget_crashed().collect(),
-            total_ops: self.metrics.total_ops,
-            // Hand the outcome the buffer itself — no O(total_ops)
-            // copy; `reset` regrows it for the next trial.
-            trace: self.record_trace.then(|| {
-                self.trace_moved = true;
-                std::mem::take(&mut self.trace)
-            }),
         }
     }
 
@@ -590,8 +478,11 @@ impl<B: RegisterBank> StepEngine<B> {
     ///
     /// # Panics
     ///
-    /// As [`StepEngine::run_trial`]; additionally panics if a pooled
-    /// machine does not implement [`StepMachine::reset`].
+    /// Panics if the operation budget is exhausted while
+    /// [`StepEngine::panic_on_budget`] is on, if a machine targets a
+    /// register out of range, if the policy grants a non-pending process
+    /// or crashes a non-live one, or if a pooled machine does not
+    /// implement [`StepMachine::reset`].
     pub fn run_pool<M: StepMachine>(&mut self, policy: &mut dyn Policy, pool: &mut MachinePool<M>) {
         self.reset();
         self.reserve_trace();
@@ -659,13 +550,10 @@ impl<B: RegisterBank> StepEngine<B> {
     }
 
     /// The last trial's granted schedule, when
-    /// [`StepEngine::record_trace`] is on and the trace has not been
-    /// moved into a [`SimOutcome`] — pooled trials leave it in place;
-    /// after a boxed [`StepEngine::run_trial`] (which moves the buffer
-    /// into its outcome) this is `None` until the next trial.
+    /// [`StepEngine::record_trace`] is on.
     #[must_use]
     pub fn trace(&self) -> Option<&[PendingOp]> {
-        (self.record_trace && !self.trace_moved).then_some(self.trace.as_slice())
+        self.record_trace.then_some(self.trace.as_slice())
     }
 
     /// Processes the policy crashed in the last trial, in pid order.
@@ -767,8 +655,9 @@ impl<B: RegisterBank> StepEngine<B> {
 
     /// Ends a trial whose operation budget is spent: panics while
     /// [`StepEngine::panic_on_budget`] is on; otherwise crashes every
-    /// survivor, attributing the crash to the budget so outcomes and
-    /// metrics can tell it apart from an adversary [`Action::Crash`].
+    /// survivor, attributing the crash to the budget so the crash-cause
+    /// iterators and metrics can tell it apart from an adversary
+    /// [`Action::Crash`].
     fn exhaust_budget<T>(&mut self, results: &mut [Option<Result<T, Crash>>]) {
         assert!(
             !self.panic_on_budget,
@@ -802,7 +691,7 @@ impl<B: RegisterBank> StepEngine<B> {
         }
     }
 
-    /// The grant loop shared by every unsharded trial entry point:
+    /// The unsharded grant loop ([`StepEngine::run_pool`]):
     /// `machines[i]` is process `Pid(i)`; a process is live while
     /// `results[i]` is `None`.
     ///
@@ -1028,6 +917,47 @@ mod tests {
         fn min_ops_left(&self) -> u64 {
             2 * self.rounds - self.done_ops + self.overstate
         }
+        fn reset(&mut self, pid: Pid) {
+            self.id = pid.0 as u64;
+            self.done_ops = 0;
+            self.last_read = Word::Null;
+        }
+    }
+
+    /// A machine reading one register `reads` times (forever at
+    /// `u64::MAX`).
+    struct Spin {
+        reg: RegId,
+        reads: u64,
+        done: u64,
+    }
+
+    impl Spin {
+        fn new(reg: RegId, reads: u64) -> Self {
+            Spin {
+                reg,
+                reads,
+                done: 0,
+            }
+        }
+    }
+
+    impl StepMachine for Spin {
+        type Output = ();
+        fn op(&self) -> ShmOp {
+            ShmOp::Read(self.reg)
+        }
+        fn advance(&mut self, _input: &Word) -> Poll<()> {
+            self.done += 1;
+            if self.done == self.reads {
+                Poll::Ready(())
+            } else {
+                Poll::Pending
+            }
+        }
+        fn reset(&mut self, _pid: Pid) {
+            self.done = 0;
+        }
     }
 
     /// The same program as a blocking closure, for backend comparison.
@@ -1042,16 +972,26 @@ mod tests {
         }
     }
 
-    fn hammer_machines(
-        bank: RegRange,
-        n: usize,
-        rounds: u64,
-    ) -> Vec<Box<dyn StepMachine<Output = Word>>> {
+    fn hammers(bank: RegRange, n: usize, rounds: u64) -> MachinePool<Hammer> {
         (0..n)
-            .map(|p| -> Box<dyn StepMachine<Output = Word>> {
-                Box::new(Hammer::new(bank.get(0), p as u64, rounds))
-            })
+            .map(|p| Hammer::new(bank.get(0), p as u64, rounds))
             .collect()
+    }
+
+    fn spins(reg: RegId, n: usize, reads: u64) -> MachinePool<Spin> {
+        (0..n).map(|_| Spin::new(reg, reads)).collect()
+    }
+
+    /// One trial of `pool` under `policy` on a fresh recording engine
+    /// over `regs` registers, returned for inspection.
+    fn traced<M: StepMachine>(
+        regs: usize,
+        policy: &mut dyn Policy,
+        pool: &mut MachinePool<M>,
+    ) -> StepEngine {
+        let mut engine = StepEngine::reusable(regs).record_trace(true);
+        engine.run_pool(policy, pool);
+        engine
     }
 
     #[test]
@@ -1061,38 +1001,26 @@ mod tests {
         let threaded = SimBuilder::new(alloc.total(), Box::new(RoundRobin::new()))
             .record_trace(true)
             .run(3, hammer_blocking(bank, 4));
-        let engine = StepEngine::new(alloc.total(), Box::new(RoundRobin::new()))
-            .record_trace(true)
-            .run(hammer_machines(bank, 3, 4));
-        assert_eq!(threaded.trace, engine.trace);
-        assert_eq!(threaded.steps, engine.steps);
-        assert_eq!(
-            threaded
-                .results
-                .iter()
-                .map(|r| r.as_ref().unwrap())
-                .collect::<Vec<_>>(),
-            engine
-                .results
-                .iter()
-                .map(|r| r.as_ref().unwrap())
-                .collect::<Vec<_>>(),
-        );
+        let mut pool = hammers(bank, 3, 4);
+        let engine = traced(alloc.total(), &mut RoundRobin::new(), &mut pool);
+        assert_eq!(threaded.trace.as_deref(), engine.trace());
+        assert_eq!(threaded.steps, pool.steps());
+        let pooled: Vec<Step<Word>> = pool.results().iter().map(|r| r.clone().unwrap()).collect();
+        assert_eq!(threaded.results, pooled);
     }
 
     #[test]
     fn random_policy_matches_thread_backed_runner_across_seeds() {
         let mut alloc = RegAlloc::new();
         let bank = alloc.reserve(1);
+        let mut pool = hammers(bank, 4, 3);
         for seed in 0..10 {
             let threaded = SimBuilder::new(alloc.total(), Box::new(RandomPolicy::new(seed)))
                 .record_trace(true)
                 .run(4, hammer_blocking(bank, 3));
-            let engine = StepEngine::new(alloc.total(), Box::new(RandomPolicy::new(seed)))
-                .record_trace(true)
-                .run(hammer_machines(bank, 4, 3));
-            assert_eq!(threaded.trace, engine.trace, "seed {seed}");
-            assert_eq!(threaded.steps, engine.steps, "seed {seed}");
+            let engine = traced(alloc.total(), &mut RandomPolicy::new(seed), &mut pool);
+            assert_eq!(threaded.trace.as_deref(), engine.trace(), "seed {seed}");
+            assert_eq!(threaded.steps, pool.steps(), "seed {seed}");
         }
     }
 
@@ -1100,26 +1028,29 @@ mod tests {
     fn crashes_are_delivered_and_reported() {
         let mut alloc = RegAlloc::new();
         let bank = alloc.reserve(1);
-        let policy = CrashStorm::new(Box::new(RoundRobin::new()), 9, 0.5, 2);
-        let outcome =
-            StepEngine::new(alloc.total(), Box::new(policy)).run(hammer_machines(bank, 4, 10));
-        assert_eq!(outcome.crashed.len(), 2);
-        assert!(outcome.budget_crashed.is_empty());
-        assert!(!outcome.budget_exhausted());
-        for pid in &outcome.crashed {
-            assert!(outcome.results[pid.0].is_err());
+        let mut policy = CrashStorm::new(Box::new(RoundRobin::new()), 9, 0.5, 2);
+        let mut pool = hammers(bank, 4, 10);
+        let mut engine = StepEngine::reusable(alloc.total());
+        engine.run_pool(&mut policy, &mut pool);
+        let crashed: Vec<Pid> = engine.adversary_crashed().collect();
+        assert_eq!(crashed.len(), 2);
+        assert_eq!(engine.budget_crashed().count(), 0);
+        for pid in &crashed {
+            assert_eq!(pool.results()[pid.0], Some(Err(Crash)));
         }
-        assert_eq!(outcome.completed().count(), 2);
+        assert_eq!(pool.completed().count(), 2);
     }
 
     #[test]
     fn solo_runs_hero_first() {
         let mut alloc = RegAlloc::new();
         let bank = alloc.reserve(1);
-        let outcome = StepEngine::new(alloc.total(), Box::new(Solo::new(Pid(2))))
-            .record_trace(true)
-            .run(hammer_machines(bank, 3, 2));
-        let trace = outcome.trace.unwrap();
+        let engine = traced(
+            alloc.total(),
+            &mut Solo::new(Pid(2)),
+            &mut hammers(bank, 3, 2),
+        );
+        let trace = engine.trace().unwrap();
         assert!(trace[..4].iter().all(|op| op.pid == Pid(2)));
     }
 
@@ -1127,100 +1058,61 @@ mod tests {
     fn scripted_replay_reproduces_engine_runs() {
         let mut alloc = RegAlloc::new();
         let bank = alloc.reserve(1);
-        let original = StepEngine::new(alloc.total(), Box::new(RandomPolicy::new(99)))
-            .record_trace(true)
-            .run(hammer_machines(bank, 3, 2));
-        let replay = StepEngine::new(
-            alloc.total(),
-            Box::new(Scripted::from_trace(original.trace.as_ref().unwrap())),
-        )
-        .record_trace(true)
-        .run(hammer_machines(bank, 3, 2));
-        assert_eq!(original.trace, replay.trace);
+        let mut pool = hammers(bank, 3, 2);
+        let original = traced(alloc.total(), &mut RandomPolicy::new(99), &mut pool);
+        let trace = original.trace().unwrap();
+        let replay = traced(alloc.total(), &mut Scripted::from_trace(trace), &mut pool);
+        assert_eq!(Some(trace), replay.trace());
     }
 
     #[test]
     #[should_panic(expected = "operation budget")]
     fn budget_exhaustion_panics() {
-        /// Spins forever.
-        struct Spin(RegId);
-        impl StepMachine for Spin {
-            type Output = ();
-            fn op(&self) -> ShmOp {
-                ShmOp::Read(self.0)
-            }
-            fn advance(&mut self, _input: &Word) -> Poll<()> {
-                Poll::Pending
-            }
-        }
         let mut alloc = RegAlloc::new();
         let bank = alloc.reserve(1);
-        StepEngine::new(alloc.total(), Box::new(RoundRobin::new()))
+        StepEngine::reusable(alloc.total())
             .max_total_ops(100)
-            .run(vec![
-                Box::new(Spin(bank.get(0))) as Box<dyn StepMachine<Output = ()>>,
-                Box::new(Spin(bank.get(0))),
-            ]);
+            .run_pool(&mut RoundRobin::new(), &mut spins(bank.get(0), 2, u64::MAX));
     }
 
     #[test]
     fn budget_crashes_are_distinguished_from_adversary_crashes() {
-        /// Spins forever.
-        struct Spin(RegId);
-        impl StepMachine for Spin {
-            type Output = ();
-            fn op(&self) -> ShmOp {
-                ShmOp::Read(self.0)
-            }
-            fn advance(&mut self, _input: &Word) -> Poll<()> {
-                Poll::Pending
-            }
-        }
         let mut alloc = RegAlloc::new();
         let bank = alloc.reserve(1);
         // The storm crashes exactly one spinner; the budget then kills
-        // the remaining two. The outcome tells the causes apart.
-        let policy = CrashStorm::new(Box::new(RoundRobin::new()), 5, 1.0, 1);
+        // the remaining two. The engine tells the causes apart.
+        let mut policy = CrashStorm::new(Box::new(RoundRobin::new()), 5, 1.0, 1);
         let mut engine = StepEngine::reusable(alloc.total())
             .max_total_ops(50)
             .panic_on_budget(false);
-        let mut policy: Box<dyn Policy> = Box::new(policy);
-        let outcome = engine.run_trial(
-            policy.as_mut(),
-            (0..3)
-                .map(|_| Box::new(Spin(bank.get(0))) as Box<dyn StepMachine<Output = ()>>)
-                .collect(),
-        );
-        assert!(outcome.budget_exhausted());
-        assert_eq!(outcome.crashed.len(), 1);
-        assert_eq!(outcome.budget_crashed.len(), 2);
-        assert!(outcome
-            .crashed
-            .iter()
-            .all(|pid| !outcome.budget_crashed.contains(pid)));
+        let mut pool = spins(bank.get(0), 3, u64::MAX);
+        engine.run_pool(&mut policy, &mut pool);
+        let crashed: Vec<Pid> = engine.adversary_crashed().collect();
+        let budget_crashed: Vec<Pid> = engine.budget_crashed().collect();
+        assert_eq!(crashed.len(), 1);
+        assert_eq!(budget_crashed.len(), 2);
+        assert!(crashed.iter().all(|pid| !budget_crashed.contains(pid)));
         assert_eq!(engine.metrics().adversary_crashes, 1);
         assert_eq!(engine.metrics().budget_crashes, 2);
-        assert!(outcome.results.iter().all(Result::is_err));
+        assert!(pool.results().iter().all(|r| *r == Some(Err(Crash))));
     }
 
     #[test]
     fn reused_engine_is_trace_identical_to_fresh() {
         let mut alloc = RegAlloc::new();
         let bank = alloc.reserve(1);
-        let fresh = StepEngine::new(alloc.total(), Box::new(RandomPolicy::new(31)))
-            .record_trace(true)
-            .run(hammer_machines(bank, 4, 3));
+        let mut fresh_pool = hammers(bank, 4, 3);
+        let fresh = traced(alloc.total(), &mut RandomPolicy::new(31), &mut fresh_pool);
         let mut reused = StepEngine::reusable(alloc.total()).record_trace(true);
+        let mut pool = hammers(bank, 4, 3);
         // Dirty the scratch with unrelated trials first.
         for seed in 0..3 {
-            let mut warm: Box<dyn Policy> = Box::new(RandomPolicy::new(seed));
-            reused.run_trial(warm.as_mut(), hammer_machines(bank, 4, 3));
+            reused.run_pool(&mut RandomPolicy::new(seed), &mut pool);
         }
-        let mut policy: Box<dyn Policy> = Box::new(RandomPolicy::new(31));
-        let again = reused.run_trial(policy.as_mut(), hammer_machines(bank, 4, 3));
-        assert_eq!(fresh.trace, again.trace);
-        assert_eq!(fresh.steps, again.steps);
-        assert_eq!(fresh.total_ops, again.total_ops);
+        reused.run_pool(&mut RandomPolicy::new(31), &mut pool);
+        assert_eq!(fresh.trace(), reused.trace());
+        assert_eq!(fresh_pool.steps(), pool.steps());
+        assert_eq!(fresh.metrics().total_ops, reused.metrics().total_ops);
     }
 
     #[test]
@@ -1238,16 +1130,23 @@ mod tests {
                 2,
             ))
         };
+        let mut pool = hammers(bank, 5, 4);
         for seed in 0..12u64 {
             let reference = SimBuilder::new(alloc.total(), storm(seed))
                 .record_trace(true)
                 .run(5, hammer_blocking(bank, 4));
-            let incremental = StepEngine::new(alloc.total(), storm(seed))
-                .record_trace(true)
-                .run(hammer_machines(bank, 5, 4));
-            assert_eq!(reference.trace, incremental.trace, "seed {seed}");
-            assert_eq!(reference.steps, incremental.steps, "seed {seed}");
-            assert_eq!(reference.crashed, incremental.crashed, "seed {seed}");
+            let incremental = traced(alloc.total(), storm(seed).as_mut(), &mut pool);
+            assert_eq!(
+                reference.trace.as_deref(),
+                incremental.trace(),
+                "seed {seed}"
+            );
+            assert_eq!(reference.steps, pool.steps(), "seed {seed}");
+            assert_eq!(
+                reference.crashed,
+                incremental.adversary_crashed().collect::<Vec<_>>(),
+                "seed {seed}"
+            );
         }
     }
 
@@ -1257,13 +1156,13 @@ mod tests {
         // algorithm's guarantees are asserted — exclusive names, at
         // least half named — plus slab/Arc agreement on the outcome.
         use exsel_core::{Majority, MajorityOp, RenameConfig};
-        use exsel_shm::SlabBank;
+        use exsel_shm::ArcBank;
         use std::collections::BTreeSet;
 
         let mut alloc = RegAlloc::new();
         let algo = Majority::new(&mut alloc, 128, 8, &RenameConfig::default());
-        let mut arc_engine = StepEngine::reusable(alloc.total());
-        let mut slab_engine = StepEngine::reusable_with(alloc.total(), SlabBank::new());
+        let mut arc_engine = StepEngine::reusable_with(alloc.total(), ArcBank::new());
+        let mut slab_engine = StepEngine::reusable(alloc.total());
         let mut pool: MachinePool<MajorityOp> =
             (0..8u64).map(|i| algo.begin_walk(i * 13 + 2)).collect();
         for shards in [2usize, 3, 8] {
@@ -1301,8 +1200,7 @@ mod tests {
         let mut alloc = RegAlloc::new();
         let bank = alloc.reserve(1);
         let mut engine = StepEngine::reusable(alloc.total()).measure_contention(true);
-        let mut policy: Box<dyn Policy> = Box::new(RoundRobin::new());
-        let outcome = engine.run_trial(policy.as_mut(), hammer_machines(bank, 3, 2));
+        engine.run_pool(&mut RoundRobin::new(), &mut hammers(bank, 3, 2));
         let m = engine.metrics();
         // 3 machines × 2 rounds × (1 write + 1 read).
         assert_eq!(m.total_ops, 12);
@@ -1314,13 +1212,11 @@ mod tests {
         // Everyone always contends on the single register.
         assert_eq!(m.max_contention, 3);
         assert_eq!(m.adversary_crashes, 0);
-        assert_eq!(outcome.total_ops, 12);
 
         // Merging two trials' metrics adds counters and maxes maxima.
         let mut agg = Metrics::default();
         agg.merge(m);
-        let mut policy: Box<dyn Policy> = Box::new(RoundRobin::new());
-        engine.run_trial(policy.as_mut(), hammer_machines(bank, 2, 1));
+        engine.run_pool(&mut RoundRobin::new(), &mut hammers(bank, 2, 1));
         agg.merge(engine.metrics());
         assert_eq!(agg.trials, 2);
         assert_eq!(agg.total_ops, 12 + 4);
@@ -1331,44 +1227,18 @@ mod tests {
     #[test]
     fn set_registers_resizes_the_bank_between_trials() {
         let mut engine = StepEngine::reusable(1);
-        struct Touch(RegId);
-        impl StepMachine for Touch {
-            type Output = ();
-            fn op(&self) -> ShmOp {
-                ShmOp::Read(self.0)
-            }
-            fn advance(&mut self, _input: &Word) -> Poll<()> {
-                Poll::Ready(())
-            }
-        }
-        let mut policy: Box<dyn Policy> = Box::new(RoundRobin::new());
-        engine.run_trial(
-            policy.as_mut(),
-            vec![Box::new(Touch(RegId(0))) as Box<dyn StepMachine<Output = ()>>],
-        );
+        let mut policy = RoundRobin::new();
+        engine.run_pool(&mut policy, &mut spins(RegId(0), 1, 1));
         engine.set_registers(8);
-        let outcome = engine.run_trial(
-            policy.as_mut(),
-            vec![Box::new(Touch(RegId(7))) as Box<dyn StepMachine<Output = ()>>],
-        );
-        assert!(outcome.results[0].is_ok());
+        let mut pool = spins(RegId(7), 1, 1);
+        engine.run_pool(&mut policy, &mut pool);
+        assert_eq!(pool.completed().count(), 1);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_register_is_rejected() {
-        struct Bad;
-        impl StepMachine for Bad {
-            type Output = ();
-            fn op(&self) -> ShmOp {
-                ShmOp::Read(RegId(5))
-            }
-            fn advance(&mut self, _input: &Word) -> Poll<()> {
-                Poll::Ready(())
-            }
-        }
-        StepEngine::new(1, Box::new(RoundRobin::new()))
-            .run(vec![Box::new(Bad) as Box<dyn StepMachine<Output = ()>>]);
+        StepEngine::reusable(1).run_pool(&mut RoundRobin::new(), &mut spins(RegId(5), 1, 1));
     }
 
     /// Checked grants hold every machine to its `min_ops_left`: one that
@@ -1379,16 +1249,19 @@ mod tests {
     fn an_overstated_min_ops_left_fails_the_checked_grant() {
         let mut hammer = Hammer::new(RegId(0), 0, 2);
         hammer.overstate = 1;
-        StepEngine::new(1, Box::new(RoundRobin::new()))
-            .run(vec![Box::new(hammer) as Box<dyn StepMachine<Output = Word>>]);
+        StepEngine::reusable(1).run_pool(
+            &mut RoundRobin::new(),
+            &mut MachinePool::from_machines(vec![hammer]),
+        );
     }
 
     #[test]
     fn empty_machine_set_returns_immediately() {
-        let outcome = StepEngine::new(4, Box::new(RoundRobin::new()))
-            .run(Vec::<Box<dyn StepMachine<Output = ()>>>::new());
-        assert!(outcome.results.is_empty());
-        assert_eq!(outcome.total_ops, 0);
+        let mut engine = StepEngine::reusable(4);
+        let mut pool = spins(RegId(0), 0, 1);
+        engine.run_pool(&mut RoundRobin::new(), &mut pool);
+        assert!(pool.results().is_empty());
+        assert_eq!(engine.metrics().total_ops, 0);
     }
 
     #[test]
@@ -1397,10 +1270,11 @@ mod tests {
         // backend this would need 2000 stacks; here it is a vector walk.
         let mut alloc = RegAlloc::new();
         let bank = alloc.reserve(1);
-        let outcome = StepEngine::new(alloc.total(), Box::new(RoundRobin::new()))
-            .run(hammer_machines(bank, 2000, 2));
-        assert_eq!(outcome.results.len(), 2000);
-        assert_eq!(outcome.total_ops, 2000 * 4);
-        assert!(outcome.results.iter().all(Result::is_ok));
+        let mut engine = StepEngine::reusable(alloc.total());
+        let mut pool = hammers(bank, 2000, 2);
+        engine.run_pool(&mut RoundRobin::new(), &mut pool);
+        assert_eq!(pool.results().len(), 2000);
+        assert_eq!(engine.metrics().total_ops, 2000 * 4);
+        assert_eq!(pool.completed().count(), 2000);
     }
 }

@@ -3,12 +3,13 @@
 //! The paper's adversary controls the interleaving of processes' local steps
 //! and may crash any of them at any point. This crate realizes that
 //! adversary executably, with **two interchangeable backends** sharing the
-//! [`Policy`] trait and the [`SimOutcome`] result type:
+//! [`Policy`] trait:
 //!
 //! * [`SimBuilder`] — the thread-backed scheduler: each simulated process
 //!   runs a blocking closure on its own OS thread, and every shared-memory
-//!   operation parks until a [`Policy`] grants it. Use it for closure-style
-//!   process bodies and for code without a step-machine form.
+//!   operation parks until a [`Policy`] grants it; a run returns a
+//!   [`SimOutcome`]. Use it for closure-style process bodies and for code
+//!   without a step-machine form.
 //! * [`StepEngine`] — the single-threaded step-machine engine: processes
 //!   are `exsel_shm::StepMachine`s, so their pending operations are visible
 //!   without parking and the whole execution is a loop over a vector — no
@@ -16,10 +17,10 @@
 //!   and results as the thread-backed runner (the blocking algorithm APIs
 //!   are `drive` adapters over the same machines), at orders-of-magnitude
 //!   higher execution rates. Use it for exhaustive exploration,
-//!   adversary searches and large crash storms. Hot trial loops drive a
-//!   [`MachinePool`] of concrete [`MachineSet`] machines
-//!   ([`StepEngine::run_pool`]): built once, reset in place,
-//!   enum-dispatched — zero steady-state heap allocations.
+//!   adversary searches and large crash storms. Every trial drives a
+//!   [`MachinePool`] ([`StepEngine::run_pool`]), typically of concrete
+//!   [`MachineSet`] machines: built once, reset in place, enum-dispatched
+//!   — zero steady-state heap allocations.
 //!
 //! Both run in **lock-step**: the policy is consulted only when every live
 //! process has an operation pending, so — because the policy then sees the

@@ -3,7 +3,7 @@
 //! builds them.
 //!
 //! The boxed `begin_rename` API is convenient but costs a heap
-//! allocation per machine per trial and a virtual call per step. A
+//! allocation per machine and a virtual call per step. A
 //! [`MachineSet`] is one concrete enum over every algorithm family —
 //! splitter walks, expander majority walks, snapshot renaming, composite
 //! (staged/piped) renamers, store&collect first stores, unbounded-naming
@@ -213,8 +213,8 @@ pub enum AlgoSet {
     /// A store&collect object with mixed roles: the last `collectors` of
     /// the contenders run the step-machine collect path
     /// ([`exsel_storecollect::CollectOp`]) while everyone else first-
-    /// stores — the end-to-end store → collect shape of ROADMAP item 3,
-    /// with collects off the blocking code path.
+    /// stores — the end-to-end store → collect shape, with collects off
+    /// the blocking code path.
     StoreCollectRoundtrip {
         /// The shared store&collect object.
         sc: StoreCollect,

@@ -1,17 +1,18 @@
 //! Reusable machine storage for allocation-free trial loops.
 //!
 //! A [`MachinePool`] owns one [`StepMachine`] per simulated process plus
-//! the result and step buffers a trial writes into. Instead of boxing
-//! `n` fresh machines per execution — the allocator traffic that
-//! dominated seed sweeps and exploration walks — the pool's machines are
-//! built **once** and re-initialized in place via [`StepMachine::reset`]
-//! at the start of every
-//! [`StepEngine::run_pool`](crate::StepEngine::run_pool) trial. After the
+//! the result and step buffers a trial writes into; it is how every
+//! trial reaches the [`StepEngine`](crate::StepEngine). The pool's
+//! machines are built **once** and re-initialized in place via
+//! [`StepMachine::reset`] at the start of every
+//! [`StepEngine::run_pool`](crate::StepEngine::run_pool) trial, so seed
+//! sweeps and exploration walks box no machine per execution. After the
 //! first trial has stretched every buffer to capacity, steady-state trials
 //! perform no heap allocation at all (verified by the
 //! `tests/alloc_free.rs` counting-allocator test for machines whose
 //! `reset` is in-place, e.g. the splitter/majority renamers and
-//! `Compete-For-Register`).
+//! `Compete-For-Register`). A reset pool on a reused engine replays a
+//! fresh pool on a fresh engine exactly (tested).
 //!
 //! ```
 //! use exsel_shm::{Poll, RegAlloc, ShmOp, StepMachine, Word};
@@ -247,37 +248,20 @@ mod tests {
     }
 
     #[test]
-    fn pooled_trials_match_boxed_trials() {
+    fn reset_pool_replays_a_fresh_pool_on_a_fresh_engine() {
         let mut alloc = RegAlloc::new();
         let bank = alloc.reserve(1);
         let mut engine = StepEngine::reusable(alloc.total()).record_trace(true);
-        let mut pool = pool(bank.get(0), 4, 3);
+        let mut reused = pool(bank.get(0), 4, 3);
         for seed in 0..6u64 {
-            let mut policy = RandomPolicy::new(seed);
-            engine.run_pool(&mut policy, &mut pool);
-            let pooled_trace: Vec<_> = engine.trace().unwrap().to_vec();
-            let pooled_steps = pool.steps().to_vec();
-            let pooled: Vec<Word> = pool.completed().map(|(_, w)| w.clone()).collect();
+            engine.run_pool(&mut RandomPolicy::new(seed), &mut reused);
 
-            let mut policy = RandomPolicy::new(seed);
-            let boxed = engine.run_trial(
-                &mut policy,
-                (0..4)
-                    .map(|p| -> Box<dyn StepMachine<Output = Word>> {
-                        Box::new(Hammer {
-                            reg: bank.get(0),
-                            id: p as u64,
-                            rounds: 3,
-                            done_ops: 0,
-                            last_read: Word::Null,
-                        })
-                    })
-                    .collect(),
-            );
-            assert_eq!(Some(pooled_trace), boxed.trace, "seed {seed}");
-            assert_eq!(pooled_steps, boxed.steps, "seed {seed}");
-            let fresh: Vec<Word> = boxed.completed().cloned().collect();
-            assert_eq!(pooled, fresh, "seed {seed}");
+            let mut fresh_engine = StepEngine::reusable(alloc.total()).record_trace(true);
+            let mut fresh = pool(bank.get(0), 4, 3);
+            fresh_engine.run_pool(&mut RandomPolicy::new(seed), &mut fresh);
+            assert_eq!(engine.trace(), fresh_engine.trace(), "seed {seed}");
+            assert_eq!(reused.steps(), fresh.steps(), "seed {seed}");
+            assert_eq!(reused.results(), fresh.results(), "seed {seed}");
         }
     }
 

@@ -999,22 +999,20 @@ mod tests {
 
     #[test]
     fn explicit_bank_type_compiles_with_slab() {
-        // The reduced walk is generic over the register bank: SlabBank
-        // fingerprints too.
-        use exsel_shm::SlabBank;
+        // The reduced walk is generic over the register bank: the
+        // default SlabBank and the ArcBank oracle fingerprint alike.
         let mut alloc = RegAlloc::new();
         let bank = alloc.reserve(1);
         let tokens = [1u64, 2];
         let mut pool = wr_pool(bank.get(0), &tokens);
-        let mut engine: StepEngine<SlabBank> =
-            StepEngine::reusable_with(alloc.total(), SlabBank::new());
+        let mut engine = StepEngine::reusable(alloc.total());
         let slab = explore_pool_reduced(
             &mut engine,
             &mut pool,
             &ReduceConfig::full(&tokens, 10_000),
             |_| true,
         );
-        let mut arc_engine: StepEngine<ArcBank> = StepEngine::reusable(alloc.total());
+        let mut arc_engine = StepEngine::reusable_with(alloc.total(), ArcBank::new());
         let arc = explore_pool_reduced(
             &mut arc_engine,
             &mut pool,

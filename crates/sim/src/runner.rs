@@ -161,7 +161,7 @@ impl SimBuilder {
     }
 }
 
-/// The result of one simulated execution.
+/// The result of one thread-backed execution ([`SimBuilder::run`]).
 #[derive(Debug)]
 pub struct SimOutcome<T> {
     /// Per-process results, indexed by pid. `Err(Crash)` means the

@@ -36,9 +36,9 @@ use exclusive_selection::sim::service::mega::{
 use exclusive_selection::sim::service::{
     Admission, Arrivals, ServiceConfig, ServiceHarness, ServiceWorld,
 };
-use exclusive_selection::sim::{AlgoSet, MachinePool, SetOutput, StepEngine};
+use exclusive_selection::sim::{AlgoSet, MachinePool, StepEngine};
 use exclusive_selection::{
-    Majority, Pid, RegAlloc, RenameConfig, Snapshot, SnapshotRename, StepMachine, Word,
+    Majority, Pid, RegAlloc, RegId, RenameConfig, Snapshot, SnapshotRename, Word,
 };
 use exsel_core::SnapshotRenameOp;
 use exsel_shm::snapshot::UpdateOp;
@@ -51,9 +51,9 @@ thread_local! {
     /// scaffolding outside the window) must not trip the assertion.
     static MEASURING: Cell<bool> = const { Cell::new(false) };
     /// This thread's counts. Per thread, because tests run in parallel
-    /// and one of them measures a window that must allocate (the boxed
-    /// deposit baseline): shared counters would charge its allocations
-    /// to any zero-alloc window that overlaps it.
+    /// and one of them measures a window that must allocate (the deposit
+    /// baseline with a fresh pool per trial): shared counters would
+    /// charge its allocations to any zero-alloc window that overlaps it.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static FREES: Cell<u64> = const { Cell::new(0) };
 }
@@ -198,9 +198,9 @@ fn steady_state_pooled_deposit_trials_are_zero_alloc() {
         "the sweep exercised no snapshot traffic at all"
     );
 
-    // And the pooled loop must beat boxed-per-trial construction on the
-    // very same trials: the delta is the per-trial machine boxes plus
-    // every AcquireOp/ScanOp/UpdateOp buffer the pool re-arms in place.
+    // And the reused pool must beat a fresh pool per trial on the very
+    // same trials: the delta is the per-trial machines plus every
+    // AcquireOp/ScanOp/UpdateOp buffer the pool re-arms in place.
     let mut alloc = RegAlloc::new();
     let algo = AlgoSet::Deposit {
         repo: AltruisticDeposit::new(&mut alloc, N, 1024),
@@ -208,37 +208,18 @@ fn steady_state_pooled_deposit_trials_are_zero_alloc() {
         servers: 0,
     };
     let originals: Vec<u64> = (0..N as u64).map(|p| p * 1000).collect();
-    let mut boxed_engine = StepEngine::reusable(alloc.total());
+    let mut fresh_engine = StepEngine::reusable(alloc.total());
     // Warm the engine scratch so only per-trial costs differ.
-    let mut warm = RoundRobin::new();
-    boxed_engine.run_trial(
-        &mut warm,
-        originals
-            .iter()
-            .enumerate()
-            .map(|(p, &o)| -> Box<dyn StepMachine<Output = SetOutput> + '_> {
-                Box::new(algo.begin(Pid(p), o))
-            })
-            .collect(),
-    );
-    let (boxed_allocs, _) = measured(|| {
+    fresh_engine.run_pool(&mut RoundRobin::new(), &mut algo.pool(&originals));
+    let (fresh_allocs, _) = measured(|| {
         for seed in 0..6u64 {
             let mut policy = RandomPolicy::new(seed);
-            boxed_engine.run_trial(
-                &mut policy,
-                originals
-                    .iter()
-                    .enumerate()
-                    .map(|(p, &o)| -> Box<dyn StepMachine<Output = SetOutput> + '_> {
-                        Box::new(algo.begin(Pid(p), o))
-                    })
-                    .collect(),
-            );
+            fresh_engine.run_pool(&mut policy, &mut algo.pool(&originals));
         }
     });
     assert!(
-        boxed_allocs > 0,
-        "boxed-per-trial deposit trials must still allocate (pool wins by {boxed_allocs})"
+        fresh_allocs > 0,
+        "deposit trials on a fresh pool per trial must allocate (the reused pool wins by {fresh_allocs})"
     );
 
     // Sanity: deposits happened and stayed exclusive on the last trial.
@@ -434,8 +415,8 @@ fn snapshot_compaction_smoke_n128() {
     // Sanity: every writer's component carries its value and a full
     // embedded view.
     assert_eq!(pool.completed().count(), N);
-    let regs = engine.bank().words();
-    for (slot, word) in regs.iter().take(N).enumerate() {
+    for slot in 0..N {
+        let word = engine.load_register(RegId(slot));
         let rec = word.as_snap().expect("component installed");
         assert_eq!(rec.value, Word::Int(slot as u64 + 1));
         assert_eq!(rec.view.len(), N);

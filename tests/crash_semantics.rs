@@ -6,11 +6,11 @@
 //! with the crash placed by `CrashAtStep` at an exact local step of the
 //! victim.
 
-use exclusive_selection::sim::policy::{CrashAtStep, Policy, RandomPolicy};
-use exclusive_selection::sim::StepEngine;
+use exclusive_selection::sim::policy::{CrashAtStep, RandomPolicy};
+use exclusive_selection::sim::{MachinePool, StepEngine};
 use exclusive_selection::{
     AdaptiveRename, AlmostAdaptive, BasicRename, EfficientRename, Majority, MoirAnderson, Outcome,
-    Pid, PolyLogRename, RegAlloc, RenameConfig, SnapshotRename, StepMachine, StepRename,
+    Pid, PolyLogRename, RegAlloc, RenameConfig, SnapshotRename, StepRename,
 };
 use proptest::prelude::*;
 
@@ -51,25 +51,17 @@ fn run_with_crash(
     seed: u64,
 ) -> (Vec<Option<u64>>, Vec<Pid>) {
     let mut engine = StepEngine::reusable(num_registers);
-    let mut policy: Box<dyn Policy> = Box::new(CrashAtStep::new(
-        Box::new(RandomPolicy::new(seed)),
-        Pid(victim),
-        crash_step,
-    ));
-    let outcome = engine.run_trial(
-        policy.as_mut(),
-        (0..K)
-            .map(|p| -> Box<dyn StepMachine<Output = Option<u64>> + '_> {
-                Box::new(
-                    algo.begin_rename(Pid(p), (p * N_NAMES / K) as u64 + 1)
-                        .map_output(Outcome::name),
-                )
-            })
-            .collect(),
-    );
+    let mut policy = CrashAtStep::new(Box::new(RandomPolicy::new(seed)), Pid(victim), crash_step);
+    let mut pool: MachinePool<_> = (0..K)
+        .map(|p| algo.begin_rename(Pid(p), (p * N_NAMES / K) as u64 + 1))
+        .collect();
+    engine.run_pool(&mut policy, &mut pool);
     (
-        outcome.results.iter().map(|r| r.ok().flatten()).collect(),
-        outcome.crashed,
+        pool.results()
+            .iter()
+            .map(|r| r.expect("result recorded").ok().and_then(Outcome::name))
+            .collect(),
+        engine.adversary_crashed().collect(),
     )
 }
 

@@ -4,12 +4,12 @@
 //! arena register exclusive and every *surviving* depositor complete
 //! (Theorem 9's wait-freedom), and exhausting the engine's operation
 //! budget must crash the stragglers with a **budget** cause
-//! (`SimOutcome::budget_crashed`), distinguishable from adversary
+//! (`StepEngine::budget_crashed`), distinguishable from adversary
 //! crashes. Mirrors `tests/crash_semantics.rs` for the renamers.
 
-use exclusive_selection::sim::policy::{CrashAtStep, Policy, RandomPolicy, RoundRobin};
+use exclusive_selection::sim::policy::{CrashAtStep, RandomPolicy, RoundRobin};
 use exclusive_selection::sim::{MachinePool, StepEngine};
-use exclusive_selection::{Pid, RegAlloc, StepMachine};
+use exclusive_selection::{Pid, RegAlloc};
 use exsel_unbounded::{AltruisticDeposit, DepositOp};
 use proptest::prelude::*;
 
@@ -119,28 +119,6 @@ fn budget_exhaustion_crashes_pooled_deposit_machines_with_budget_cause() {
     assert_eq!(engine.metrics().budget_crashes, N);
     assert!(pool.results().iter().all(|r| matches!(r, Some(Err(_)))));
     assert_eq!(pool.completed().count(), 0);
-}
-
-#[test]
-fn budget_exhaustion_is_reported_in_the_boxed_outcome_too() {
-    let mut alloc = RegAlloc::new();
-    let repo = AltruisticDeposit::new(&mut alloc, N, 512);
-    let mut engine = StepEngine::reusable(alloc.total())
-        .max_total_ops(30)
-        .panic_on_budget(false);
-    let mut policy: Box<dyn Policy> = Box::new(RoundRobin::new());
-    let outcome = engine.run_trial(
-        policy.as_mut(),
-        (0..N)
-            .map(|p| -> Box<dyn StepMachine<Output = Option<u64>> + '_> {
-                Box::new(repo.begin_deposit(Pid(p), p as u64 * 1000, ROUNDS))
-            })
-            .collect(),
-    );
-    assert!(outcome.budget_exhausted());
-    assert_eq!(outcome.budget_crashed.len(), N);
-    assert!(outcome.crashed.is_empty());
-    assert!(outcome.results.iter().all(Result::is_err));
 }
 
 #[test]

@@ -1,20 +1,21 @@
-//! The machine-pool contract: pooled `MachineSet` trials (machines built
-//! once, `reset` in place, enum dispatch, incremental pending set) are
-//! **trace-identical** to trials over freshly boxed machines, for every
-//! algorithm family × adversary policy × seed — including the wait-free
-//! deposit family's two interleaved activities, with and without
-//! serve-only helpers — and per-trial [`Metrics`] under engine+pool
-//! reuse match fresh-engine runs bit for bit.
+//! The machine-pool contract: pooled `MachineSet` trials on a reused
+//! engine (machines built once, `reset` in place, enum dispatch,
+//! incremental pending set) are **trace-identical** to a fresh pool on a
+//! fresh engine, for every algorithm family × adversary policy × seed —
+//! including the wait-free deposit family's two interleaved activities,
+//! with and without serve-only helpers — per-trial [`Metrics`] under
+//! engine+pool reuse match fresh runs bit for bit, and the default slab
+//! register bank is bit-identical to the `ArcBank` oracle.
 
 use exclusive_selection::sim::policy::{
     Bursty, CrashAfter, CrashStorm, Policy, RandomPolicy, RoundRobin,
 };
-use exclusive_selection::sim::{AlgoSet, MachinePool, MachineSet, Metrics, SetOutput, StepEngine};
+use exclusive_selection::sim::{AlgoSet, MachinePool, MachineSet, Metrics, StepEngine};
 use exclusive_selection::{
-    AdaptiveRename, AlmostAdaptive, BasicRename, Crash, EfficientRename, Majority, MoirAnderson,
-    Pid, PolyLogRename, RegAlloc, RegId, RenameConfig, SnapshotRename, StepMachine, StoreCollect,
+    AdaptiveRename, AlmostAdaptive, BasicRename, EfficientRename, Majority, MoirAnderson, Pid,
+    PolyLogRename, RegAlloc, RegId, RenameConfig, SnapshotRename, StoreCollect,
 };
-use exsel_shm::SlabBank;
+use exsel_shm::ArcBank;
 use exsel_unbounded::{AltruisticDeposit, UnboundedNaming};
 use proptest::prelude::*;
 
@@ -104,35 +105,24 @@ fn policies(seed: u64, k: usize) -> Vec<(&'static str, Box<dyn Policy>)> {
     ]
 }
 
-type BoxedMachine<'a> = Box<dyn StepMachine<Output = SetOutput> + 'a>;
-
-/// Freshly boxed machines, the pre-pool shape: one heap allocation per
-/// machine per trial.
-fn boxed_machines<'a>(algo: &'a AlgoSet, originals: &[u64]) -> Vec<BoxedMachine<'a>> {
-    originals
-        .iter()
-        .enumerate()
-        .map(|(p, &orig)| -> BoxedMachine<'a> { Box::new(algo.begin(Pid(p), orig)) })
-        .collect()
-}
-
 #[test]
-fn pooled_trials_are_trace_identical_to_fresh_boxed_machines() {
+fn pooled_trials_are_trace_identical_to_fresh_pools() {
     let cfg = RenameConfig::default();
+    let engine = |regs: usize| {
+        StepEngine::reusable(regs)
+            .record_trace(true)
+            .panic_on_budget(false)
+    };
     for (label, regs, originals, algo) in families(&cfg) {
         let k = originals.len();
-        let mut boxed_engine = StepEngine::reusable(regs)
-            .record_trace(true)
-            .panic_on_budget(false);
-        let mut pooled_engine = StepEngine::reusable(regs)
-            .record_trace(true)
-            .panic_on_budget(false);
+        let mut pooled_engine = engine(regs);
         let mut pool: MachinePool<MachineSet<'_>> = algo.pool(&originals);
         for seed in 0..3u64 {
             for (policy_label, mut policy) in policies(seed, k) {
                 let tag = format!("{label} × {policy_label} × seed {seed}");
-                let fresh =
-                    boxed_engine.run_trial(policy.as_mut(), boxed_machines(&algo, &originals));
+                let mut fresh_engine = engine(regs);
+                let mut fresh = algo.pool(&originals);
+                fresh_engine.run_pool(policy.as_mut(), &mut fresh);
 
                 let (_, mut policy) = policies(seed, k)
                     .into_iter()
@@ -141,24 +131,19 @@ fn pooled_trials_are_trace_identical_to_fresh_boxed_machines() {
                 pooled_engine.run_pool(policy.as_mut(), &mut pool);
 
                 assert_eq!(
-                    fresh.trace.as_deref(),
+                    fresh_engine.trace(),
                     pooled_engine.trace(),
                     "{tag}: traces diverged"
                 );
-                assert_eq!(fresh.steps, pool.steps(), "{tag}: steps diverged");
-                let pooled_results: Vec<Result<SetOutput, Crash>> = pool
-                    .results()
-                    .iter()
-                    .map(|r| r.clone().expect("result recorded"))
-                    .collect();
-                assert_eq!(fresh.results, pooled_results, "{tag}: results diverged");
+                assert_eq!(fresh.steps(), pool.steps(), "{tag}: steps diverged");
+                assert_eq!(fresh.results(), pool.results(), "{tag}: results diverged");
                 assert_eq!(
-                    fresh.crashed,
+                    fresh_engine.adversary_crashed().collect::<Vec<_>>(),
                     pooled_engine.adversary_crashed().collect::<Vec<_>>(),
                     "{tag}: crash sets diverged"
                 );
                 assert_eq!(
-                    fresh.budget_crashed,
+                    fresh_engine.budget_crashed().collect::<Vec<_>>(),
                     pooled_engine.budget_crashed().collect::<Vec<_>>(),
                     "{tag}: budget-crash sets diverged"
                 );
@@ -170,8 +155,8 @@ fn pooled_trials_are_trace_identical_to_fresh_boxed_machines() {
 #[test]
 fn metrics_under_engine_and_pool_reuse_match_fresh_runs_bit_for_bit() {
     // `ops_per_register`, `max_contention` and the crash-cause counters
-    // of a reused engine + pool must equal a fresh engine + fresh boxed
-    // machines on every trial.
+    // of a reused engine + pool must equal a fresh engine + fresh pool on
+    // every trial.
     let cfg = RenameConfig::default();
     let mut alloc = RegAlloc::new();
     let algo = AlgoSet::Majority(Majority::new(&mut alloc, 128, 6, &cfg));
@@ -192,7 +177,7 @@ fn metrics_under_engine_and_pool_reuse_match_fresh_runs_bit_for_bit() {
             .measure_contention(true)
             .panic_on_budget(false);
         let mut policy = CrashStorm::new(Box::new(RandomPolicy::new(seed)), !seed, 0.04, 3);
-        fresh.run_trial(&mut policy, boxed_machines(&algo, &originals));
+        fresh.run_pool(&mut policy, &mut algo.pool(&originals));
 
         assert_eq!(
             &reused_metrics,
@@ -218,10 +203,10 @@ fn slab_bank_is_bit_identical_to_arc_bank_for_every_family_and_policy() {
     let cfg = RenameConfig::default();
     for (label, regs, originals, algo) in families(&cfg) {
         let k = originals.len();
-        let mut arc_engine = StepEngine::reusable(regs)
+        let mut arc_engine = StepEngine::reusable_with(regs, ArcBank::new())
             .record_trace(true)
             .panic_on_budget(false);
-        let mut slab_engine = StepEngine::reusable_with(regs, SlabBank::new())
+        let mut slab_engine = StepEngine::reusable(regs)
             .record_trace(true)
             .panic_on_budget(false);
         let mut pool: MachinePool<MachineSet<'_>> = algo.pool(&originals);
@@ -308,10 +293,10 @@ proptest! {
         let regs = alloc.total();
         let originals: Vec<u64> = (0..k as u64).map(|i| i * 13 + 2).collect();
         let mut pool: MachinePool<MachineSet<'_>> = algo.pool(&originals);
-        let mut arc_engine = StepEngine::reusable(regs)
+        let mut arc_engine = StepEngine::reusable_with(regs, ArcBank::new())
             .record_trace(true)
             .panic_on_budget(false);
-        let mut slab_engine = StepEngine::reusable_with(regs, SlabBank::new())
+        let mut slab_engine = StepEngine::reusable(regs)
             .record_trace(true)
             .panic_on_budget(false);
 
@@ -360,27 +345,4 @@ proptest! {
         // slab slots — otherwise this property exercised nothing.
         prop_assert!(slab_engine.bank().peak_slots() > 0);
     }
-}
-
-#[test]
-fn engine_trace_accessor_tracks_where_the_trace_lives() {
-    // Boxed `run_trial` moves the trace into its outcome — the engine
-    // accessor must then report None, not an empty schedule; pooled
-    // trials leave it in place.
-    let cfg = RenameConfig::default();
-    let mut alloc = RegAlloc::new();
-    let algo = AlgoSet::MoirAnderson(MoirAnderson::new(&mut alloc, 3));
-    let originals = [1u64, 2, 3];
-    let mut engine = StepEngine::reusable(alloc.total()).record_trace(true);
-    let _ = cfg;
-
-    let mut policy = RoundRobin::new();
-    let outcome = engine.run_trial(&mut policy, boxed_machines(&algo, &originals));
-    assert!(outcome.trace.as_ref().is_some_and(|t| !t.is_empty()));
-    assert_eq!(engine.trace(), None, "moved trace must not read as empty");
-
-    let mut pool = algo.pool(&originals);
-    let mut policy = RoundRobin::new();
-    engine.run_pool(&mut policy, &mut pool);
-    assert!(engine.trace().is_some_and(|t| !t.is_empty()));
 }

@@ -320,9 +320,8 @@ fn epochs_json(epochs: &[(u64, u64)]) -> serde_json::Value {
 /// A fleet's epochs and the ticks they covered as bench-row extras, in
 /// four length buckets: one tick; 2–7 ticks; 8 ticks up to one short of
 /// `S_min`; and full-length epochs of `S_min` ticks (the last entry of
-/// [`MegaServiceHarness::epoch_lengths`]), which the column-gated bound
-/// keeps running up to each stop. A window end, the horizon, or a
-/// session that can complete early cuts an epoch short.
+/// [`MegaServiceHarness::epoch_lengths`]). Only a window end or the
+/// horizon cuts an epoch short.
 fn epoch_extras(epochs: &[(u64, u64)]) -> [(&'static str, u64); 8] {
     let full = epochs.len() - 1;
     let bucket = |lens: std::ops::RangeInclusive<usize>| {
@@ -642,17 +641,19 @@ fn measure_fleet(cfg: &MegaServiceConfig, prime: bool, workload: String) -> Row 
         harness.prime();
     }
     assert!(harness.run_until(warm), "fleet drained during warm-up");
-    let ops_before = harness.ops();
+    let (ops_before, done_before) = (harness.ops(), harness.completed());
     let before = alloc_probe::counts();
     let start = Instant::now();
     assert!(harness.run_until(target), "fleet drained mid-measurement");
     let secs = start.elapsed().as_secs_f64();
     let window = alloc_probe::counts().since(&before);
     let steady_ops = harness.ops() - ops_before;
+    // Both stops land at epoch ends, past their targets.
+    let measured = harness.completed() - done_before;
     let epochs = epoch_extras(harness.epoch_lengths());
     let mega = harness.finish();
     assert_mega_report(&workload, cfg, &mega);
-    let (t, measured) = (&mega.report.totals, target - warm);
+    let t = &mega.report.totals;
     let mut extras = vec![
         ("sessions", measured),
         ("sessions_per_sec", per_sec(measured, secs)),
@@ -894,8 +895,7 @@ mod tests {
         for key in ["epochs_full", "epoch_ticks_full"] {
             assert!(last.get(key).is_some(), "summary row lacks `{key}`");
         }
-        // Up to one completion per shard lands on the final tick, so
-        // the fleet may overshoot the target by at most shards − 1.
+        // The fleet stops at the end of an epoch, past the target.
         let Some(&serde_json::Value::Int(completed)) = last.get("completed") else {
             panic!("summary row lacks an integer `completed`");
         };

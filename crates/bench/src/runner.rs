@@ -86,7 +86,7 @@ where
         });
     let run = RenamingRun {
         crashed: outcome.crashed.len(),
-        budget_crashed: outcome.budget_crashed.len(),
+        budget_crashed: 0,
         names: outcome
             .results
             .into_iter()

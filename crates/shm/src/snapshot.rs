@@ -379,19 +379,6 @@ impl StepMachine for ScanOp {
         Poll::Pending
     }
 
-    /// The rest of the current collect, plus a whole further collect
-    /// while the current one has no predecessor. A fresh scan reports
-    /// [`ScanOp::min_ops`]; a returned one, 0.
-    fn min_ops_left(&self) -> u64 {
-        let n = self.n() as u64;
-        let rest = n - self.idx as u64;
-        if self.have_prev {
-            rest
-        } else {
-            rest + n
-        }
-    }
-
     fn reset(&mut self, _pid: Pid) {
         // Stale tags must go: a fresh trial restarts every writer's
         // sequence numbers, so a leftover tag could falsely match. The
@@ -564,18 +551,6 @@ impl StepMachine for UpdateOp {
         }
     }
 
-    /// The embedded scan's minimum plus the own-register read and the
-    /// write, then 2, then 1. A fresh update reports
-    /// [`UpdateOp::min_ops`]; an installed one, 0.
-    fn min_ops_left(&self) -> u64 {
-        match self.state {
-            UpdateState::Scanning => self.scan.min_ops_left() + 2,
-            UpdateState::ReadOwn => 2,
-            UpdateState::Write => 1,
-            UpdateState::Done => 0,
-        }
-    }
-
     fn reset(&mut self, pid: Pid) {
         self.scan.reset(pid);
         self.view = None;
@@ -616,41 +591,20 @@ mod tests {
     }
 
     /// A solo scan and a solo update meet their minima exactly, so the
-    /// minima are tight, and before every step `min_ops_left` names the
-    /// steps that remain.
+    /// minima are tight.
     #[test]
     fn solo_scan_and_update_take_their_minimum_ops() {
         for n in 1..=6 {
             let (snap, mem) = setup(n, 1);
             let ctx = Ctx::new(&mem, Pid(0));
-            let mut update = snap.begin_update(0, Word::Int(1));
-            assert_eq!(update.min_ops_left(), UpdateOp::min_ops(n));
-            let mut left = Vec::new();
-            loop {
-                left.push(update.min_ops_left());
-                if update.poll(ctx).unwrap().ready().is_some() {
-                    break;
-                }
-            }
+            drive(&mut snap.begin_update(0, Word::Int(1)), ctx).unwrap();
             assert_eq!(ctx.steps(), UpdateOp::min_ops(n), "update, n = {n}");
-            assert!(left.iter().rev().copied().eq(1..=left.len() as u64));
-            assert_eq!(update.min_ops_left(), 0);
-            let mut scan = snap.begin_scan();
-            assert_eq!(scan.min_ops_left(), ScanOp::min_ops(n));
-            left.clear();
-            loop {
-                left.push(scan.min_ops_left());
-                if scan.poll(ctx).unwrap().ready().is_some() {
-                    break;
-                }
-            }
+            drive(&mut snap.begin_scan(), ctx).unwrap();
             assert_eq!(
                 ctx.steps(),
                 UpdateOp::min_ops(n) + ScanOp::min_ops(n),
                 "scan, n = {n}"
             );
-            assert!(left.iter().rev().copied().eq(1..=left.len() as u64));
-            assert_eq!(scan.min_ops_left(), 0);
         }
     }
 

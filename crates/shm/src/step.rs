@@ -33,8 +33,6 @@
 //!   unchanged since their last collect.
 //! * A machine performs **at least one** operation before completing, and
 //!   neither `op` nor `advance` may be called after `Ready`.
-//! * `min_ops_left()` (optional — default 1) never overstates the
-//!   operations left until `Ready`; see [`StepMachine::min_ops_left`].
 //! * `reset(pid)` (optional — default panics) re-initializes the machine
 //!   to its just-constructed state so pooled machines can be re-driven
 //!   across trials without reallocation; see [`StepMachine::reset`].
@@ -163,17 +161,6 @@ pub trait StepMachine {
     /// skip the clone.
     fn advance(&mut self, input: &Word) -> Poll<Self::Output>;
 
-    /// The fewest operations this machine still performs before it
-    /// completes, the pending one included: a pure function of its local
-    /// state that never overstates, whatever the schedule. The default,
-    /// 1, is sound for any machine not yet `Ready`; implementations
-    /// report 0 once `Ready`. The sharded service's epoch lookahead
-    /// rests on these values, and with `--features check` the
-    /// `exsel-sim` grant loops assert them on every run.
-    fn min_ops_left(&self) -> u64 {
-        1
-    }
-
     /// Re-initializes the machine to its just-constructed state so a
     /// pool can re-drive the same storage across trials. `pid` is the
     /// process identity of the next trial; machines built for a specific
@@ -257,9 +244,6 @@ impl<M: StepMachine + ?Sized> StepMachine for &mut M {
     fn advance(&mut self, input: &Word) -> Poll<M::Output> {
         (**self).advance(input)
     }
-    fn min_ops_left(&self) -> u64 {
-        (**self).min_ops_left()
-    }
     fn reset(&mut self, pid: Pid) {
         (**self).reset(pid);
     }
@@ -275,9 +259,6 @@ impl<M: StepMachine + ?Sized> StepMachine for Box<M> {
     }
     fn advance(&mut self, input: &Word) -> Poll<M::Output> {
         (**self).advance(input)
-    }
-    fn min_ops_left(&self) -> u64 {
-        (**self).min_ops_left()
     }
     fn reset(&mut self, pid: Pid) {
         (**self).reset(pid);
@@ -305,9 +286,6 @@ where
     }
     fn advance(&mut self, input: &Word) -> Poll<O> {
         self.inner.advance(input).map(&mut self.f)
-    }
-    fn min_ops_left(&self) -> u64 {
-        self.inner.min_ops_left()
     }
     fn reset(&mut self, pid: Pid) {
         self.inner.reset(pid);

@@ -56,34 +56,18 @@ use crate::pool::MachinePool;
 const NULL_WORD: Word = Word::Null;
 
 /// The `--features check` state of a grant loop: the footprint checker,
-/// if installed, and per process the fewest operations its run may take,
-/// as its [`StepMachine::min_ops_left`] values promised. Empty without
-/// the feature.
+/// if installed. Empty without the feature.
 #[derive(Default)]
 pub(crate) struct GrantChecks {
     #[cfg(feature = "check")]
     pub(crate) checker: Option<exsel_analysis::AccessChecker>,
-    #[cfg(feature = "check")]
-    due: Vec<u64>,
-}
-
-impl GrantChecks {
-    /// Makes room for processes `0..processes`.
-    pub(crate) fn start(&mut self, processes: usize) {
-        #[cfg(feature = "check")]
-        self.due.resize(processes.max(self.due.len()), 0);
-        #[cfg(not(feature = "check"))]
-        let _ = processes;
-    }
 }
 
 /// One grant, shared by every grant loop: performs `op`, the pending
 /// operation of `machine`, against `bank` and advances the machine. The
-/// machine is process `pid`, `ops` operations into its run (a run starts
-/// at 0); `index` numbers the grant in its loop, the footprint checker's
-/// clock. With `--features check` it feeds the checker and, installed
-/// or not, asserts at `Ready` that each `min_ops_left` the machine
-/// reported before a grant was at most the operations that followed.
+/// machine is process `pid`; `index` numbers the grant in its loop, the
+/// footprint checker's clock. With `--features check` it feeds the
+/// checker, if one is installed.
 // Forced: see `StepEngine::perform`.
 #[inline(always)]
 #[cfg_attr(not(feature = "check"), allow(unused_variables))]
@@ -93,34 +77,19 @@ pub(crate) fn grant<B: RegisterBank, M: StepMachine>(
     machine: &mut M,
     op: ShmOp,
     pid: Pid,
-    ops: u64,
     index: u64,
 ) -> Poll<M::Output> {
     #[cfg(feature = "check")]
-    {
-        if let Some(c) = &mut checks.checker {
-            c.observe(pid, op.kind(), op.reg(), index);
-        }
-        let (due, floor) = (&mut checks.due[pid.0], ops + machine.min_ops_left());
-        *due = if ops == 0 { floor } else { floor.max(*due) };
+    if let Some(c) = &mut checks.checker {
+        c.observe(pid, op.kind(), op.reg(), index);
     }
-    let poll = match op {
+    match op {
         ShmOp::Read(reg) => machine.advance(bank.read(reg)),
         ShmOp::Write(reg, word) => {
             bank.write(reg, word);
             machine.advance(&NULL_WORD)
         }
-    };
-    #[cfg(feature = "check")]
-    if matches!(poll, Poll::Ready(_)) {
-        let due = checks.due[pid.0];
-        assert!(
-            ops + 1 >= due,
-            "process {pid} completed in {} operations, below the {due} its min_ops_left promised",
-            ops + 1
-        );
     }
-    poll
 }
 
 /// Counters collected by [`StepEngine`] during one trial's grant loop,
@@ -300,7 +269,7 @@ pub struct StepEngine<B: RegisterBank = SlabBank> {
     crashed: Vec<CrashKind>,
     trace: Vec<PendingOp>,
     metrics: Metrics,
-    /// The footprint checker and `min_ops_left` checks ([`grant`]).
+    /// The footprint checker ([`grant`]).
     checks: GrantChecks,
 }
 
@@ -605,13 +574,12 @@ impl<B: RegisterBank> StepEngine<B> {
             self.regs.len()
         );
         self.metrics.ops_per_register[reg.0] += 1;
-        let ops = *steps;
         if self.record_trace {
             self.trace.push(PendingOp {
                 pid,
                 kind,
                 reg,
-                step_index: ops,
+                step_index: *steps,
             });
         }
         *steps += 1;
@@ -630,15 +598,7 @@ impl<B: RegisterBank> StepEngine<B> {
             }
         };
         let index = self.metrics.total_ops;
-        grant(
-            &mut self.regs,
-            &mut self.checks,
-            machine,
-            op,
-            pid,
-            ops,
-            index,
-        )
+        grant(&mut self.regs, &mut self.checks, machine, op, pid, index)
     }
 
     /// The pending-set entry of live machine `pid`, as `machine.peek()`
@@ -711,7 +671,6 @@ impl<B: RegisterBank> StepEngine<B> {
         debug_assert!(results.iter().all(Option::is_none));
         self.crashed.clear();
         self.crashed.resize(n, CrashKind::None);
-        self.checks.start(n);
         self.pending.clear();
         self.pending_pos.clear();
         for (pid, machine) in machines.iter().enumerate() {
@@ -777,7 +736,6 @@ impl<B: RegisterBank> StepEngine<B> {
         debug_assert!(shards > 1);
         self.crashed.clear();
         self.crashed.resize(n, CrashKind::None);
-        self.checks.start(n);
         self.metrics.shard_ops.resize(shards, 0);
         if self.measure_contention {
             self.metrics.shard_contention.resize(shards, 0);
@@ -870,15 +828,13 @@ mod tests {
     use crate::runner::SimBuilder;
     use exsel_shm::{Ctx, RegAlloc, RegId, RegRange, Step};
 
-    /// A machine performing `rounds` write/read pairs on one register,
-    /// reporting `overstate` more operations left than it performs.
+    /// A machine performing `rounds` write/read pairs on one register.
     struct Hammer {
         reg: RegId,
         id: u64,
         rounds: u64,
         done_ops: u64,
         last_read: Word,
-        overstate: u64,
     }
 
     impl Hammer {
@@ -889,7 +845,6 @@ mod tests {
                 rounds,
                 done_ops: 0,
                 last_read: Word::Null,
-                overstate: 0,
             }
         }
     }
@@ -913,9 +868,6 @@ mod tests {
             } else {
                 Poll::Pending
             }
-        }
-        fn min_ops_left(&self) -> u64 {
-            2 * self.rounds - self.done_ops + self.overstate
         }
         fn reset(&mut self, pid: Pid) {
             self.id = pid.0 as u64;
@@ -1239,20 +1191,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_register_is_rejected() {
         StepEngine::reusable(1).run_pool(&mut RoundRobin::new(), &mut spins(RegId(5), 1, 1));
-    }
-
-    /// Checked grants hold every machine to its `min_ops_left`: one that
-    /// reports an operation more than it performs fails at `Ready`.
-    #[cfg(feature = "check")]
-    #[test]
-    #[should_panic(expected = "completed in 4 operations, below the 5")]
-    fn an_overstated_min_ops_left_fails_the_checked_grant() {
-        let mut hammer = Hammer::new(RegId(0), 0, 2);
-        hammer.overstate = 1;
-        StepEngine::reusable(1).run_pool(
-            &mut RoundRobin::new(),
-            &mut MachinePool::from_machines(vec![hammer]),
-        );
     }
 
     #[test]

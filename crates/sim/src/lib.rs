@@ -91,7 +91,7 @@ pub use reduce::{
     explore_pool_reduced, explore_pool_sleep, independent, replay_pool, ExploreReport, ReduceConfig,
 };
 pub use runner::{SimBuilder, SimOutcome};
-pub use sched::{CrashCause, SimMemory};
+pub use sched::SimMemory;
 pub use service::mega::{
     MegaServiceConfig, MegaServiceHarness, MegaServiceReport, MegaServiceWorld,
 };

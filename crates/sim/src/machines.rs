@@ -169,19 +169,6 @@ impl StepMachine for MachineSet<'_> {
         }
     }
 
-    fn min_ops_left(&self) -> u64 {
-        match self {
-            MachineSet::Walk(m) => m.min_ops_left(),
-            MachineSet::Majority(m) => m.min_ops_left(),
-            MachineSet::SnapshotRename(m) => m.min_ops_left(),
-            MachineSet::Rename(m) => m.min_ops_left(),
-            MachineSet::FirstStore(m) => m.min_ops_left(),
-            MachineSet::Naming(m) => m.min_ops_left(),
-            MachineSet::Deposit(m) => m.min_ops_left(),
-            MachineSet::Collect(m) => m.min_ops_left(),
-        }
-    }
-
     fn reset(&mut self, pid: Pid) {
         match self {
             MachineSet::Walk(m) => m.reset(pid),
@@ -449,8 +436,7 @@ pub struct SessionOp<'w> {
     pub(crate) first_store: FirstStoreOp<'w>,
     pub(crate) registered: Option<RegId>,
     pub(crate) collect: CollectOp<'w>,
-    /// The deposit machine, which the lookahead tests audit.
-    pub(crate) deposit: DepositOp<'w>,
+    deposit: DepositOp<'w>,
     phase: SessionPhase,
     /// The last session crashed mid-acquire (mid-deposit): the next
     /// re-enters the naming (deposit) machine.
@@ -517,57 +503,6 @@ impl<'w> SessionOp<'w> {
     #[inline]
     pub fn phase(&self) -> SessionPhase {
         self.phase
-    }
-
-    /// The fewest operations before the deposit round begins — the rest
-    /// of the acquire, then a store and a collect operation — or `None`
-    /// from the deposit phase on.
-    #[inline]
-    fn ops_before_round(&self) -> Option<u64> {
-        match self.phase {
-            SessionPhase::Acquire => Some(self.naming.min_ops_left() + 2),
-            SessionPhase::Store => Some(2),
-            SessionPhase::Collect => Some(1),
-            SessionPhase::Deposit | SessionPhase::Idle => None,
-        }
-    }
-
-    /// The park the session's row service has pending
-    /// ([`DepositOp::pending_park`]): its column, and the fewest
-    /// operations of this session up to and including the park write.
-    /// Row events alternate with `Column` reads, so `rows` row events
-    /// take `2·rows − 1` operations from the next row event on. The row
-    /// state survives between rounds (only a re-entry clears it), so a
-    /// session in any phase may carry one. A session holding its name
-    /// reports none: its slot's next row event waits for a whole further
-    /// session. Nor does a slot whose last session crashed mid-deposit:
-    /// the next round re-enters ([`DepositOp::reenter`]) and drops the
-    /// carried-over park, and its row service needs a row read that
-    /// finds an empty cell and a whole acquire before it parks again.
-    #[must_use]
-    #[inline]
-    pub fn pending_park(&self) -> Option<(usize, u64)> {
-        if self.deposit_dirty {
-            return None;
-        }
-        let (column, rows) = self.deposit.pending_park()?;
-        let to_row = match self.ops_before_round() {
-            Some(ops) => ops,
-            None if self.phase == SessionPhase::Idle || self.deposit.holds_name() => return None,
-            None => u64::from(self.deposit.reads_column_next()),
-        };
-        Some((column, to_row + 2 * rows - 1))
-    }
-
-    /// The column the next operation parks a name in
-    /// ([`DepositOp::next_park`]).
-    #[must_use]
-    #[inline]
-    pub fn next_park(&self) -> Option<usize> {
-        match self.phase {
-            SessionPhase::Deposit => self.deposit.next_park(),
-            _ => None,
-        }
     }
 }
 
@@ -645,19 +580,6 @@ impl StepMachine for SessionOp<'_> {
             SessionPhase::Idle => panic!("idle session driven"),
         }
         Poll::Pending
-    }
-
-    /// The session's floor: the operations to its deposit round plus a
-    /// whole round ([`DepositOp::MIN_OPS`]), then the round's own
-    /// minimum — 7 at the least in the acquire, 6 in the store, 5 in the
-    /// collect, then 4, 3, 2 and 1.
-    #[inline]
-    fn min_ops_left(&self) -> u64 {
-        match self.ops_before_round() {
-            Some(ops) => ops + DepositOp::MIN_OPS,
-            None if self.phase == SessionPhase::Idle => 0,
-            None => self.deposit.min_ops_left(),
-        }
     }
 
     fn reset(&mut self, pid: Pid) {
@@ -816,34 +738,12 @@ mod tests {
         }
     }
 
-    /// `(min_ops_left, pending_park, next_park)` before a grant.
-    type Record = (u64, Option<(usize, u64)>, Option<usize>);
-
-    /// A session that records its [`Record`] before each grant, crashes and begins again after a
-    /// grant with probability 0.005, and checks an incarnation's records
-    /// when it completes (minima and parks) or is cut short (parks) —
-    /// the probe of `crates/unbounded/tests/minima.rs`.
+    /// A session that crashes and begins again after a grant with
+    /// probability 0.005, so that later sessions re-enter the naming and
+    /// deposit machines mid-protocol.
     struct Probe<'w> {
         session: SessionOp<'w>,
         rng: SmallRng,
-        records: Vec<Record>,
-        parks: u64,
-    }
-
-    impl Probe<'_> {
-        /// A reported park is the slot's next park, into the reported
-        /// column and no sooner than reported.
-        fn check_parks(&mut self) {
-            for (i, &(_, park, _)) in self.records.iter().enumerate() {
-                let Some((column, ops)) = park else { continue };
-                if let Some(at) = self.records[i..].iter().position(|r| r.2.is_some()) {
-                    let parked = self.records[i + at].2;
-                    assert_eq!(parked, Some(column), "parked elsewhere");
-                    assert!(ops <= at as u64 + 1, "{ops} ops reported, parked at {at}");
-                    self.parks += 1;
-                }
-            }
-        }
     }
 
     impl StepMachine for Probe<'_> {
@@ -858,24 +758,8 @@ mod tests {
         }
 
         fn advance(&mut self, input: &Word) -> Poll<u64> {
-            let s = &self.session;
-            let record = (s.min_ops_left(), s.pending_park(), s.next_park());
-            self.records.push(record);
             let poll = self.session.advance(input);
-            let done = matches!(poll, Poll::Ready(_));
-            let cut = !done && self.rng.gen_bool(0.005);
-            if done {
-                let ops = self.records.len() as u64;
-                for (i, &(left, ..)) in self.records.iter().enumerate() {
-                    assert!(left <= ops - i as u64, "op {i} of {ops}: {left} left");
-                }
-                assert_eq!(self.session.min_ops_left(), 0);
-            }
-            if done || cut {
-                self.check_parks();
-                self.records.clear();
-            }
-            if cut {
+            if matches!(poll, Poll::Pending) && self.rng.gen_bool(0.005) {
                 self.session.crash();
                 self.session.begin(1);
             }
@@ -884,17 +768,14 @@ mod tests {
 
         fn reset(&mut self, pid: Pid) {
             self.session.reset(pid);
-            self.records.clear();
         }
     }
 
     /// 2–4 sessions on the engine under crash storms (seeds 0..60), with
     /// and without crash re-entries: completed sessions hold distinct
-    /// tickets, `min_ops_left` and `pending_park` never overstate the
-    /// operations that follow, and a reset pool replays a fresh pool's
-    /// trace.
+    /// tickets, and a reset pool replays a fresh pool's trace.
     #[test]
-    fn session_pools_are_exclusive_replayable_and_never_overstate() {
+    fn session_pools_are_exclusive_and_replayable() {
         for n in 2..=4 {
             let world = ServiceWorld::new(&ServiceConfig {
                 slots: n,
@@ -904,7 +785,7 @@ mod tests {
             let sessions = || -> MachinePool<SessionOp<'_>> {
                 (0..n).map(|p| SessionOp::new(&world, Pid(p))).collect()
             };
-            let (mut reused, mut parks) = (sessions(), 0);
+            let mut reused = sessions();
             for seed in 0..60u64 {
                 let storm =
                     || CrashStorm::new(Box::new(RandomPolicy::new(seed)), !seed, 0.005, n - 1);
@@ -912,8 +793,6 @@ mod tests {
                     .map(|p| Probe {
                         session: SessionOp::new(&world, Pid(p)),
                         rng: SmallRng::seed_from_u64(seed << 8 | p as u64),
-                        records: Vec::new(),
-                        parks: 0,
                     })
                     .collect();
                 engine.run_pool(&mut storm(), &mut probes);
@@ -921,7 +800,6 @@ mod tests {
                 let distinct: BTreeSet<u64> = tickets.iter().copied().collect();
                 assert!(!tickets.is_empty(), "n = {n}, seed {seed}");
                 assert_eq!(distinct.len(), tickets.len(), "n = {n}, seed {seed}");
-                parks += probes.machines().iter().map(|m| m.parks).sum::<u64>();
                 let mut fresh = sessions();
                 engine.run_pool(&mut storm(), &mut fresh);
                 let trace = engine.trace().expect("recorded").to_vec();
@@ -929,7 +807,6 @@ mod tests {
                 assert_eq!(engine.trace(), Some(&trace[..]), "n = {n}, seed {seed}");
                 assert_eq!(reused.results(), fresh.results(), "n = {n}, seed {seed}");
             }
-            assert!(parks > 0, "n = {n}: no pending park was checked");
         }
     }
 

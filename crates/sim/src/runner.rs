@@ -27,7 +27,6 @@ pub struct SimBuilder {
     max_total_ops: u64,
     record_trace: bool,
     stack_size: usize,
-    panic_on_budget: bool,
 }
 
 impl SimBuilder {
@@ -40,7 +39,6 @@ impl SimBuilder {
             max_total_ops: 50_000_000,
             record_trace: false,
             stack_size: 512 * 1024,
-            panic_on_budget: true,
         }
     }
 
@@ -66,19 +64,6 @@ impl SimBuilder {
     #[must_use]
     pub fn stack_size(mut self, bytes: usize) -> Self {
         self.stack_size = bytes;
-        self
-    }
-
-    /// Whether exhausting the operation budget panics (the default). With
-    /// `false`, the run instead returns an outcome whose
-    /// [`SimOutcome::budget_crashed`] lists the processes the budget
-    /// killed — distinguishable from the policy's [`Action::Crash`]
-    /// victims in [`SimOutcome::crashed`].
-    ///
-    /// [`Action::Crash`]: crate::policy::Action::Crash
-    #[must_use]
-    pub fn panic_on_budget(mut self, panic: bool) -> Self {
-        self.panic_on_budget = panic;
         self
     }
 
@@ -139,7 +124,7 @@ impl SimBuilder {
             resume_unwind(payload);
         }
         assert!(
-            !(self.panic_on_budget && mem.budget_exhausted()),
+            !mem.budget_exhausted(),
             "simulation exceeded its operation budget of {} ops — livelocked algorithm?",
             self.max_total_ops
         );
@@ -154,7 +139,6 @@ impl SimBuilder {
                 .collect(),
             steps,
             crashed: mem.crashed_set(),
-            budget_crashed: mem.budget_crashed_set(),
             total_ops: mem.total_ops(),
             trace: mem.trace(),
         }
@@ -165,17 +149,12 @@ impl SimBuilder {
 #[derive(Debug)]
 pub struct SimOutcome<T> {
     /// Per-process results, indexed by pid. `Err(Crash)` means the
-    /// process crashed — by the policy or by budget exhaustion; the
-    /// [`SimOutcome::crashed`] / [`SimOutcome::budget_crashed`] lists
-    /// tell the causes apart.
+    /// policy crashed the process ([`SimOutcome::crashed`]).
     pub results: Vec<Step<T>>,
     /// Local steps taken by each process.
     pub steps: Vec<u64>,
     /// Processes crashed by the policy's `Action::Crash` decisions.
     pub crashed: Vec<Pid>,
-    /// Processes crashed because the execution exhausted its operation
-    /// budget (only reachable with `panic_on_budget(false)`).
-    pub budget_crashed: Vec<Pid>,
     /// Total operations granted.
     pub total_ops: u64,
     /// The granted schedule, if tracing was enabled.
@@ -193,13 +172,6 @@ impl<T> SimOutcome<T> {
     /// Results of the processes that completed (did not crash).
     pub fn completed(&self) -> impl Iterator<Item = &T> {
         self.results.iter().filter_map(|r| r.as_ref().ok())
-    }
-
-    /// Whether the execution was cut short by its operation budget
-    /// (rather than quiescing or being fully crashed by the policy).
-    #[must_use]
-    pub fn budget_exhausted(&self) -> bool {
-        !self.budget_crashed.is_empty()
     }
 }
 

@@ -9,7 +9,7 @@ use crate::policy::{Action, PendingOp, Policy};
 
 /// Why [`SimMemory`] crashed a process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CrashCause {
+enum CrashCause {
     /// The policy decided [`Action::Crash`].
     Adversary,
     /// The execution exceeded its operation budget and all live
@@ -112,32 +112,14 @@ impl SimMemory {
     }
 
     /// Which processes were crashed by the policy's `Action::Crash`
-    /// decisions (budget-exhaustion crashes are reported separately by
-    /// [`SimMemory::budget_crashed_set`]).
+    /// decisions, not by an exhausted operation budget.
     #[must_use]
     pub fn crashed_set(&self) -> Vec<Pid> {
-        self.crashed_by(CrashCause::Adversary)
-    }
-
-    /// Which processes were crashed because the run exceeded its
-    /// operation budget.
-    #[must_use]
-    pub fn budget_crashed_set(&self) -> Vec<Pid> {
-        self.crashed_by(CrashCause::Budget)
-    }
-
-    /// Why `pid` crashed, if it did.
-    #[must_use]
-    pub fn crash_cause(&self, pid: Pid) -> Option<CrashCause> {
-        self.state.lock().crashed[pid.0]
-    }
-
-    fn crashed_by(&self, cause: CrashCause) -> Vec<Pid> {
         let st = self.state.lock();
         st.crashed
             .iter()
             .enumerate()
-            .filter_map(|(i, &c)| (c == Some(cause)).then_some(Pid(i)))
+            .filter_map(|(i, &c)| (c == Some(CrashCause::Adversary)).then_some(Pid(i)))
             .collect()
     }
 

@@ -303,8 +303,12 @@ impl ServiceConfig {
     ///
     /// A bounded run's arena holds its own sessions only: driving a
     /// harness past `target_sessions` with `run_until` needs an explicit
-    /// `arena_capacity`. A fleet shard's arena follows the fleet's
-    /// largest share ([`mega::MegaServiceConfig::shard_cfg`]).
+    /// `arena_capacity`. A run to its target stops at the end of an
+    /// epoch, in which each shard completes at most
+    /// `max_inflight ≤ slots` sessions ([`mega`]), so the `4·slots²`
+    /// slack covers the sessions past the target. A fleet shard's arena
+    /// follows the fleet's largest share
+    /// ([`mega::MegaServiceConfig::shard_cfg`]).
     #[must_use]
     pub fn arena(&self) -> usize {
         if self.arena_capacity > 0 {
@@ -412,17 +416,6 @@ impl exsel_shm::Footprint for ServiceWorld {
         exsel_shm::Footprint::footprint(&self.sc, pid, spec);
         exsel_shm::Footprint::footprint(&self.repo, pid, spec);
     }
-}
-
-/// What one [`ShardState::step`] did.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Stepped {
-    /// One operation was granted, and its session goes on.
-    Granted,
-    /// The picked session crashed; its client may hold a new timer.
-    Crashed,
-    /// One operation was granted, and it completed its session.
-    Completed,
 }
 
 /// The per-op latency families a service run measures.
@@ -674,13 +667,6 @@ struct Slot<'w> {
     /// Operations granted to the bound session so far (a `u32` fits
     /// the slot's padding; it saturates rather than wraps).
     ops: u32,
-    /// The names parked in this slot's column `Help[·][p]` of the
-    /// repository, kept from the granted operations alone: a park write
-    /// into the column adds one ([`DepositOp::next_park`]), and the
-    /// slot's completing session, the column's only consumer, takes one
-    /// with its `Help` clear. At most one name per row, so a `u16` (in
-    /// the slot's padding) holds any shard that fits in memory.
-    parked: u16,
 }
 
 /// The telemetry sink of a service run: global counter totals, the
@@ -706,9 +692,13 @@ struct Telemetry {
 }
 
 impl Telemetry {
-    /// Builds the sink for `cfg`, pre-sizing the window and audit
-    /// buffers so a bounded run records into them allocation-free.
-    fn new(cfg: &ServiceConfig) -> Self {
+    /// Builds the sink for the fleet `fleet`, pre-sizing the window and
+    /// audit buffers so a bounded run records into them allocation-free.
+    /// A run to a session target can stop up to
+    /// `shards · max_inflight − 1` sessions past it ([`mega`]), so the
+    /// audit reserves that overshoot too.
+    fn new(fleet: &mega::MegaServiceConfig) -> Self {
+        let cfg = &fleet.base;
         // Cap the pre-reservation: an open-ended horizon (the default is
         // u64::MAX / 4) would otherwise ask for gigabytes of window rows.
         // 2^18 windows is orders of magnitude beyond any bounded run; a
@@ -717,7 +707,12 @@ impl Telemetry {
         let est_windows =
             usize::try_from((cfg.horizon / cfg.window).min(1 << 18).saturating_add(2)).unwrap_or(2);
         let expected_names = if cfg.record_names {
-            usize::try_from(cfg.target_sessions.max(cfg.max_clients))
+            let inflight = fleet.shards as u64 * cfg.admission.max_inflight as u64;
+            let target = match cfg.target_sessions {
+                0 => 0,
+                target => target.saturating_add(inflight),
+            };
+            usize::try_from(target.max(cfg.max_clients))
                 .unwrap_or(0)
                 .saturating_add(64)
         } else {
@@ -850,10 +845,10 @@ struct ShardState<'w, B: RegisterBank> {
     ticket_base: u64,
     /// [`ServiceWorld::min_session_ops`], asserted at every completion.
     min_session_ops: u64,
-    /// The shard's footprint checker and `min_ops_left` checks
-    /// ([`grant`]), over every granted and priming operation. Each
-    /// shard's world and bank are register-disjoint, so per-shard
-    /// checking is exactly whole-run checking.
+    /// The shard's footprint checker ([`grant`]), over every granted
+    /// and priming operation. Each shard's world and bank are
+    /// register-disjoint, so per-shard checking is exactly whole-run
+    /// checking.
     checks: GrantChecks,
 }
 
@@ -910,11 +905,8 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
                 session_start: 0,
                 phase_start: 0,
                 ops: 0,
-                parked: 0,
             })
             .collect();
-        let mut checks = GrantChecks::default();
-        checks.start(cfg.slots);
         let mut arrival_rng = SmallRng::seed_from_u64(cfg.seed ^ 0xA221_55A1);
         let first_arrival = cfg.arrivals.next_gap(0, &mut arrival_rng);
         ShardState {
@@ -938,7 +930,7 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
             ticket_step,
             ticket_base,
             min_session_ops: world.min_session_ops(),
-            checks,
+            checks: GrantChecks::default(),
         }
     }
 
@@ -1101,19 +1093,18 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
     }
 
     /// Grants one shared-memory operation to the session on `slot` and
-    /// advances its machine; returns whether the session completed.
+    /// advances its machine.
     ///
     /// # Panics
     ///
     /// Panics if the session completes in fewer than
     /// [`ServiceWorld::min_session_ops`] operations.
-    fn grant(&mut self, slot: usize, now: u64, tel: &mut Telemetry) -> bool {
+    fn grant(&mut self, slot: usize, now: u64, tel: &mut Telemetry) {
         self.totals.ops += 1;
         tel.totals.ops += 1;
         let s = &mut self.slots[slot];
-        let ops = s.ops;
-        s.ops = ops.saturating_add(1);
-        let (phase, park) = (s.session.phase(), s.session.next_park());
+        s.ops = s.ops.saturating_add(1);
+        let phase = s.session.phase();
         let op = s.session.op();
         let poll = grant(
             &mut self.bank,
@@ -1121,7 +1112,6 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
             &mut s.session,
             op,
             Pid(slot),
-            u64::from(ops),
             self.totals.ops,
         );
         if s.session.phase() != phase {
@@ -1129,10 +1119,7 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
             s.phase_start = now + 1;
         }
         let Poll::Ready(ticket) = poll else {
-            if let Some(column) = park {
-                self.slots[column].parked += 1;
-            }
-            return false;
+            return;
         };
         assert!(
             u64::from(s.ops) >= self.min_session_ops,
@@ -1142,8 +1129,6 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
         );
         tel.record(OpFamily::Session, now + 1 - s.session_start);
         tel.record(OpFamily::Sojourn, now + 1 - s.client.arrival);
-        // The round's `Help` clear emptied a cell of its own column.
-        s.parked -= 1;
         tel.inflight -= 1;
         self.totals.completed += 1;
         tel.totals.completed += 1;
@@ -1154,7 +1139,6 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
         self.deactivate(slot);
         self.free.push(slot);
         self.drain_queue(now, tel);
-        true
     }
 
     /// Pre-registers every slot's store&collect infrastructure: drives
@@ -1171,16 +1155,12 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
         let mut index = 0;
         for (slot, s) in self.slots.iter_mut().enumerate() {
             let session = &mut s.session;
-            for ops in 0.. {
-                if session.registered.is_some() {
-                    break;
-                }
+            while session.registered.is_none() {
                 index += 1;
                 let store = &mut session.first_store;
                 let op = store.op();
                 let bank = &mut self.bank;
-                if let Poll::Ready(reg) =
-                    grant(bank, &mut self.checks, store, op, Pid(slot), ops, index)
+                if let Poll::Ready(reg) = grant(bank, &mut self.checks, store, op, Pid(slot), index)
                 {
                     session.registered = Some(reg.expect("store&collect sized for every slot"));
                 }
@@ -1189,11 +1169,11 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
         for (slot, s) in self.slots.iter_mut().enumerate() {
             let collect = &mut s.session.collect;
             collect.rearm();
-            for ops in 0.. {
+            loop {
                 index += 1;
                 let op = collect.op();
                 let bank = &mut self.bank;
-                if grant(bank, &mut self.checks, collect, op, Pid(slot), ops, index)
+                if grant(bank, &mut self.checks, collect, op, Pid(slot), index)
                     .ready()
                     .is_some()
                 {
@@ -1206,71 +1186,18 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
     /// One scheduling step of this shard, which must have a session in
     /// flight: picks an active slot under the shard's scheduler stream,
     /// draws the crash hazard, and grants (or crashes) one shared-memory
-    /// operation.
-    fn step(&mut self, now: u64, tel: &mut Telemetry) -> Stepped {
+    /// operation. Returns whether the session crashed, which may have
+    /// given its client a new timer.
+    fn step(&mut self, now: u64, tel: &mut Telemetry) -> bool {
         let pick = self.sched_rng.gen_range(0..self.active.len());
         let slot = self.active[pick];
         let crash = self.cfg.crash_hazard > 0.0 && self.hazard_rng.gen_bool(self.cfg.crash_hazard);
         if crash {
             self.crash(slot, now, tel);
-            Stepped::Crashed
-        } else if self.grant(slot, now, tel) {
-            Stepped::Completed
         } else {
-            Stepped::Granted
+            self.grant(slot, now, tel);
         }
-    }
-
-    /// Adds each in-flight session's completion bound to `hist`: the
-    /// fewest granted operations — one per tick at most — before the
-    /// session can complete, clamped to `hist.len() − 1 = S_min`.
-    /// `gate` is scratch of one entry per slot, all `u64::MAX` on entry
-    /// and on return. Reads only machine state and the parked counts,
-    /// never a register.
-    ///
-    /// A deposit round completes only by consuming a name parked in its
-    /// own column `Help[·][p]`. When column `p` holds one, the bound is
-    /// the session's floor ([`StepMachine::min_ops_left`] of its
-    /// [`SessionOp`]); the slot's `parked` count includes the name a
-    /// session that has found one is about to clear. Otherwise a row
-    /// server must park one first: a session whose row service is
-    /// acquiring or parking for column `p`, `k` operations of its slot
-    /// from that write ([`SessionOp::pending_park`]). The column read, the
-    /// arena write and the clear follow, so the bound is
-    /// `max(floor, k + 3)`. Any other park into `p` needs a row read
-    /// that finds the cell empty, a whole acquire (at least `5n + 3`)
-    /// and the write: `5n + 5` row events, which alternate with column
-    /// reads, so at least `10n + 9 ≥ S_min` operations. A session with
-    /// no server is therefore clamped to `S_min`. A session bound later
-    /// needs `S_min` operations from its binding.
-    fn bound_completions(&self, gate: &mut [u64], hist: &mut [u64]) {
-        let full = hist.len() as u64 - 1;
-        let mut servers = false;
-        for &slot in &self.active {
-            if let Some((column, ops)) = self.slots[slot].session.pending_park() {
-                gate[column] = gate[column].min(ops);
-                servers = true;
-            }
-        }
-        for &slot in &self.active {
-            hist[self.completion_bound(slot, gate).min(full) as usize] += 1;
-        }
-        if servers {
-            gate.fill(u64::MAX);
-        }
-    }
-
-    /// The completion bound of the session on `slot`, given the fewest
-    /// operations to a park into each column (`gate`, `u64::MAX` where
-    /// no server targets it); see [`ShardState::bound_completions`].
-    fn completion_bound(&self, slot: usize, gate: &[u64]) -> u64 {
-        let s = &self.slots[slot];
-        let floor = s.session.min_ops_left();
-        if s.parked > 0 {
-            floor
-        } else {
-            floor.max(gate[slot].saturating_add(3))
-        }
+        crash
     }
 
     /// The shard's next scheduled event (arrival or timer);
@@ -1359,12 +1286,14 @@ impl<'w, B: RegisterBank> ServiceHarness<'w, B> {
         self.0.run().report
     }
 
-    /// Drives the service until `sessions` sessions have completed (an
-    /// absolute count, not a delta). Returns `false` when the run ended
-    /// first — horizon reached, or arrivals exhausted and the system
-    /// drained. Benchmarks use this to separate a warm-up segment from
-    /// a measured steady-state segment before calling
-    /// [`ServiceHarness::finish`].
+    /// Drives the service until at least `sessions` sessions have
+    /// completed (an absolute count, not a delta). Returns `false` when
+    /// the run ended first — horizon reached, or arrivals exhausted and
+    /// the system drained. It stops at the end of an epoch
+    /// ([`mega::MegaServiceHarness::run_until`]), with fewer than
+    /// `sessions + max_inflight` completed. Benchmarks use this to
+    /// separate a warm-up segment from a measured steady-state segment
+    /// before calling [`ServiceHarness::finish`].
     pub fn run_until(&mut self, sessions: u64) -> bool {
         self.0.run_until(sessions)
     }

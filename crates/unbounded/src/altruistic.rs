@@ -173,19 +173,6 @@ impl AltruisticDeposit {
             .collect()
     }
 
-    /// [`AltruisticDeposit::help_occupancy`] over a
-    /// [`RegisterBank`](exsel_shm::RegisterBank), through its
-    /// non-mutating `load` — the inspection path for `StepEngine` banks
-    /// (`StepEngine::bank`) and open-loop service banks, which have no
-    /// `Memory` handle.
-    #[must_use]
-    pub fn help_occupancy_in_bank<B: exsel_shm::RegisterBank>(&self, bank: &B) -> Vec<Option<u64>> {
-        self.help
-            .iter()
-            .map(|reg| bank.load(reg).as_int())
-            .collect()
-    }
-
     /// The next operation of the row-service activity (pure).
     fn row_op(&self, pid: usize, st: &AltruisticState) -> ShmOp {
         match st.row_phase {
@@ -446,62 +433,8 @@ pub struct DepositOp<'a> {
 impl DepositOp<'_> {
     /// The fewest operations a deposit round can complete in: one
     /// `Row` event, a `Column` read that finds a parked name, the
-    /// `ArenaWrite` and the `HelpClear`. A round that has begun has at
-    /// least 3 operations left until it [holds a name](Self::holds_name),
-    /// and at least 1 after.
+    /// `ArenaWrite` and the `HelpClear`.
     pub const MIN_OPS: u64 = 4;
-
-    /// Whether the current round has found its name: only the arena
-    /// write and the `Help` clear remain (2 operations, then 1).
-    #[must_use]
-    pub fn holds_name(&self) -> bool {
-        matches!(
-            self.phase,
-            DepositPhase::ArenaWrite { .. } | DepositPhase::HelpClear { .. }
-        )
-    }
-
-    /// The row service's pending park, read from its local state: the
-    /// column `t` whose cell `Help[p][t]` receives the next name, and
-    /// the row events left up to and including that park write — the
-    /// embedded acquire's fewest operations left (counted as a
-    /// [`NamingMachine`](crate::NamingMachine)'s
-    /// [`min_ops_left`](StepMachine::min_ops_left) counts them) plus the write while acquiring, 1 at the write
-    /// itself. `None`
-    /// while the row is being scanned: a park then needs a scan read
-    /// that finds an empty cell and a whole acquire first.
-    ///
-    /// The row state outlives a round: [`DepositOp::begin_round`] keeps
-    /// it, and only [`DepositOp::reenter`] (and a trial reset) clear it.
-    /// Row and `Column` events strictly alternate within a round.
-    #[must_use]
-    pub fn pending_park(&self) -> Option<(usize, u64)> {
-        match self.st.row_phase {
-            RowPhase::Scanning => None,
-            RowPhase::Acquiring { target } => {
-                Some((target, self.st.acquire.min_ops_left(&self.repo.naming) + 1))
-            }
-            RowPhase::Parking { target, .. } => Some((target, 1)),
-        }
-    }
-
-    /// The column the next operation parks a name in — `Some(t)` when it
-    /// is the write into `Help[p][t]` — read before the operation is
-    /// granted. A park is the only write that puts a name into `Help`.
-    #[must_use]
-    pub fn next_park(&self) -> Option<usize> {
-        match (self.phase, self.st.row_phase) {
-            (DepositPhase::Row, RowPhase::Parking { target, .. }) => Some(target),
-            _ => None,
-        }
-    }
-
-    /// Whether the next operation is a `Column` read, so the next row
-    /// event is one operation further away.
-    #[must_use]
-    pub fn reads_column_next(&self) -> bool {
-        matches!(self.phase, DepositPhase::Column)
-    }
 
     /// The arena register indices claimed so far in this trial, in
     /// deposit order (empty for serve machines). Deposits recorded here
@@ -647,27 +580,6 @@ impl StepMachine for DepositOp<'_> {
         Poll::Pending
     }
 
-    /// 4 at a `Row` event, 3 at a `Column` read (which may find a
-    /// name), 2 at the arena write, 1 at the `Help` clear, plus
-    /// [`DepositOp::MIN_OPS`] for each round still to begin. A serve
-    /// machine reports the events it has left, and a completed machine 0.
-    fn min_ops_left(&self) -> u64 {
-        let rounds = match self.goal {
-            DepositGoal::Deposit { rounds } => rounds,
-            DepositGoal::Serve { events } => return events - self.events_done,
-        };
-        let Some(later) = (rounds - self.deposits.len()).checked_sub(1) else {
-            return 0;
-        };
-        let round = match self.phase {
-            DepositPhase::Row => Self::MIN_OPS,
-            DepositPhase::Column => Self::MIN_OPS - 1,
-            DepositPhase::ArenaWrite { .. } => 2,
-            DepositPhase::HelpClear { .. } => 1,
-        };
-        round + later as u64 * Self::MIN_OPS
-    }
-
     fn reset(&mut self, pid: Pid) {
         assert_eq!(pid, self.pid, "deposit machine reset for a different pid");
         self.st.reset_trial(self.repo.n);
@@ -758,8 +670,7 @@ mod tests {
     }
 
     /// A round whose first column read finds a parked name takes exactly
-    /// `DepositOp::MIN_OPS` operations, holds its name from that read
-    /// on, and reports exactly the operations left before each one.
+    /// `DepositOp::MIN_OPS` operations.
     #[test]
     fn deposit_with_a_parked_name_takes_the_minimum_ops() {
         let mut alloc = RegAlloc::new();
@@ -772,49 +683,8 @@ mod tests {
         )
         .unwrap();
         let ctx = Ctx::new(&mem, Pid(1));
-        let mut machine = repo.begin_deposit(Pid(1), 5, 1);
-        let mut named = Vec::new();
-        let mut left = vec![machine.min_ops_left()];
-        while machine.poll(ctx).unwrap().ready().is_none() {
-            named.push(machine.holds_name());
-            left.push(machine.min_ops_left());
-        }
+        drive(&mut repo.begin_deposit(Pid(1), 5, 1), ctx).unwrap();
         assert_eq!(ctx.steps(), DepositOp::MIN_OPS);
-        assert_eq!(named, [false, true, true]);
-        assert_eq!(left, [4, 3, 2, 1]);
-        assert_eq!(machine.min_ops_left(), 0);
-    }
-
-    /// The row service's pending park, the park write itself and the
-    /// alternation of row events with column reads, on a solo round
-    /// that must park its own name first: the park lands exactly when
-    /// `pending_park` says, because a lone process never retries.
-    #[test]
-    fn solo_round_parks_when_pending_park_says() {
-        let mut alloc = RegAlloc::new();
-        let repo = AltruisticDeposit::new(&mut alloc, 1, 64);
-        let mem = ThreadedShm::new(alloc.total(), 1);
-        let ctx = Ctx::new(&mem, Pid(0));
-        let mut machine = repo.begin_deposit(Pid(0), 5, 1);
-        let (mut row_events, mut parked) = (0, None);
-        let mut pending = Vec::new();
-        loop {
-            pending.push((row_events, machine.pending_park()));
-            if machine.next_park().is_some() {
-                parked = Some(row_events);
-            }
-            row_events += u64::from(!machine.holds_name() && !machine.reads_column_next());
-            if machine.poll(ctx).unwrap().ready().is_some() {
-                break;
-            }
-        }
-        let parked = parked.expect("a lone process parks its own name");
-        for (before, park) in pending {
-            if let Some((column, rows)) = park.filter(|_| before <= parked) {
-                assert_eq!(column, 0);
-                assert_eq!(rows, parked + 1 - before);
-            }
-        }
     }
 
     #[test]

@@ -523,7 +523,14 @@ fn steady_state_service_sessions_are_zero_alloc() {
         );
     });
     let report = harness.finish();
-    assert_eq!(report.totals.completed, cfg.target_sessions);
+    // The run stops at the end of an epoch, fewer than `max_inflight`
+    // sessions past its target.
+    let completed = report.totals.completed;
+    let overshoot = cfg.admission.max_inflight as u64;
+    assert!(
+        (cfg.target_sessions..cfg.target_sessions + overshoot).contains(&completed),
+        "{completed} sessions completed"
+    );
     assert!(report.accounted(), "accounting broke: {:?}", report.totals);
     assert_eq!(
         (allocs, frees),

@@ -39,7 +39,6 @@ fn outcome(engine: &StepEngine, pool: &MachinePool<RenameMachine<'_>>) -> SimOut
             .collect(),
         steps: pool.steps().to_vec(),
         crashed: engine.adversary_crashed().collect(),
-        budget_crashed: engine.budget_crashed().collect(),
         total_ops: engine.metrics().total_ops,
         trace: engine.trace().map(<[_]>::to_vec),
     }
